@@ -23,8 +23,9 @@ from .channel import PowerDelayProfile
 from .signal_model import (
     Observation,
     SystemConfig,
+    gram_kernel,
     matched_filter,
-    partial_fourier_matrix,
+    support_gram,
 )
 
 __all__ = [
@@ -71,6 +72,14 @@ def _check_obs(config: SystemConfig, obs: Observation) -> None:
         raise ValueError(
             f"observation is on a d={obs.pattern.d} grid, config has d={config.d}"
         )
+
+
+def _support_system(
+    config: SystemConfig, obs: Observation, bins: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gram matrix H_S^H H_S and projections H_S^H y on the given delay bins."""
+    gram = support_gram(gram_kernel(config.d, obs.pattern.indices), bins)
+    return gram, matched_filter(config, obs.pattern, obs.y)[bins]
 
 
 def estimate_dft(obs: Observation, config: SystemConfig) -> FullGridEstimate:
@@ -193,22 +202,17 @@ def estimate_mmse_oracle(
     active = np.flatnonzero(pdp.variances > 0)
     theta_hat = np.zeros(config.d, dtype=np.complex128)
     if active.size:
-        h_active = partial_fourier_matrix(config, obs.pattern, active)
+        gram, proj = _support_system(config, obs, active)
         if noise_var == 0:
-            if active.size > obs.pattern.n:
-                raise np.linalg.LinAlgError(
-                    "noiseless estimate needs at least as many pilots as active bins"
-                )
-            sol, _, rank, _ = np.linalg.lstsq(h_active, obs.y, rcond=None)
-            if rank < active.size:
+            # More active bins than pilots also leaves the Gram matrix rank deficient.
+            if np.linalg.matrix_rank(gram, hermitian=True) < active.size:
                 raise np.linalg.LinAlgError(
                     "restricted observation operator is rank deficient"
                 )
-            theta_hat[active] = sol
+            theta_hat[active] = scipy.linalg.solve(gram, proj, assume_a="pos")
         else:
-            gram = h_active.conj().T @ h_active
             system = gram / noise_var + np.diag(1.0 / pdp.variances[active])
-            rhs = h_active.conj().T @ obs.y / noise_var
+            rhs = proj / noise_var
             theta_hat[active] = scipy.linalg.solve(system, rhs, assume_a="pos")
     return FullGridEstimate(channel_freq=np.fft.fft(theta_hat), theta_hat=theta_hat)
 
@@ -236,12 +240,10 @@ def estimate_reduced_rank_ls(
         )
     theta_hat = np.zeros(config.d, dtype=np.complex128)
     if support.size:
-        h_sub = partial_fourier_matrix(config, obs.pattern, support.indices)
-        proj = h_sub.conj().T @ obs.y
+        gram, proj = _support_system(config, obs, support.indices)
         if approximate:
             theta_hat[support.indices] = proj / obs.pattern.n
         else:
-            gram = h_sub.conj().T @ h_sub
             try:
                 coef = scipy.linalg.solve(gram, proj, assume_a="pos")
             except np.linalg.LinAlgError as exc:

@@ -272,9 +272,9 @@ def _data_indices(d: int, pattern: PilotPattern) -> np.ndarray:
 def _run_trial(plan: _SweepPlan, snr_idx: int, trial_idx: int):
     """Synthesize one trial and score every estimator on it.
 
-    Returns ({estimator: mean squared data-subcarrier error, or None on
-    failure}, channel tap energy).  Synthesis happens unconditionally and in
-    a fixed order so the realizations are independent of the estimator list.
+    Returns ({estimator: mean squared data-subcarrier error, or None on a
+    LinAlgError}, channel tap energy).  Synthesis happens unconditionally and
+    in a fixed order so the realizations are independent of the estimator list.
     """
     system = plan.system
     sigma2 = plan.sigma2[snr_idx]
@@ -364,7 +364,7 @@ def _run_trial(plan: _SweepPlan, snr_idx: int, trial_idx: int):
                 value = 0.0
             else:  # pragma: no cover - guarded by SweepConfig validation
                 raise ValueError(f"unknown estimator {name!r}")
-        except Exception:
+        except np.linalg.LinAlgError:
             value = None
         results[name] = value
     return results, norm
@@ -381,8 +381,9 @@ def run_sweep(
 
     The aggregate linear NMSE at each SNR point is the sum of per-trial mean
     squared data-subcarrier errors divided by the sum of the same trials'
-    channel energies; trials where an estimator raised are excluded from that
-    estimator's aggregate and counted in the row's failure column.  With
+    channel energies; trials where an estimator raised ``LinAlgError`` are
+    excluded from that estimator's aggregate and counted in the row's failure
+    column, and other exceptions propagate.  With
     ``n_workers > 1`` trials are distributed over processes; results are
     identical to the sequential run.
     """

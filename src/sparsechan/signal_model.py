@@ -9,7 +9,8 @@ and a pilot observation collects ``c`` at N chosen subcarriers plus circular
 complex Gaussian noise.  Everything downstream (baseline interpolators, greedy
 sparse recovery, detection) is built on the two primitives defined here: the
 forward projection onto a pilot pattern and its adjoint, the matched filter.
-Both are evaluated with FFTs rather than explicit matrices.
+Both are evaluated with FFTs rather than explicit matrices, and least squares
+on a support looks its Gram matrix up in the circulant kernel of H^H H.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ __all__ = [
     "partial_fourier_apply",
     "partial_fourier_matrix",
     "matched_filter",
+    "gram_kernel",
+    "support_gram",
     "synthesize_observation",
 ]
 
@@ -200,8 +203,8 @@ def partial_fourier_matrix(
     """Explicit observation matrix restricted to the given delay bins.
 
     Returns the n x m array with entries exp(-2j pi p k / d) for pilot
-    subcarriers p and delay bins k.  Intended for small supports; the full
-    operator should be applied with ``partial_fourier_apply`` instead.
+    subcarriers p and delay bins k.  The estimators never build it; tests use
+    it as the reference for the FFT and Gram-lookup paths.
     """
     _check_pattern(config, pattern)
     if bins is None:
@@ -227,6 +230,24 @@ def matched_filter(
     z = np.zeros(config.d, dtype=np.complex128)
     z[pattern.indices] = y
     return config.d * np.fft.ifft(z)
+
+
+def gram_kernel(d: int, pilots: np.ndarray) -> np.ndarray:
+    """Kernel g of the circulant Gram matrix: (H^H H)[j, k] = g[(k - j) % d].
+
+    g is the FFT of the pilots' 0/1 indicator.  Leading axes of ``pilots``
+    (one row of indices per pattern) are kept.
+    """
+    pilots = np.asarray(pilots, dtype=np.int64)
+    mask = np.zeros(pilots.shape[:-1] + (d,))
+    np.put_along_axis(mask, pilots, 1.0, axis=-1)
+    return np.fft.fft(mask, axis=-1)
+
+
+def support_gram(kernel: np.ndarray, bins: np.ndarray) -> np.ndarray:
+    """Gram matrix H_S^H H_S on delay bins S from a (stacked) ``gram_kernel``."""
+    bins = np.asarray(bins, dtype=np.int64)
+    return kernel[..., (bins[None, :] - bins[:, None]) % kernel.shape[-1]]
 
 
 def synthesize_observation(

@@ -1,10 +1,11 @@
 """Greedy sparse recovery of delay-domain taps, with optional prior knowledge.
 
-The estimators here share one engine: an orthogonal matching pursuit that
-keeps an incremental Cholesky factorization of the selected columns' Gram
-matrix, so each iteration costs one FFT-based matched filter plus a rank-one
-factor update.  Around the engine sit three ways of using side information
-gathered from extra pilot observations:
+The estimators share one engine, in the manner of Batch-OMP (Rubinstein,
+Zibulevsky & Elad 2008): least squares for a stack of observation sets on one
+shared, growing support, with Gram entries looked up in the circulant kernel
+of H^H H, one inverse-Cholesky row update per bin, and batched FFTs for the
+residuals and their spectra.  Around the engine sit three ways of using side
+information gathered from extra pilot observations:
 
 * ``algorithm_a1``  detect occupied bins from an averaged sample PDP, then
                     least squares on the detected support only
@@ -18,7 +19,8 @@ gathered from extra pilot observations:
 
 With several noisy sets and multi-admission, ``ex_omp`` stops once a later
 round admits nothing and gives Wiener/MMSE coefficients with bin variances
-estimated across the sets; otherwise it keeps least squares.  Its
+estimated across the sets; otherwise it keeps least squares, dropping on
+noiseless sets the bins whose coefficients are at rounding level.  Its
 ``residual_sq_history`` records the least-squares residuals either way.
 
 Detection treats each sample-PDP bin as an averaged squared magnitude of
@@ -33,7 +35,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.optimize import brentq
 from scipy.special import gammainc
 
@@ -41,9 +42,10 @@ from .baseline import SupportSet
 from .signal_model import (
     Observation,
     ObservationSet,
-    PilotPattern,
     SystemConfig,
+    gram_kernel,
     matched_filter,
+    support_gram,
 )
 
 __all__ = [
@@ -241,113 +243,137 @@ def detect_support(pdp: SamplePdp, det: DetectionConfig) -> SupportSet:
     return SupportSet(indices=np.flatnonzero(pdp.values > threshold))
 
 
-class _SupportSolver:
-    """Incremental least squares on a growing set of Fourier columns.
+class _StackedSolver:
+    """Incremental least squares of B observations on one shared, growing support.
 
-    Maintains the Cholesky factor of the selected columns' Gram matrix, so
-    adding a column costs O(m * n_pilots) and re-solving for the coefficients
-    costs two triangular solves.  Raises a numeric error naming the support
-    if a new column is (numerically) dependent on the selected ones.
+    Keeps each set's inverse Cholesky factor L_s^-1 of G_s = H_s^H H_s on the
+    support, so c_s = L_s^-H L_s^-1 H_s^H y_s.  A bin that is (numerically)
+    dependent on the support in any set raises before anything changes.
     """
 
     __slots__ = (
-        "d",
-        "pattern",
-        "y",
-        "cols",
-        "chol",
-        "proj",
-        "support",
-        "m",
-        "coef",
-        "residual",
-        "residual_sq",
+        "d", "n", "pilots", "y", "kernel", "proj", "linv", "z", "sel", "m",
+        "coef", "residual", "residual_sq",
     )
 
-    def __init__(self, pattern: PilotPattern, y: np.ndarray) -> None:
-        cap = min(pattern.n, pattern.d)
-        self.d = pattern.d
-        self.pattern = pattern
-        self.y = np.asarray(y, dtype=np.complex128)
-        self.cols = np.empty((pattern.n, cap), dtype=np.complex128)
-        self.chol = np.zeros((cap, cap), dtype=np.complex128)
-        self.proj = np.empty(cap, dtype=np.complex128)
-        self.support: list[int] = []
+    def __init__(self, observations: tuple[Observation, ...]) -> None:
+        n_sets = len(observations)
+        self.d = observations[0].pattern.d
+        self.n = observations[0].pattern.n
+        pilots = np.stack([o.pattern.indices for o in observations])
+        self.pilots = (np.arange(n_sets)[:, None] * self.d + pilots).ravel()
+        self.y = np.stack([o.y for o in observations])
+        self.kernel = gram_kernel(self.d, pilots)
+        self.proj = self.spectrum(self.y)
+        # Only the leading m x m block is read, and add_bin writes each row
+        # in full, so neither buffer needs zeroing.
+        # The Gram matrices have rank at most n, so at most n bins fit.
+        self.linv = np.empty((n_sets, self.n, self.n), dtype=np.complex128)
+        self.z = np.empty((n_sets, self.n), dtype=np.complex128)
+        self.sel = np.empty(self.n, dtype=np.int64)
         self.m = 0
-        self.coef = np.empty(0, dtype=np.complex128)
-        self.residual = self.y.copy()
-        self.residual_sq = float(np.vdot(self.y, self.y).real)
+        self.coef = np.empty((n_sets, 0), dtype=np.complex128)
+        self.residual = self.y
+        self.residual_sq = np.vecdot(self.y, self.y).real
+
+    @property
+    def support(self) -> np.ndarray:
+        """Selected bins in selection order."""
+        return self.sel[: self.m]
 
     @property
     def full(self) -> bool:
-        return self.m >= self.cols.shape[1]
+        return self.m >= self.sel.size
+
+    def spectrum(self, r: np.ndarray) -> np.ndarray:
+        """Matched filter H_s^H r_s of every set's pilot-domain vector."""
+        z = np.zeros((r.shape[0], self.d), dtype=np.complex128)
+        z.ravel()[self.pilots] = r.ravel()
+        return self.d * np.fft.ifft(z, axis=1)
 
     def add_bin(self, k: int) -> None:
         m = self.m
-        n = float(self.pattern.n)
-        h = np.exp((-2j * np.pi * k / self.d) * self.pattern.indices)
         if m:
-            g = self.cols[:, :m].conj().T @ h
-            w = solve_triangular(self.chol[:m, :m], g, lower=True, check_finite=False)
-            gap = n - float(np.vdot(w, w).real)
+            linv = self.linv[:, :m, :m]
+            w = np.matvec(linv, self.kernel[:, (k - self.sel[:m]) % self.d])
+            gap = self.n - np.vecdot(w, w).real
         else:
-            w = None
-            gap = n
-        if gap <= 1e-12 * n:
+            gap = np.full(len(self.y), float(self.n))  # G[k, k] = n
+        if gap.min() <= 1e-12 * self.n:
             raise np.linalg.LinAlgError(
-                f"rank-deficient support {sorted(self.support + [int(k)])}"
+                f"rank-deficient support {sorted(self.support.tolist() + [int(k)])}"
             )
-        if w is not None:
-            self.chol[m, :m] = w.conj()
-        self.chol[m, m] = math.sqrt(gap)
-        self.cols[:, m] = h
-        self.proj[m] = np.vdot(h, self.y)
-        self.support.append(int(k))
+        r = 1.0 / np.sqrt(gap)
+        p = self.proj[:, k]
+        if m:
+            # With G = L L^H and w = L^-1 G[S, k], the grown factor is
+            # [[L, 0], [w^H, delta]] with delta^2 = gap, and its inverse has
+            # the new row [-w^H L^-1 / delta, 1 / delta].
+            self.linv[:, m, :m] = np.vecmat(w, linv) * -r[:, None]
+            p = p - np.vecdot(w, self.z[:, :m])
+        self.linv[:, m, m] = r
+        self.linv[:, m, m + 1 :] = 0.0
+        self.z[:, m] = p * r
+        self.sel[m] = k
         self.m = m + 1
 
-    def drop_last(self) -> None:
-        self.m -= 1
-        self.support.pop()
-
     def refresh(self) -> None:
-        """Recompute coefficients and residual for the current support."""
+        """Recompute coefficients and residuals for the current support."""
         m = self.m
-        if m == 0:
-            self.coef = np.empty(0, dtype=np.complex128)
-            self.residual = self.y.copy()
-        else:
-            chol = self.chol[:m, :m]
-            z = solve_triangular(chol, self.proj[:m], lower=True, check_finite=False)
-            self.coef = solve_triangular(
-                chol.conj().T, z, lower=False, check_finite=False
+        # c = L^-H z, i.e. conj(z^H L^-1).
+        self.coef = np.vecmat(self.z[:, :m], self.linv[:, :m, :m]).conj()
+        fitted = np.fft.fft(self.theta(self.coef), axis=1).ravel()[self.pilots]
+        self.residual = self.y - fitted.reshape(self.y.shape)
+        self.residual_sq = np.vecdot(self.residual, self.residual).real
+
+    def theta(self, coef: np.ndarray) -> np.ndarray:
+        theta = np.zeros((coef.shape[0], self.d), dtype=np.complex128)
+        theta[:, self.support] = coef
+        return theta
+
+    def split(self) -> list[_StackedSolver]:
+        """One single-set solver per set, each continuing from the shared support.
+
+        The parts share this solver's buffers, so it must not be used after.
+        """
+        n_sets = self.y.shape[0]
+        per_set = ("y", "kernel", "proj", "linv", "z", "coef", "residual", "residual_sq")
+        parts = []
+        for s in range(n_sets):
+            part = object.__new__(_StackedSolver)
+            part.d, part.n, part.m = self.d, self.n, self.m
+            part.pilots = self.pilots.reshape(n_sets, -1)[s] - s * self.d
+            part.sel = self.sel.copy()
+            for name in per_set:
+                setattr(part, name, getattr(self, name)[s : s + 1])
+            parts.append(part)
+        return parts
+
+    def estimates(
+        self, history: list[np.ndarray], coef: np.ndarray | None = None
+    ) -> list[SparseEstimate]:
+        """One estimate per set on the shared support; least squares unless coef is given."""
+        coef = self.coef if coef is None else coef
+        theta = self.theta(coef)
+        order = np.argsort(self.support)
+        selection = tuple(self.support.tolist())
+        residuals = np.array(history).T.tolist()
+        return [
+            SparseEstimate(
+                theta=theta[s],
+                support=self.support[order],
+                coeffs=coef[s, order],
+                selection_order=selection,
+                residual_sq_history=tuple(residuals[s]),
             )
-            self.residual = self.y - self.cols[:, :m] @ self.coef
-        self.residual_sq = float(np.vdot(self.residual, self.residual).real)
+            for s in range(coef.shape[0])
+        ]
 
 
-def _estimate_from(
-    solver: _SupportSolver, history: list[float], coef: np.ndarray | None = None
-) -> SparseEstimate:
-    """Package the solver's support with its least-squares or the given coefficients."""
-    coef = solver.coef if coef is None else coef
-    theta = np.zeros(solver.d, dtype=np.complex128)
-    sel = np.asarray(solver.support, dtype=np.int64)
-    if sel.size:
-        theta[sel] = coef
-    order = np.argsort(sel)
-    return SparseEstimate(
-        theta=theta,
-        support=sel[order],
-        coeffs=coef[order] if sel.size else np.empty(0, dtype=np.complex128),
-        selection_order=tuple(solver.support),
-        residual_sq_history=tuple(history),
-    )
-
-
-def _residual_target(cfg: OmpConfig, n_pilots: int, noise_var: float, y_sq: float) -> float:
-    # The relative floor ends noiseless runs once the residual is at the
-    # level of accumulated rounding error.
-    return max(cfg.residual_gamma * n_pilots * noise_var, 1e-20 * y_sq)
+def _residual_target(cfg: OmpConfig, n_pilots: int, noise_var, y_sq):
+    # Scalars or per-set arrays.  The relative floor ends noiseless runs once
+    # the residual is at the level of accumulated rounding error.
+    return np.maximum(cfg.residual_gamma * n_pilots * noise_var, 1e-20 * y_sq)
 
 
 def _default_iters(cfg: OmpConfig, n_pilots: int) -> int:
@@ -357,25 +383,21 @@ def _default_iters(cfg: OmpConfig, n_pilots: int) -> int:
 
 
 def _pursue(
-    solver: _SupportSolver,
+    solver: _StackedSolver,
     cfg: OmpConfig,
     target: float,
-    history: list[float],
+    history: list[np.ndarray],
     weights_fn=None,
 ) -> None:
     """Greedy selection loop shared by the single-set pursuit variants."""
-    config = SystemConfig(d=solver.d, n_pilots=solver.pattern.n)
-    n = solver.pattern.n
-    max_iters = _default_iters(cfg, n)
-    for _ in range(max_iters):
-        if solver.residual_sq <= target or solver.full:
+    n = solver.n
+    for _ in range(_default_iters(cfg, n)):
+        residual_sq = float(solver.residual_sq[0])
+        if residual_sq <= target or solver.full:
             break
-        amp = np.abs(matched_filter(config, solver.pattern, solver.residual)) / n
-        if weights_fn is None:
-            score = amp
-        else:
-            score = weights_fn(solver.residual_sq) * amp
-        if solver.support:
+        amp = np.abs(solver.spectrum(solver.residual)[0]) / n
+        score = amp if weights_fn is None else weights_fn(residual_sq) * amp
+        if solver.m:
             score = score.copy()
             score[solver.support] = -1.0
         best = int(np.argmax(score))
@@ -384,7 +406,7 @@ def _pursue(
         # A best correlation at rounding-error level means no remaining column
         # explains the residual; selecting it would only chase noise in the
         # arithmetic, so stop instead.
-        if amp[best] <= 1e-10 * math.sqrt(solver.residual_sq / n):
+        if amp[best] <= 1e-10 * math.sqrt(residual_sq / n):
             break
         solver.add_bin(best)
         solver.refresh()
@@ -406,11 +428,11 @@ def omp(
     nv = obs.noise_var if noise_var is None else float(noise_var)
     if nv < 0:
         raise ValueError("noise variance cannot be negative")
-    solver = _SupportSolver(obs.pattern, obs.y)
+    solver = _StackedSolver((obs,))
     history = [solver.residual_sq]
-    target = _residual_target(cfg, obs.pattern.n, nv, solver.residual_sq)
+    target = _residual_target(cfg, obs.pattern.n, nv, solver.residual_sq[0])
     _pursue(solver, cfg, target, history)
-    return _estimate_from(solver, history)
+    return solver.estimates(history)[0]
 
 
 def _capped_support(sup: SupportSet, pdp: SamplePdp, n_pilots: int) -> np.ndarray:
@@ -444,28 +466,14 @@ def algorithm_a1(
             "no delay bin cleared the detection threshold; returning zero estimates",
             stacklevel=2,
         )
-        empty = np.empty(0, dtype=np.int64)
-        return [
-            SparseEstimate(
-                theta=np.zeros(sets.d, dtype=np.complex128),
-                support=empty,
-                coeffs=np.empty(0, dtype=np.complex128),
-                selection_order=(),
-                residual_sq_history=(float(np.vdot(o.y, o.y).real),),
-            )
-            for o in sets.observations
-        ]
-    support = _capped_support(sup, spdp, sets.n_pilots)
-    estimates = []
-    for o in sets.observations:
-        solver = _SupportSolver(o.pattern, o.y)
-        history = [solver.residual_sq]
-        for k in support:
+    solver = _StackedSolver(sets.observations)
+    history = [solver.residual_sq]
+    if sup.size:
+        for k in _capped_support(sup, spdp, sets.n_pilots):
             solver.add_bin(int(k))
         solver.refresh()
         history.append(solver.residual_sq)
-        estimates.append(_estimate_from(solver, history))
-    return estimates
+    return solver.estimates(history)
 
 
 def algorithm_a2(
@@ -506,11 +514,11 @@ def algorithm_a2(
         denom = lam_prior + lam_res
         return np.where(denom > 0.0, lam_prior / np.where(denom > 0.0, denom, 1.0), 1.0)
 
-    solver = _SupportSolver(obs.pattern, obs.y)
+    solver = _StackedSolver((obs,))
     history = [solver.residual_sq]
-    target = _residual_target(cfg, n, nv, solver.residual_sq)
+    target = _residual_target(cfg, n, nv, solver.residual_sq[0])
     _pursue(solver, cfg, target, history, weights_fn)
-    return _estimate_from(solver, history)
+    return solver.estimates(history)[0]
 
 
 def algorithm_a3(
@@ -522,67 +530,59 @@ def algorithm_a3(
 
     The support detected from the averaged sample PDP is least-squares
     modeled up front for every observation; plain pursuit iterations follow
-    independently per observation.  An empty detection degenerates to plain
-    pursuit on each observation.
+    independently per observation.  A seed bin that is linearly dependent on
+    the seed support in any observation is skipped, with a warning.  An empty
+    detection degenerates to plain pursuit on each observation.
     """
     spdp = sample_pdp(sets)
     seed = _capped_support(detect_support(spdp, det), spdp, sets.n_pilots)
+    solver = _StackedSolver(sets.observations)
+    history = [solver.residual_sq]
+    for k in seed:
+        if solver.full:
+            break
+        try:
+            solver.add_bin(int(k))
+        except np.linalg.LinAlgError:
+            warnings.warn(
+                f"seed bin {int(k)} is linearly dependent on the support; skipped",
+                stacklevel=2,
+            )
+    if solver.m:
+        solver.refresh()
+        history.append(solver.residual_sq)
+    noise_vars = np.array([o.noise_var for o in sets.observations])
+    targets = _residual_target(cfg, sets.n_pilots, noise_vars, history[0])
     estimates = []
-    for o in sets.observations:
-        solver = _SupportSolver(o.pattern, o.y)
-        history = [solver.residual_sq]
-        for k in seed:
-            if solver.full:
-                break
-            try:
-                solver.add_bin(int(k))
-            except np.linalg.LinAlgError:
-                warnings.warn(
-                    f"seed bin {int(k)} is linearly dependent on the support; skipped",
-                    stacklevel=2,
-                )
-        if solver.m:
-            solver.refresh()
-            history.append(solver.residual_sq)
-        target = _residual_target(cfg, o.pattern.n, o.noise_var, history[0])
-        _pursue(solver, cfg, target, history)
-        estimates.append(_estimate_from(solver, history))
+    for s, part in enumerate(solver.split()):
+        part_history = [h[s : s + 1] for h in history]
+        _pursue(part, cfg, targets[s], part_history)
+        estimates.extend(part.estimates(part_history))
     return estimates
 
 
-def _wiener_coefficients(
-    solvers: list[_SupportSolver], noise_vars: list[float]
-) -> list[np.ndarray]:
+def _wiener_coefficients(solver: _StackedSolver, noise_vars: np.ndarray) -> np.ndarray:
     """Per-set MMSE coefficients on the shared support, in selection order.
 
     Each bin's variance is estimated across the sets as the least-squares
     power minus its noise part, lambda_k = mean_s(|c_sk|^2 - sigma_s^2
-    [G_s^-1]_kk).  Bins with lambda_k <= 0 get zero; the others solve the
-    Wiener system (G_s + sigma_s^2 diag(1/lambda)) theta = H^H y_s, built
-    from the solvers' Cholesky factors (G = L L^H) and stored projections.
+    [G_s^-1]_kk), with diag(G_s^-1) the squared column norms of the inverse
+    factor L_s^-1.  Bins with lambda_k <= 0 get zero; the others solve the
+    Wiener system (G_s + sigma_s^2 diag(1/lambda)) theta = H_s^H y_s on the
+    looked-up Gram matrix.
     """
-    m = solvers[0].m
-    factors = [s.chol[:m, :m] for s in solvers]
-    eye = np.eye(m, dtype=np.complex128)
-    # diag(G^-1) is the squared column norms of L^-1.
-    inv_diag = [
-        np.sum(np.abs(solve_triangular(f, eye, lower=True, check_finite=False)) ** 2, axis=0)
-        for f in factors
-    ]
-    lam = np.mean(
-        [np.abs(s.coef) ** 2 - nv * g for s, nv, g in zip(solvers, noise_vars, inv_diag)],
-        axis=0,
-    )
+    linv = solver.linv[:, : solver.m, : solver.m]
+    inv_diag = np.sum(linv.real**2 + linv.imag**2, axis=1)
+    lam = np.mean(np.abs(solver.coef) ** 2 - noise_vars[:, None] * inv_diag, axis=0)
     keep = np.flatnonzero(lam > 0.0)
-    coefs = []
-    for s, f, nv in zip(solvers, factors, noise_vars):
-        coef = np.zeros(m, dtype=np.complex128)
-        if keep.size:
-            rows = f[keep]
-            system = rows @ rows.conj().T + np.diag(nv / lam[keep])
-            coef[keep] = np.linalg.solve(system, s.proj[keep])
-        coefs.append(coef)
-    return coefs
+    coef = np.zeros_like(solver.coef)
+    if keep.size:
+        bins = solver.support[keep]
+        system = support_gram(solver.kernel, bins)
+        diag = np.arange(keep.size)
+        system[:, diag, diag] += noise_vars[:, None] / lam[keep]
+        coef[:, keep] = np.linalg.solve(system, solver.proj[:, bins, None])[:, :, 0]
+    return coef
 
 
 def ex_omp(
@@ -608,41 +608,33 @@ def ex_omp(
     bin with the largest combined value so the pursuit always progresses,
     and the coefficients are per-set least squares, as in plain pursuit.
     Round 0 always takes that fallback bin, so at least one bin is selected.
-    ``residual_sq_history`` records the least-squares residuals that drive
-    the pursuit, in either case.
+    Noiseless multi-set runs with multi-admission finally drop the support
+    bins whose least-squares coefficients are at rounding level in every set
+    and re-solve on the rest.  ``residual_sq_history`` records the
+    least-squares residuals that drive the pursuit, in every case.
 
     Returns one estimate per observation, all sharing the same support.
     """
-    config = SystemConfig(d=sets.d, n_pilots=sets.n_pilots)
     n = sets.n_pilots
     n_sets = sets.n_sets
-    noise_vars = [o.noise_var for o in sets.observations]
-    shrink = n_sets > 1 and cfg.multi_admit and min(noise_vars) > 0.0
+    noise_vars = np.array([o.noise_var for o in sets.observations])
+    several = n_sets > 1 and cfg.multi_admit
+    shrink = several and noise_vars.min() > 0.0
     nv_bar = float(np.mean(noise_vars))
     quantile = chi2_inv_cdf(1.0 - det.alpha, 2 * n_sets)
-    solvers = [_SupportSolver(o.pattern, o.y) for o in sets.observations]
-    histories = [[s.residual_sq] for s in solvers]
-    targets = [
-        _residual_target(cfg, n, o.noise_var, s.residual_sq)
-        for o, s in zip(sets.observations, solvers)
-    ]
+    solver = _StackedSolver(sets.observations)
+    history = [solver.residual_sq]
+    targets = _residual_target(cfg, n, noise_vars, solver.residual_sq)
     blocked: set[int] = set()
-    max_iters = _default_iters(cfg, n)
-    for round_idx in range(max_iters):
-        if all(s.residual_sq <= t for s, t in zip(solvers, targets)):
+    for round_idx in range(_default_iters(cfg, n)):
+        if np.all(solver.residual_sq <= targets) or solver.full:
             break
-        if solvers[0].full:
-            break
-        spectra = [
-            np.abs(matched_filter(config, s.pattern, s.residual)) ** 2 / (n * n)
-            for s in solvers
-        ]
+        spectra = np.abs(solver.spectrum(solver.residual)) ** 2 / (n * n)
         combined = np.mean(spectra, axis=0)
-        mean_level = float(np.mean([s.residual_sq for s in solvers])) / (n * n)
+        mean_level = float(np.mean(solver.residual_sq)) / (n * n)
         mean_level = _null_level(mean_level, n, sets.d, nv_bar)
-        masked = solvers[0].support + sorted(blocked)
-        if masked:
-            combined[masked] = -1.0
+        combined[solver.support] = -1.0
+        combined[list(blocked)] = -1.0
         admitted: list[int] = []
         if cfg.multi_admit and mean_level > 0:
             threshold = mean_level / (2.0 * n_sets) * quantile
@@ -657,26 +649,28 @@ def ex_omp(
             admitted = [best]
         progressed = False
         for k in admitted:
-            if solvers[0].full:
+            if solver.full:
                 break
-            done = []
             try:
-                for s in solvers:
-                    s.add_bin(k)
-                    done.append(s)
+                solver.add_bin(k)
             except np.linalg.LinAlgError:
-                for s in done:
-                    s.drop_last()
                 blocked.add(k)
                 continue
             progressed = True
         if not progressed:
             break
-        for s, hist in zip(solvers, histories):
-            s.refresh()
-            hist.append(s.residual_sq)
-    if shrink and solvers[0].m:
-        coefs = _wiener_coefficients(solvers, noise_vars)
-    else:
-        coefs = [s.coef for s in solvers]
-    return [_estimate_from(s, h, c) for s, h, c in zip(solvers, histories, coefs)]
+        solver.refresh()
+        history.append(solver.residual_sq)
+    if shrink and solver.m:
+        return solver.estimates(history, _wiener_coefficients(solver, noise_vars))
+    if several and noise_vars.max() == 0.0 and solver.m:
+        # Leakage bins admitted in the same round as the true taps end with
+        # coefficients at rounding level in every set; re-solve without them.
+        peak = np.abs(solver.coef).max(axis=0)
+        if peak.min() <= 1e-9 * peak.max():
+            kept = solver.support[peak > 1e-9 * peak.max()]
+            solver = _StackedSolver(sets.observations)
+            for k in kept:
+                solver.add_bin(int(k))
+            solver.refresh()
+    return solver.estimates(history)

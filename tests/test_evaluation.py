@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from sparsechan import evaluation
 from sparsechan.channel import etu_profile
 from sparsechan.evaluation import (
     ESTIMATOR_NAMES,
@@ -190,6 +191,19 @@ def test_run_sweep_counts_deterministic_failures():
     good = res.row("dft", 10.0)
     assert good.failures == 0
     assert math.isfinite(good.nmse_db)
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_run_sweep_raises_programming_errors(monkeypatch, n_workers):
+    # Only numeric LinAlgErrors count as estimator failures; a bug in an
+    # estimator must stop the sweep, in the workers as well.
+    def broken(*args, **kwargs):
+        raise TypeError("broken estimator")
+
+    monkeypatch.setattr(evaluation, "omp", broken)
+    cfg = _smoke_config(estimators=("dft", "omp"), n_trials=2)
+    with pytest.raises(TypeError, match="broken estimator"):
+        run_sweep(cfg, n_workers=n_workers)
 
 
 def test_sweep_result_csv_round_trip(tmp_path):

@@ -1,0 +1,164 @@
+"""Property tests for the linear-algebra identities the pursuit engine relies on.
+
+The engine never builds the partial Fourier matrix: it looks Gram entries up
+in the circulant kernel, takes projections from the matched filter, keeps an
+inverse Cholesky factor, and stacks observation sets along a leading axis.
+Each shortcut is checked here against the explicit matrix on random grids,
+pilot patterns, supports and observations.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from sparsechan.signal_model import (
+    Observation,
+    PilotPattern,
+    SystemConfig,
+    gram_kernel,
+    matched_filter,
+    partial_fourier_matrix,
+    support_gram,
+)
+from sparsechan.sparse_recovery import _StackedSolver
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def problems(draw, max_sets=1):
+    """Observations on one grid with one support of at most half the pilot count."""
+    d = draw(st.integers(4, 64))
+    n = draw(st.integers(2, d))
+    n_sets = draw(st.integers(1, max_sets))
+    m = draw(st.integers(1, max(1, n // 2)))
+    support = np.array(
+        draw(st.lists(st.integers(0, d - 1), min_size=m, max_size=m, unique=True))
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    config = SystemConfig(d=d, n_pilots=n)
+    observations = tuple(
+        Observation(
+            y=rng.standard_normal(n) + 1j * rng.standard_normal(n),
+            pattern=PilotPattern.pseudo_random(config, int(rng.integers(0, 2**32))),
+            noise_var=0.0,
+        )
+        for _ in range(n_sets)
+    )
+    return config, observations, support
+
+
+def _well_posed(config, observations, support):
+    """The explicit restricted operators, assumed well conditioned."""
+    hs = [partial_fourier_matrix(config, o.pattern, support) for o in observations]
+    assume(all(np.linalg.cond(h) < 1e4 for h in hs))
+    return hs
+
+
+def _solved(observations, support):
+    solver = _StackedSolver(observations)
+    for k in support:
+        solver.add_bin(int(k))
+    solver.refresh()
+    return solver
+
+
+@SETTINGS
+@given(problems())
+def test_lookup_gram_equals_explicit_gram(problem):
+    config, (obs,), support = problem
+    h = partial_fourier_matrix(config, obs.pattern, support)
+    lookup = support_gram(gram_kernel(config.d, obs.pattern.indices), support)
+    np.testing.assert_allclose(lookup, h.conj().T @ h, rtol=0, atol=1e-10 * config.n_pilots)
+
+
+@SETTINGS
+@given(problems())
+def test_matched_filter_on_support_equals_explicit_projection(problem):
+    config, (obs,), support = problem
+    h = partial_fourier_matrix(config, obs.pattern, support)
+    scale = config.n_pilots * np.linalg.norm(obs.y)
+    np.testing.assert_allclose(
+        matched_filter(config, obs.pattern, obs.y)[support],
+        h.conj().T @ obs.y,
+        rtol=0,
+        atol=1e-12 * scale,
+    )
+
+
+@SETTINGS
+@given(problems())
+def test_inverse_factor_whitens_the_gram_matrix(problem):
+    config, observations, support = problem
+    _well_posed(config, observations, support)
+    solver = _solved(observations, support)
+    m = support.size
+    linv = solver.linv[0, :m, :m]
+    gram = support_gram(solver.kernel[0], support)
+    assert np.allclose(np.triu(linv, 1), 0.0)
+    np.testing.assert_allclose(linv @ gram @ linv.conj().T, np.eye(m), rtol=0, atol=1e-9)
+
+
+@SETTINGS
+@given(problems())
+def test_coefficients_equal_explicit_least_squares(problem):
+    config, observations, support = problem
+    (h,) = _well_posed(config, observations, support)
+    solver = _solved(observations, support)
+    expected = np.linalg.lstsq(h, observations[0].y, rcond=None)[0]
+    scale = np.linalg.norm(expected)
+    np.testing.assert_allclose(solver.coef[0], expected, rtol=0, atol=1e-10 * scale)
+    residual = observations[0].y - h @ expected
+    np.testing.assert_allclose(
+        solver.residual_sq[0], np.vdot(residual, residual).real,
+        rtol=1e-8, atol=1e-12 * np.vdot(observations[0].y, observations[0].y).real,
+    )
+
+
+@SETTINGS
+@given(problems(max_sets=4))
+def test_stacked_solve_equals_separate_solves(problem):
+    # The stacked solver, and each single-set solver split off it before the
+    # last bin, match solvers built for one set alone.
+    config, observations, support = problem
+    _well_posed(config, observations, support)
+    stacked = _solved(observations, support)
+    parts = _solved(observations, support[:-1]).split()
+    for s, (obs, part) in enumerate(zip(observations, parts)):
+        alone = _solved((obs,), support)
+        part.add_bin(int(support[-1]))
+        part.refresh()
+        for got in (stacked, part):
+            row = s if got is stacked else 0
+            np.testing.assert_allclose(got.coef[row], alone.coef[0], rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(
+                got.spectrum(got.residual)[row],
+                alone.spectrum(alone.residual)[0],
+                rtol=1e-12,
+                atol=1e-12,
+            )
+
+
+def test_bin_dependent_in_one_set_raises_before_any_change():
+    # Spacing-2 pilots on d=16 cannot tell bins 2 and 10 apart, while the
+    # pseudo-random set can: the stacked add must refuse bin 10 and leave the
+    # solver exactly as it was.
+    config = SystemConfig(d=16, n_pilots=8)
+    rng = np.random.default_rng(0)
+    observations = tuple(
+        Observation(rng.standard_normal(8) + 1j * rng.standard_normal(8), pattern, 0.0)
+        for pattern in (
+            PilotPattern.pseudo_random(config, seed=3),
+            PilotPattern.uniform(config, spacing=2),
+        )
+    )
+    solver = _solved(observations, np.array([2]))
+    with pytest.raises(np.linalg.LinAlgError, match=r"\[2, 10\]"):
+        solver.add_bin(10)
+    assert solver.support.tolist() == [2]
+    solver.add_bin(5)
+    solver.refresh()
+    fresh = _solved(observations, np.array([2, 5]))
+    np.testing.assert_array_equal(solver.coef, fresh.coef)
+    np.testing.assert_array_equal(solver.residual, fresh.residual)

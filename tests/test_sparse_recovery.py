@@ -418,6 +418,30 @@ def test_ex_omp_shared_support_exact_recovery():
         assert combos[int(np.argmin(residuals))].tolist() == support
 
 
+def test_ex_omp_noiseless_drops_rounding_level_bins():
+    # Draw 250 of criterion 08's noiseless fixture (master seed 20260819):
+    # multi-admission takes leakage bins 47 and 8 in the same rounds as the
+    # taps 13, 15, 16 and 40.  Their least-squares coefficients come out at
+    # rounding level in every set, so they must not stay in the support.
+    cfg = SystemConfig(d=64, n_pilots=32)
+    rng = np.random.default_rng(20260819)
+    for _ in range(251):
+        support = np.sort(rng.choice(64, size=4, replace=False))
+        obs, thetas = [], []
+        for _ in range(4):
+            th = np.zeros(64, dtype=np.complex128)
+            th[support] = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            pat = PilotPattern.pseudo_random(cfg, int(rng.integers(0, 2**63)))
+            obs.append(synthesize_observation(cfg, pat, th, 0.0))
+            thetas.append(th)
+    assert support.tolist() == [13, 15, 16, 40]
+    ests = ex_omp(ObservationSet(tuple(obs)), DetectionConfig(alpha=1e-6))
+    for est, th in zip(ests, thetas):
+        assert est.support.tolist() == support.tolist()
+        assert est.selection_order == (15, 40, 16, 13)
+        np.testing.assert_allclose(est.theta, th, atol=1e-9)
+
+
 def test_ex_omp_multi_admission_happens():
     # Three well separated strong bins: the first round admits several at once,
     # so there are more selections than pursuit rounds.
