@@ -13,7 +13,6 @@ them.  The lineup:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,15 +220,11 @@ def estimate_reduced_rank_ls(
     obs: Observation,
     support: SupportSet,
     config: SystemConfig,
-    approximate: bool = False,
 ) -> FullGridEstimate:
     """Least squares restricted to the given delay bins.
 
-    The exact solve inverts the m x m Gram matrix of the restricted operator.
-    ``approximate=True`` replaces the inverse with 1/n_pilots, which treats
-    the restricted columns as orthogonal; cheap, and exact only when they
-    really are orthogonal (e.g. uniform patterns with aliasing-free supports).
-    An empty support returns the all-zero estimate.
+    Solves with the m x m Gram matrix of the restricted operator.  An empty
+    support returns the all-zero estimate.
     """
     _check_obs(config, obs)
     if support.size and support.indices[-1] >= config.d:
@@ -241,14 +236,11 @@ def estimate_reduced_rank_ls(
     theta_hat = np.zeros(config.d, dtype=np.complex128)
     if support.size:
         gram, proj = _support_system(config, obs, support.indices)
-        if approximate:
-            theta_hat[support.indices] = proj / obs.pattern.n
-        else:
-            try:
-                coef = scipy.linalg.solve(gram, proj, assume_a="pos")
-            except np.linalg.LinAlgError as exc:
-                raise np.linalg.LinAlgError(
-                    f"rank-deficient support {support.indices.tolist()}"
-                ) from exc
-            theta_hat[support.indices] = coef
+        try:
+            coef = scipy.linalg.solve(gram, proj, assume_a="pos")
+        except np.linalg.LinAlgError as exc:
+            raise np.linalg.LinAlgError(
+                f"rank-deficient support {support.indices.tolist()}"
+            ) from exc
+        theta_hat[support.indices] = coef
     return FullGridEstimate(channel_freq=np.fft.fft(theta_hat), theta_hat=theta_hat)

@@ -3,8 +3,7 @@
 A channel prior is a power delay profile (PDP): one nonnegative variance per
 delay bin of the grid.  Priors can be built from a tabulated impulse profile
 (discrete taps at physical delays, powers in dB) by spreading each tap into a
-causal exponentially decaying cluster, or directly as a one-sided exponential
-profile.  Channel realizations draw each tap independently from a circular
+causal exponentially decaying cluster.  Channel realizations draw each tap independently from a circular
 complex Gaussian with the bin's variance.
 """
 
@@ -24,7 +23,6 @@ __all__ = [
     "PowerDelayProfile",
     "etu_profile",
     "to_continuous_pdp",
-    "exponential_pdp",
     "realize_channel",
     "eta95",
     "delay_spread",
@@ -215,26 +213,6 @@ def to_continuous_pdp(
         variances[k0 : k0 + keep] += chunk * 10.0 ** (power_db / 10.0)
     pdp = PowerDelayProfile(variances, width)
     return pdp.normalized() if normalize else pdp
-
-
-def exponential_pdp(
-    config: SystemConfig, rms_delay_s: float, total_power: float = 1.0
-) -> PowerDelayProfile:
-    """One-sided exponential profile with the given decay constant.
-
-    Bin k gets variance proportional to exp(-k * bin_width / rms_delay),
-    scaled so the sum equals ``total_power``.  An rms_delay much smaller than
-    the bin width degenerates to all power in bin zero.
-    """
-    if rms_delay_s <= 0:
-        raise ValueError("rms_delay_s must be positive")
-    if total_power <= 0:
-        raise ValueError("total power must be positive")
-    k = np.arange(config.d)
-    with np.errstate(under="ignore"):
-        var = np.exp(-k * config.bin_width_s / rms_delay_s)
-    var *= total_power / var.sum()
-    return PowerDelayProfile(var, config.bin_width_s)
 
 
 def realize_channel(

@@ -31,7 +31,6 @@ from .channel import (
     to_continuous_pdp,
 )
 from .evaluation import (
-    ESTIMATOR_NAMES,
     SweepConfig,
     false_alarm_calibration,
     run_sweep,
@@ -85,7 +84,6 @@ _KNOWN_KEYS = frozenset(
         "detect.alpha",
         "omp.max_iters",
         "omp.residual_gamma",
-        "omp.multi_admit",
         "capacity.n_symbols",
         "calib.alphas",
         "calib.n_sets",
@@ -124,16 +122,6 @@ class _Config:
             return float(self.raw[key])
         except ValueError as exc:
             raise ConfigError(key, f"expected a number, got {self.raw[key]!r}") from exc
-
-    def get_bool(self, key: str, default: bool) -> bool:
-        if key not in self.raw:
-            return default
-        value = self.raw[key].lower()
-        if value in ("true", "yes", "1", "on"):
-            return True
-        if value in ("false", "no", "0", "off"):
-            return False
-        raise ConfigError(key, f"expected a boolean, got {self.raw[key]!r}")
 
     def get_float_list(self, key: str, default: tuple[float, ...]) -> tuple[float, ...]:
         if key not in self.raw:
@@ -199,7 +187,6 @@ def _build_omp(cfg: _Config) -> OmpConfig:
         return OmpConfig(
             max_iters=cfg.get_int("omp.max_iters", None),
             residual_gamma=cfg.get_float("omp.residual_gamma", 1.0),
-            multi_admit=cfg.get_bool("omp.multi_admit", True),
         )
     except ValueError as exc:
         raise ConfigError("omp.*", str(exc)) from exc

@@ -22,9 +22,10 @@ the same channel realizations.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -63,48 +64,12 @@ __all__ = [
     "SweepConfig",
     "SweepRow",
     "SweepResult",
-    "nmse_linear",
-    "nmse_db",
     "capacity_lower_bound",
     "run_sweep",
     "false_alarm_calibration",
 ]
 
 NMSE_DB_FLOOR = -100.0
-
-ESTIMATOR_NAMES = (
-    "dft",
-    "li",
-    "li-mmse",
-    "mmse",
-    "rrls",
-    "omp",
-    "a1",
-    "a2",
-    "a3",
-    "exomp",
-    "ideal",
-)
-
-
-def nmse_linear(
-    true_data: np.ndarray, est_data: np.ndarray, theta_norm_sq: float
-) -> float:
-    """Mean squared reconstruction error on the data subcarriers over the tap energy."""
-    true_data = np.asarray(true_data)
-    est_data = np.asarray(est_data)
-    if true_data.shape != est_data.shape or true_data.ndim != 1 or true_data.size == 0:
-        raise ValueError("true and estimated vectors must be equal-length and non-empty")
-    if theta_norm_sq <= 0:
-        raise ValueError("channel tap energy must be positive")
-    err = est_data - true_data
-    return float(np.mean(np.abs(err) ** 2)) / float(theta_norm_sq)
-
-
-def nmse_db(true_data: np.ndarray, est_data: np.ndarray, theta_norm_sq: float) -> float:
-    """``nmse_linear`` in decibels, floored at -100 dB so exact fits stay finite."""
-    lin = nmse_linear(true_data, est_data, theta_norm_sq)
-    return max(10.0 * math.log10(lin) if lin > 0 else -math.inf, NMSE_DB_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -176,6 +141,8 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if not self.snr_db:
             raise ValueError("need at least one SNR point")
+        if len(set(self.snr_db)) != len(self.snr_db):
+            raise ValueError("SNR points must be distinct")
         if self.n_trials < 1:
             raise ValueError("n_trials must be positive")
         if not self.estimators:
@@ -269,105 +236,120 @@ def _data_indices(d: int, pattern: PilotPattern) -> np.ndarray:
     return np.flatnonzero(mask)
 
 
+class _Trial:
+    """One trial's synthesized inputs.
+
+    Synthesis happens unconditionally and in a fixed order, so the
+    realizations are independent of the estimator list.  The inputs several
+    estimators share are built on first use, at most once per trial; they
+    draw no random numbers.
+    """
+
+    def __init__(self, plan: _SweepPlan, snr_idx: int, trial_idx: int) -> None:
+        system = plan.system
+        sigma2 = plan.sigma2[snr_idx]
+        rng = np.random.default_rng([plan.master_seed, snr_idx, trial_idx])
+        self.plan, self.system, self.sigma2 = plan, system, sigma2
+
+        theta0 = realize_channel(plan.pdp, rng)
+        self.true_freq = np.fft.fft(theta0)
+        self.norm = float(np.vdot(theta0, theta0).real)
+        self.uni_obs = synthesize_observation(system, plan.uni_pattern, theta0, sigma2, rng)
+        rand_pattern = PilotPattern.pseudo_random(system, int(rng.integers(0, 2**63)))
+        self.rand_obs = synthesize_observation(system, rand_pattern, theta0, sigma2, rng)
+        self.priors_rand = []
+        for _ in range(plan.n_prior_sets):
+            th = realize_channel(plan.pdp, rng)
+            pat = PilotPattern.pseudo_random(system, int(rng.integers(0, 2**63)))
+            self.priors_rand.append(synthesize_observation(system, pat, th, sigma2, rng))
+        self.priors_uni = []
+        for _ in range(plan.n_prior_sets):
+            th = realize_channel(plan.pdp, rng)
+            self.priors_uni.append(
+                synthesize_observation(system, plan.uni_pattern, th, sigma2, rng)
+            )
+
+        self.det = DetectionConfig(alpha=plan.alpha, noise_var=sigma2)
+        self.data = {
+            "uniform": _data_indices(system.d, plan.uni_pattern),
+            "pseudo_random": _data_indices(system.d, rand_pattern),
+        }
+
+    @cached_property
+    def full_set(self) -> ObservationSet:
+        """The scored pseudo-random observation followed by the prior sets."""
+        return ObservationSet(tuple([self.rand_obs] + self.priors_rand))
+
+    @cached_property
+    def prior_pdp(self) -> SamplePdp:
+        """Sample PDP of the pseudo-random prior sets."""
+        return sample_pdp(ObservationSet(tuple(self.priors_rand)))
+
+
+# Each estimator's pattern kind (its error is measured on the data subcarriers
+# of that trial pattern) and its transfer function on one trial.  The lambdas
+# look the estimator functions up when called, so a replaced module attribute
+# takes effect.
+_ESTIMATORS: dict[str, tuple[str, Callable[[_Trial], np.ndarray]]] = {
+    "dft": ("uniform", lambda t: estimate_dft(t.uni_obs, t.system).channel_freq),
+    "li": ("uniform", lambda t: estimate_linear_interp(t.uni_obs, t.system).channel_freq),
+    "li-mmse": (
+        "uniform",
+        lambda t: estimate_li_mmse(
+            t.uni_obs, pilot_sample_covariance(t.priors_uni, t.sigma2), t.sigma2, t.system
+        ).channel_freq,
+    ),
+    "mmse": (
+        "pseudo_random",
+        lambda t: estimate_mmse_oracle(
+            t.rand_obs, t.plan.pdp, t.sigma2, t.system
+        ).channel_freq,
+    ),
+    "rrls": (
+        "uniform",
+        lambda t: estimate_reduced_rank_ls(
+            t.uni_obs, SupportSet(t.plan.rrls_support), t.system
+        ).channel_freq,
+    ),
+    "omp": ("pseudo_random", lambda t: omp(t.rand_obs, t.plan.omp).channel_freq()),
+    "a1": ("pseudo_random", lambda t: algorithm_a1(t.full_set, t.det)[0].channel_freq()),
+    "a2": (
+        "pseudo_random",
+        lambda t: algorithm_a2(t.rand_obs, t.prior_pdp, t.det, t.plan.omp).channel_freq(),
+    ),
+    "a3": (
+        "pseudo_random",
+        lambda t: algorithm_a3(t.full_set, t.det, t.plan.omp)[0].channel_freq(),
+    ),
+    "exomp": (
+        "pseudo_random",
+        lambda t: ex_omp(t.full_set, t.det, t.plan.omp)[0].channel_freq(),
+    ),
+    "ideal": ("uniform", lambda t: t.true_freq),
+}
+
+ESTIMATOR_NAMES = tuple(_ESTIMATORS)
+
+
 def _run_trial(plan: _SweepPlan, snr_idx: int, trial_idx: int):
     """Synthesize one trial and score every estimator on it.
 
     Returns ({estimator: mean squared data-subcarrier error, or None on a
-    LinAlgError}, channel tap energy).  Synthesis happens unconditionally and
-    in a fixed order so the realizations are independent of the estimator list.
+    LinAlgError}, channel tap energy).
     """
-    system = plan.system
-    sigma2 = plan.sigma2[snr_idx]
-    rng = np.random.default_rng([plan.master_seed, snr_idx, trial_idx])
-
-    theta0 = realize_channel(plan.pdp, rng)
-    true_freq = np.fft.fft(theta0)
-    norm = float(np.vdot(theta0, theta0).real)
-    uni_obs = synthesize_observation(system, plan.uni_pattern, theta0, sigma2, rng)
-    rand_pattern = PilotPattern.pseudo_random(system, int(rng.integers(0, 2**63)))
-    rand_obs = synthesize_observation(system, rand_pattern, theta0, sigma2, rng)
-    priors_rand = []
-    for _ in range(plan.n_prior_sets):
-        th = realize_channel(plan.pdp, rng)
-        pat = PilotPattern.pseudo_random(system, int(rng.integers(0, 2**63)))
-        priors_rand.append(synthesize_observation(system, pat, th, sigma2, rng))
-    priors_uni = []
-    for _ in range(plan.n_prior_sets):
-        th = realize_channel(plan.pdp, rng)
-        priors_uni.append(synthesize_observation(system, plan.uni_pattern, th, sigma2, rng))
-
-    det = DetectionConfig(alpha=plan.alpha, noise_var=sigma2)
-    uni_data = _data_indices(system.d, plan.uni_pattern)
-    rand_data = _data_indices(system.d, rand_pattern)
-    cache: dict[str, object] = {}
-
-    def prior_spdp() -> SamplePdp:
-        if "spdp" not in cache:
-            cache["spdp"] = sample_pdp(ObservationSet(tuple(priors_rand)))
-        return cache["spdp"]
-
-    def full_set() -> ObservationSet:
-        if "full" not in cache:
-            cache["full"] = ObservationSet(tuple([rand_obs] + priors_rand))
-        return cache["full"]
-
-    def score(freq: np.ndarray, data: np.ndarray) -> float:
-        err = freq[data] - true_freq[data]
-        return float(np.mean(np.abs(err) ** 2))
-
+    trial = _Trial(plan, snr_idx, trial_idx)
     results: dict[str, float | None] = {}
     for name in plan.estimators:
+        kind, transfer = _ESTIMATORS[name]
         try:
-            if name == "dft":
-                value = score(estimate_dft(uni_obs, system).channel_freq, uni_data)
-            elif name == "li":
-                value = score(
-                    estimate_linear_interp(uni_obs, system).channel_freq, uni_data
-                )
-            elif name == "li-mmse":
-                cov = pilot_sample_covariance(priors_uni, sigma2)
-                value = score(
-                    estimate_li_mmse(uni_obs, cov, sigma2, system).channel_freq,
-                    uni_data,
-                )
-            elif name == "mmse":
-                value = score(
-                    estimate_mmse_oracle(
-                        rand_obs, plan.pdp, sigma2, system
-                    ).channel_freq,
-                    rand_data,
-                )
-            elif name == "rrls":
-                est = estimate_reduced_rank_ls(
-                    uni_obs, SupportSet(plan.rrls_support), system
-                )
-                value = score(est.channel_freq, uni_data)
-            elif name == "omp":
-                value = score(omp(rand_obs, plan.omp).channel_freq(), rand_data)
-            elif name == "a1":
-                value = score(
-                    algorithm_a1(full_set(), det)[0].channel_freq(), rand_data
-                )
-            elif name == "a2":
-                est = algorithm_a2(rand_obs, prior_spdp(), det, plan.omp)
-                value = score(est.channel_freq(), rand_data)
-            elif name == "a3":
-                value = score(
-                    algorithm_a3(full_set(), det, plan.omp)[0].channel_freq(),
-                    rand_data,
-                )
-            elif name == "exomp":
-                value = score(
-                    ex_omp(full_set(), det, plan.omp)[0].channel_freq(), rand_data
-                )
-            elif name == "ideal":
-                value = 0.0
-            else:  # pragma: no cover - guarded by SweepConfig validation
-                raise ValueError(f"unknown estimator {name!r}")
+            freq = transfer(trial)
         except np.linalg.LinAlgError:
-            value = None
-        results[name] = value
-    return results, norm
+            results[name] = None
+            continue
+        data = trial.data[kind]
+        err = freq[data] - trial.true_freq[data]
+        results[name] = float(np.mean(np.abs(err) ** 2))
+    return results, trial.norm
 
 
 def _trial_star(plan: _SweepPlan, idx: tuple[int, int]):

@@ -84,8 +84,6 @@ class PilotPattern:
     indices: np.ndarray
     d: int
     kind: str = "custom"
-    spacing: int | None = None
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         idx = np.sort(np.asarray(self.indices, dtype=np.int64))
@@ -112,14 +110,14 @@ class PilotPattern:
                 f"{config.n_pilots} pilots at spacing {spacing} overrun d={config.d}"
             )
         idx = np.arange(config.n_pilots, dtype=np.int64) * spacing
-        return cls(indices=idx, d=config.d, kind="uniform", spacing=spacing)
+        return cls(indices=idx, d=config.d, kind="uniform")
 
     @classmethod
     def pseudo_random(cls, config: SystemConfig, seed: int) -> "PilotPattern":
         """n_pilots distinct subcarriers drawn uniformly without replacement."""
         rng = np.random.default_rng(seed)
         idx = rng.choice(config.d, size=config.n_pilots, replace=False)
-        return cls(indices=idx, d=config.d, kind="pseudo_random", seed=int(seed))
+        return cls(indices=idx, d=config.d, kind="pseudo_random")
 
 
 @dataclass(frozen=True)
@@ -143,15 +141,13 @@ class Observation:
 
 @dataclass(frozen=True)
 class ObservationSet:
-    """A bundle of observations that share one grid size.
+    """A bundle of observations that share one grid size and pilot count.
 
-    ``correlated=True`` declares that all member observations saw the same
-    channel realization, which permits coherent averaging downstream;
-    the default treats them as independent draws from a common prior.
+    Downstream code treats the members as independent draws from a common
+    prior.
     """
 
     observations: tuple[Observation, ...]
-    correlated: bool = False
 
     def __post_init__(self) -> None:
         obs = tuple(self.observations)

@@ -17,10 +17,10 @@ information gathered from extra pilot observations:
                     shared support, admitting every bin whose combined
                     residual spectrum clears a chi-square detection threshold
 
-With several noisy sets and multi-admission, ``ex_omp`` stops once a later
-round admits nothing and gives Wiener/MMSE coefficients with bin variances
-estimated across the sets; otherwise it keeps least squares, dropping on
-noiseless sets the bins whose coefficients are at rounding level.  Its
+With several noisy sets, ``ex_omp`` stops once a later round admits nothing
+and gives Wiener/MMSE coefficients with bin variances estimated across the
+sets; otherwise it keeps least squares, dropping on several noiseless sets
+the bins whose coefficients are at rounding level.  Its
 ``residual_sq_history`` records the least-squares residuals either way.
 
 Detection treats each sample-PDP bin as an averaged squared magnitude of
@@ -144,14 +144,11 @@ class OmpConfig:
 
     max_iters bounds the number of selection rounds (default: n_pilots / 4,
     rounded up).  The pursuit stops early once the squared residual norm
-    drops to residual_gamma * n_pilots * noise_var.  multi_admit lets the
-    multi-set pursuit admit every bin above its detection threshold in one
-    round instead of only the best one.
+    drops to residual_gamma * n_pilots * noise_var.
     """
 
     max_iters: int | None = None
     residual_gamma: float = 1.0
-    multi_admit: bool = True
 
     def __post_init__(self) -> None:
         if self.max_iters is not None and self.max_iters < 1:
@@ -178,11 +175,8 @@ class SparseEstimate:
 def sample_pdp(sets: ObservationSet) -> SamplePdp:
     """Average the squared matched-filter spectra of the observations.
 
-    Independent sets (the default) are averaged incoherently, power by power,
-    giving 2 * n_sets chi-square degrees of freedom per noise bin.  Sets
-    marked correlated saw the same channel, so their matched filters are
-    averaged coherently first and squared once; that reduces the noise level
-    by the number of sets but leaves only 2 degrees of freedom.
+    The sets are independent, so they are averaged incoherently, power by
+    power, giving 2 * n_sets chi-square degrees of freedom per noise bin.
     """
     config = SystemConfig(d=sets.d, n_pilots=sets.n_pilots)
     n = sets.n_pilots
@@ -190,11 +184,6 @@ def sample_pdp(sets: ObservationSet) -> SamplePdp:
         matched_filter(config, o.pattern, o.y) / n for o in sets.observations
     ]
     energies = [float(np.vdot(o.y, o.y).real) for o in sets.observations]
-    if sets.correlated:
-        coherent = np.mean(spectra, axis=0)
-        values = np.abs(coherent) ** 2
-        scale = float(np.mean(energies)) / (n * n) / sets.n_sets
-        return SamplePdp(values=values, n_sets=1, scale=scale, n_pilots=n)
     values = np.mean([np.abs(s) ** 2 for s in spectra], axis=0)
     scale = float(np.mean(energies)) / (n * n)
     return SamplePdp(values=values, n_sets=sets.n_sets, scale=scale, n_pilots=n)
@@ -413,11 +402,7 @@ def _pursue(
         history.append(solver.residual_sq)
 
 
-def omp(
-    obs: Observation,
-    cfg: OmpConfig = OmpConfig(),
-    noise_var: float | None = None,
-) -> SparseEstimate:
+def omp(obs: Observation, cfg: OmpConfig = OmpConfig()) -> SparseEstimate:
     """Plain orthogonal matching pursuit on one observation.
 
     Selects the delay bin with the largest residual correlation magnitude,
@@ -425,12 +410,9 @@ def omp(
     residual energy falls to residual_gamma * n_pilots * noise_var or the
     iteration cap is reached.  Exact float ties go to the lowest bin index.
     """
-    nv = obs.noise_var if noise_var is None else float(noise_var)
-    if nv < 0:
-        raise ValueError("noise variance cannot be negative")
     solver = _StackedSolver((obs,))
     history = [solver.residual_sq]
-    target = _residual_target(cfg, obs.pattern.n, nv, solver.residual_sq[0])
+    target = _residual_target(cfg, obs.pattern.n, obs.noise_var, solver.residual_sq[0])
     _pursue(solver, cfg, target, history)
     return solver.estimates(history)[0]
 
@@ -481,7 +463,6 @@ def algorithm_a2(
     prior_pdp: SamplePdp,
     det: DetectionConfig = DetectionConfig(),
     cfg: OmpConfig = OmpConfig(),
-    noise_var: float | None = None,
 ) -> SparseEstimate:
     """Pursuit with selection scores weighted by a prior sample PDP.
 
@@ -494,9 +475,6 @@ def algorithm_a2(
     weighting carries no information and the score falls back to the plain
     correlation.
     """
-    nv = obs.noise_var if noise_var is None else float(noise_var)
-    if nv < 0:
-        raise ValueError("noise variance cannot be negative")
     if prior_pdp.values.size != obs.pattern.d:
         raise ValueError(
             f"prior has {prior_pdp.values.size} bins, observation grid has {obs.pattern.d}"
@@ -510,13 +488,13 @@ def algorithm_a2(
     d = obs.pattern.d
 
     def weights_fn(residual_sq: float) -> np.ndarray:
-        lam_res = _null_level(residual_sq / (n * n), n, d, nv)
+        lam_res = _null_level(residual_sq / (n * n), n, d, obs.noise_var)
         denom = lam_prior + lam_res
         return np.where(denom > 0.0, lam_prior / np.where(denom > 0.0, denom, 1.0), 1.0)
 
     solver = _StackedSolver((obs,))
     history = [solver.residual_sq]
-    target = _residual_target(cfg, n, nv, solver.residual_sq[0])
+    target = _residual_target(cfg, n, obs.noise_var, solver.residual_sq[0])
     _pursue(solver, cfg, target, history, weights_fn)
     return solver.estimates(history)[0]
 
@@ -598,28 +576,27 @@ def ex_omp(
     grows until every observation's residual meets the stopping rule, the
     iteration cap is reached, or the support size reaches the pilot count.
 
-    With more than one observation, all of them noisy, and cfg.multi_admit
-    on, the pursuit also stops after any round but the first in which no bin
-    clears the threshold, and the final coefficients are shrunk: each set
-    gets Wiener/MMSE coefficients with bin variances estimated across the
-    sets (see ``_wiener_coefficients``), so bins that carry less power than
-    their least-squares noise are zeroed.  Otherwise (a single set, noiseless
-    observations, or single admission) a round that admits nothing takes the
-    bin with the largest combined value so the pursuit always progresses,
-    and the coefficients are per-set least squares, as in plain pursuit.
-    Round 0 always takes that fallback bin, so at least one bin is selected.
-    Noiseless multi-set runs with multi-admission finally drop the support
-    bins whose least-squares coefficients are at rounding level in every set
-    and re-solve on the rest.  ``residual_sq_history`` records the
-    least-squares residuals that drive the pursuit, in every case.
+    With more than one observation, all of them noisy, the pursuit also
+    stops after any round but the first in which no bin clears the
+    threshold, and the final coefficients are shrunk: each set gets
+    Wiener/MMSE coefficients with bin variances estimated across the sets
+    (see ``_wiener_coefficients``), so bins that carry less power than their
+    least-squares noise are zeroed.  Otherwise (a single set, or noiseless
+    observations) a round that admits nothing takes the bin with the largest
+    combined value so the pursuit always progresses, and the coefficients
+    are per-set least squares, as in plain pursuit.  Round 0 always takes
+    that fallback bin, so at least one bin is selected.  Noiseless multi-set
+    runs finally drop the support bins whose least-squares coefficients are
+    at rounding level in every set and re-solve on the rest.
+    ``residual_sq_history`` records the least-squares residuals that drive
+    the pursuit, in every case.
 
     Returns one estimate per observation, all sharing the same support.
     """
     n = sets.n_pilots
     n_sets = sets.n_sets
     noise_vars = np.array([o.noise_var for o in sets.observations])
-    several = n_sets > 1 and cfg.multi_admit
-    shrink = several and noise_vars.min() > 0.0
+    shrink = n_sets > 1 and noise_vars.min() > 0.0
     nv_bar = float(np.mean(noise_vars))
     quantile = chi2_inv_cdf(1.0 - det.alpha, 2 * n_sets)
     solver = _StackedSolver(sets.observations)
@@ -636,7 +613,7 @@ def ex_omp(
         combined[solver.support] = -1.0
         combined[list(blocked)] = -1.0
         admitted: list[int] = []
-        if cfg.multi_admit and mean_level > 0:
+        if mean_level > 0:
             threshold = mean_level / (2.0 * n_sets) * quantile
             above = np.flatnonzero(combined > threshold)
             admitted = list(above[np.argsort(combined[above])[::-1]])
@@ -663,7 +640,7 @@ def ex_omp(
         history.append(solver.residual_sq)
     if shrink and solver.m:
         return solver.estimates(history, _wiener_coefficients(solver, noise_vars))
-    if several and noise_vars.max() == 0.0 and solver.m:
+    if n_sets > 1 and noise_vars.max() == 0.0 and solver.m:
         # Leakage bins admitted in the same round as the true taps end with
         # coefficients at rounding level in every set; re-solve without them.
         peak = np.abs(solver.coef).max(axis=0)

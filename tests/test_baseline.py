@@ -225,21 +225,6 @@ def test_reduced_rank_ls_exact_on_support():
     np.testing.assert_allclose(est.theta_hat, theta, atol=1e-9)
 
 
-def test_reduced_rank_ls_approximate_on_orthogonal_columns():
-    # Uniform pilots make columns within the unambiguous range orthogonal,
-    # so the 1/n approximation equals the exact solve there.
-    rng = np.random.default_rng(9)
-    cfg = SystemConfig(d=32, n_pilots=8)
-    pat = PilotPattern.uniform(cfg, spacing=4)
-    support = SupportSet(np.array([0, 3, 6]))
-    theta = np.zeros(32, dtype=np.complex128)
-    theta[support.indices] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    obs = synthesize_observation(cfg, pat, theta, 0.0, rng)
-    exact = estimate_reduced_rank_ls(obs, support, cfg)
-    approx = estimate_reduced_rank_ls(obs, support, cfg, approximate=True)
-    np.testing.assert_allclose(approx.theta_hat, exact.theta_hat, atol=1e-9)
-
-
 def test_reduced_rank_ls_edge_cases():
     cfg = SystemConfig(d=8, n_pilots=4)
     pat = PilotPattern.uniform(cfg, spacing=2)

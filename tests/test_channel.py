@@ -1,7 +1,5 @@
 """Delay-domain priors: profiles, gridded PDPs, realizations, spread metrics."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,6 @@ from sparsechan.channel import (
     delay_spread,
     eta95,
     etu_profile,
-    exponential_pdp,
     realize_channel,
     rms_delay_spread,
     to_continuous_pdp,
@@ -146,19 +143,6 @@ def test_etu_on_desk_grid():
     assert active.size == 33
     assert active.max() == 51  # the 5 us tap's cluster tail
     assert eta95(pdp.variances) == 12
-
-
-def test_exponential_pdp():
-    cfg = SystemConfig(d=32, n_pilots=8)
-    rms = 5e-7
-    pdp = exponential_pdp(cfg, rms, total_power=2.0)
-    assert pdp.total_power == pytest.approx(2.0, rel=1e-12)
-    ratio = pdp.variances[1:] / pdp.variances[:-1]
-    np.testing.assert_allclose(ratio, math.exp(-cfg.bin_width_s / rms), rtol=1e-10)
-    with pytest.raises(ValueError):
-        exponential_pdp(cfg, 0.0)
-    with pytest.raises(ValueError):
-        exponential_pdp(cfg, rms, total_power=0.0)
 
 
 def test_realize_channel_moments():

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -54,6 +55,17 @@ def test_bad_override_shape_and_type(capsys):
     assert "expected an integer" in capsys.readouterr().err
     assert main(["sweep", "--set", "omp.max_iters=0"]) == 2
     assert "omp" in capsys.readouterr().err
+    assert main(["sweep", "--set", "sweep.snr_db=10,10"]) == 2
+    assert "SNR points must be distinct" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "preset",
+    sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg")),
+    ids=lambda p: p.name,
+)
+def test_shipped_presets_load(preset):
+    assert main(["pdp", "--config", str(preset)]) == 0
 
 
 def test_missing_config_file(capsys):

@@ -14,8 +14,6 @@ from sparsechan.evaluation import (
     SweepConfig,
     capacity_lower_bound,
     false_alarm_calibration,
-    nmse_db,
-    nmse_linear,
     run_sweep,
 )
 from sparsechan.signal_model import SystemConfig
@@ -35,28 +33,6 @@ def _smoke_config(**overrides):
     )
     base.update(overrides)
     return SweepConfig(**base)
-
-
-# -------------------------------------------------------------------- scoring
-
-
-def test_nmse_hand_values():
-    true = np.array([1.0 + 0j, 1j])
-    est = np.array([2.0 + 0j, 1j])
-    assert nmse_linear(true, est, 2.0) == pytest.approx(0.25)
-    assert nmse_db(true, est, 2.0) == pytest.approx(10 * math.log10(0.25))
-
-
-def test_nmse_floor_and_validation():
-    x = np.array([1.0, 2.0, 3.0])
-    assert nmse_db(x, x, 1.0) == NMSE_DB_FLOOR == -100.0
-    assert nmse_db(x, x + 1e-12, 1.0) == NMSE_DB_FLOOR
-    with pytest.raises(ValueError):
-        nmse_linear(x, x[:2], 1.0)
-    with pytest.raises(ValueError):
-        nmse_linear(np.empty(0), np.empty(0), 1.0)
-    with pytest.raises(ValueError):
-        nmse_linear(x, x, 0.0)
 
 
 # ------------------------------------------------------------------- capacity
@@ -103,6 +79,8 @@ def test_sweep_config_validation():
     assert ok.snr_db == (10.0, 20.0)
     with pytest.raises(ValueError):
         _smoke_config(snr_db=())
+    with pytest.raises(ValueError):
+        _smoke_config(snr_db=(10.0, 10.0))
     with pytest.raises(ValueError):
         _smoke_config(n_trials=0)
     with pytest.raises(ValueError):
@@ -158,6 +136,21 @@ def test_run_sweep_reproducible_and_spacing_default():
     assert res1.trial_errors is None
     explicit = run_sweep(_smoke_config(uniform_spacing=3))  # 48 // 16
     assert explicit.rows == res1.rows
+
+
+@pytest.fixture(scope="module")
+def full_table_sweep():
+    return run_sweep(_smoke_config(), keep_trials=True)
+
+
+@pytest.mark.parametrize("name", ESTIMATOR_NAMES)
+def test_run_sweep_results_independent_of_selection(full_table_sweep, name):
+    alone = run_sweep(_smoke_config(estimators=(name,)), keep_trials=True)
+    assert alone.rows == [r for r in full_table_sweep.rows if r.estimator == name]
+    for snr in (10.0, 20.0):
+        np.testing.assert_array_equal(
+            alone.trial_errors[(name, snr)], full_table_sweep.trial_errors[(name, snr)]
+        )
 
 
 def test_run_sweep_parallel_matches_sequential():
