@@ -9,9 +9,11 @@ Four subcommands:
 
 Configuration comes from a flat ``key = value`` file (``#`` starts a comment;
 keys are dotted, e.g. ``sweep.n_trials``), optionally overridden on the
-command line with repeated ``--set key=value`` flags.  ``--seed`` overrides
-the configured master seed; when no seed is configured at all, one is drawn
-from system entropy and printed so the run can be reproduced.
+command line with repeated ``--set key=value`` flags.  Every key given is
+parsed and every value checked before any work starts, whichever subcommand
+reads it.  ``--seed`` overrides the configured master seed; when no seed is
+configured at all, one is drawn from system entropy and printed so the run
+can be reproduced.
 
 Exit codes: 0 on success, 1 when a sweep finished but some estimator failed
 on more than half its trials, 2 on configuration or usage errors.
@@ -22,6 +24,9 @@ from __future__ import annotations
 import argparse
 import secrets
 import sys
+from collections.abc import Callable
+from functools import partial
+from typing import Any
 
 from .channel import (
     ImpulseProfile,
@@ -39,7 +44,6 @@ from .signal_model import SystemConfig
 from .sparse_recovery import OmpConfig
 
 __all__ = ["main", "ConfigError", "parse_config_text"]
-
 
 class ConfigError(Exception):
     """A configuration problem attributable to one key."""
@@ -65,87 +69,49 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-# Every key any subcommand understands.  A config file may carry keys used
-# only by other subcommands (so one preset can drive several tools), but a
-# key outside this schema is rejected as a likely typo.
-_KNOWN_KEYS = frozenset(
-    {
-        "system.d",
-        "system.n_pilots",
-        "system.subcarrier_spacing_hz",
-        "channel.profile",
-        "channel.cluster_rms_us",
-        "sweep.snr_db",
-        "sweep.n_trials",
-        "sweep.estimators",
-        "sweep.n_prior_sets",
-        "sweep.master_seed",
-        "sweep.uniform_spacing",
-        "detect.alpha",
-        "omp.max_iters",
-        "omp.residual_gamma",
-        "capacity.n_symbols",
-        "calib.alphas",
-        "calib.n_sets",
-        "calib.n_bins",
-    }
-)
+def _list_of(item: Callable[[str], Any]) -> Callable[[str], tuple]:
+    return lambda text: tuple(item(v.strip()) for v in text.split(",") if v.strip())
 
 
-class _Config:
-    """Typed access to the flat key/value map; every getter names its key on error."""
-
-    def __init__(self, raw: dict[str, str]) -> None:
-        self.raw = raw
-        unknown = sorted(set(raw) - _KNOWN_KEYS)
-        if unknown:
-            raise ConfigError(unknown[0], "unknown configuration key")
-
-    def has(self, key: str) -> bool:
-        return key in self.raw
-
-    def get_str(self, key: str, default: str) -> str:
-        return self.raw.get(key, default)
-
-    def get_int(self, key: str, default: int | None) -> int | None:
-        if key not in self.raw:
-            return default
-        try:
-            return int(self.raw[key])
-        except ValueError as exc:
-            raise ConfigError(key, f"expected an integer, got {self.raw[key]!r}") from exc
-
-    def get_float(self, key: str, default: float) -> float:
-        if key not in self.raw:
-            return default
-        try:
-            return float(self.raw[key])
-        except ValueError as exc:
-            raise ConfigError(key, f"expected a number, got {self.raw[key]!r}") from exc
-
-    def get_float_list(self, key: str, default: tuple[float, ...]) -> tuple[float, ...]:
-        if key not in self.raw:
-            return default
-        try:
-            return tuple(float(v) for v in self.raw[key].split(",") if v.strip())
-        except ValueError as exc:
-            raise ConfigError(key, f"expected comma-separated numbers, got {self.raw[key]!r}") from exc
-
-    def get_int_list(self, key: str, default: tuple[int, ...]) -> tuple[int, ...]:
-        if key not in self.raw:
-            return default
-        try:
-            return tuple(int(v) for v in self.raw[key].split(",") if v.strip())
-        except ValueError as exc:
-            raise ConfigError(key, f"expected comma-separated integers, got {self.raw[key]!r}") from exc
-
-    def get_str_list(self, key: str, default: tuple[str, ...]) -> tuple[str, ...]:
-        if key not in self.raw:
-            return default
-        return tuple(v.strip() for v in self.raw[key].split(",") if v.strip())
+_floats, _ints, _names = _list_of(float), _list_of(int), _list_of(str)
 
 
-def _load_config(path: str | None, overrides: list[str] | None) -> _Config:
+# What each parser expects, for the error message when it rejects a value.
+_EXPECTED = {
+    int: "an integer",
+    float: "a number",
+    _floats: "comma-separated numbers",
+    _ints: "comma-separated integers",
+}
+
+# Every key any subcommand understands, with its parser and default.  A config
+# file may carry keys used only by other subcommands (so one preset can drive
+# several tools), but a key outside this table is rejected as a likely typo.
+# A default of None leaves the choice to the subcommand or the library.
+_KEYS: dict[str, tuple[Callable[[str], Any], Any]] = {
+    "system.d": (int, 600),
+    "system.n_pilots": (int, 200),
+    "system.subcarrier_spacing_hz": (float, 15e3),
+    "channel.profile": (str, "etu"),
+    "channel.cluster_rms_us": (float, 0.1),
+    "sweep.snr_db": (_floats, (0.0, 5.0, 10.0, 15.0, 20.0)),
+    "sweep.n_trials": (int, 500),
+    "sweep.estimators": (_names, None),
+    "sweep.n_prior_sets": (int, 8),
+    "sweep.master_seed": (int, None),
+    "sweep.uniform_spacing": (int, None),
+    "detect.alpha": (float, 1e-3),
+    "omp.max_iters": (int, None),
+    "omp.residual_gamma": (float, 1.0),
+    "capacity.n_symbols": (int, None),
+    "calib.alphas": (_floats, (1e-3, 1e-2, 5e-2)),
+    "calib.n_sets": (_ints, (1, 5, 8)),
+    "calib.n_bins": (int, 200_000),
+}
+
+
+def _load_config(path: str | None, overrides: list[str] | None) -> dict[str, Any]:
+    """Every key of ``_KEYS`` mapped to its parsed value or its default."""
     raw: dict[str, str] = {}
     if path is not None:
         try:
@@ -158,22 +124,39 @@ def _load_config(path: str | None, overrides: list[str] | None) -> _Config:
         if not sep or not key.strip():
             raise ConfigError(item, "override must look like key=value")
         raw[key.strip()] = value.strip()
-    return _Config(raw)
+    unknown = sorted(set(raw) - set(_KEYS))
+    if unknown:
+        raise ConfigError(unknown[0], "unknown configuration key")
+    cfg = {key: default for key, (_, default) in _KEYS.items()}
+    for key, text in raw.items():
+        parse = _KEYS[key][0]
+        try:
+            cfg[key] = parse(text)
+        except ValueError as exc:
+            raise ConfigError(key, f"expected {_EXPECTED[parse]}, got {text!r}") from exc
+    return cfg
 
 
-def _build_system(cfg: _Config) -> SystemConfig:
+def _checked(family: str, make: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+    """Call into the library, reporting its ValueError as a config error of ``family``."""
     try:
-        return SystemConfig(
-            d=cfg.get_int("system.d", 600),
-            n_pilots=cfg.get_int("system.n_pilots", 200),
-            subcarrier_spacing_hz=cfg.get_float("system.subcarrier_spacing_hz", 15e3),
-        )
+        return make(*args, **kwargs)
     except ValueError as exc:
-        raise ConfigError("system.*", str(exc)) from exc
+        raise ConfigError(family, str(exc)) from exc
 
 
-def _build_profile(cfg: _Config) -> ImpulseProfile:
-    name = cfg.get_str("channel.profile", "etu")
+def _build_system(cfg: dict[str, Any]) -> SystemConfig:
+    return _checked(
+        "system.*",
+        SystemConfig,
+        d=cfg["system.d"],
+        n_pilots=cfg["system.n_pilots"],
+        subcarrier_spacing_hz=cfg["system.subcarrier_spacing_hz"],
+    )
+
+
+def _build_profile(cfg: dict[str, Any]) -> ImpulseProfile:
+    name = cfg["channel.profile"]
     if name == "etu":
         return etu_profile()
     try:
@@ -182,53 +165,40 @@ def _build_profile(cfg: _Config) -> ImpulseProfile:
         raise ConfigError("channel.profile", f"cannot load {name!r}: {exc}") from exc
 
 
-def _build_omp(cfg: _Config) -> OmpConfig:
-    try:
-        return OmpConfig(
-            max_iters=cfg.get_int("omp.max_iters", None),
-            residual_gamma=cfg.get_float("omp.residual_gamma", 1.0),
-        )
-    except ValueError as exc:
-        raise ConfigError("omp.*", str(exc)) from exc
+def _resolve_seed(cfg: dict[str, Any], seed_flag: int | None) -> tuple[int, bool]:
+    seed = seed_flag if seed_flag is not None else cfg["sweep.master_seed"]
+    return (secrets.randbits(32), True) if seed is None else (seed, False)
 
 
-def _resolve_seed(cfg: _Config, seed_flag: int | None) -> tuple[int, bool]:
-    if seed_flag is not None:
-        return seed_flag, False
-    configured = cfg.get_int("sweep.master_seed", None)
-    if configured is not None:
-        return configured, False
-    return secrets.randbits(32), True
-
-
-def _run_sweep_command(args: argparse.Namespace, capacity_focus: bool) -> int:
-    cfg = _load_config(args.config, args.set)
+def _run_sweep_command(
+    cfg: dict[str, Any], args: argparse.Namespace, estimators: tuple[str, ...]
+) -> int:
     system = _build_system(cfg)
     profile = _build_profile(cfg)
     seed, drawn = _resolve_seed(cfg, args.seed)
-    if capacity_focus:
-        default_estimators = ("ideal", "li", "exomp")
-    else:
-        default_estimators = ("dft", "li", "li-mmse", "mmse", "omp", "a1", "a2", "a3", "exomp")
-    try:
-        sweep_cfg = SweepConfig(
-            system=system,
-            profile=profile,
-            snr_db=cfg.get_float_list("sweep.snr_db", (0.0, 5.0, 10.0, 15.0, 20.0)),
-            n_trials=cfg.get_int("sweep.n_trials", 500),
-            estimators=cfg.get_str_list("sweep.estimators", default_estimators),
-            n_prior_sets=cfg.get_int("sweep.n_prior_sets", 8),
-            master_seed=seed,
-            alpha=cfg.get_float("detect.alpha", 1e-3),
-            cluster_rms_s=cfg.get_float("channel.cluster_rms_us", 0.1) * 1e-6,
-            omp=_build_omp(cfg),
-            n_symbols=cfg.get_int("capacity.n_symbols", None),
-            uniform_spacing=cfg.get_int("sweep.uniform_spacing", None),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError("sweep.*", str(exc)) from exc
+    if cfg["sweep.estimators"] is not None:
+        estimators = cfg["sweep.estimators"]
+    sweep_cfg = _checked(
+        "sweep.*",
+        SweepConfig,
+        system=system,
+        profile=profile,
+        snr_db=cfg["sweep.snr_db"],
+        n_trials=cfg["sweep.n_trials"],
+        estimators=estimators,
+        n_prior_sets=cfg["sweep.n_prior_sets"],
+        master_seed=seed,
+        alpha=cfg["detect.alpha"],
+        cluster_rms_s=cfg["channel.cluster_rms_us"] * 1e-6,
+        omp=_checked(
+            "omp.*",
+            OmpConfig,
+            max_iters=cfg["omp.max_iters"],
+            residual_gamma=cfg["omp.residual_gamma"],
+        ),
+        n_symbols=cfg["capacity.n_symbols"],
+        uniform_spacing=cfg["sweep.uniform_spacing"],
+    )
     if drawn:
         print(f"master_seed = {seed}  (drawn from entropy; pass --seed {seed} to reproduce)")
     result = run_sweep(sweep_cfg, n_workers=args.threads)
@@ -247,12 +217,16 @@ def _run_sweep_command(args: argparse.Namespace, capacity_focus: bool) -> int:
     return 0
 
 
-def _run_pdp_command(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config, args.set)
+def _run_pdp_command(cfg: dict[str, Any], args: argparse.Namespace) -> int:
     system = _build_system(cfg)
     profile = _build_profile(cfg)
-    cluster_rms_s = cfg.get_float("channel.cluster_rms_us", 0.1) * 1e-6
-    continuous = to_continuous_pdp(profile, system, cluster_rms_s=cluster_rms_s)
+    continuous = _checked(
+        "channel.*",
+        to_continuous_pdp,
+        profile,
+        system,
+        cluster_rms_s=cfg["channel.cluster_rms_us"] * 1e-6,
+    )
     powers = profile.linear_powers
     print(f"taps: {len(profile.taps)}")
     print(f"total_power_linear: {powers.sum():.6g}")
@@ -267,21 +241,20 @@ def _run_pdp_command(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_calib_command(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config, args.set)
+def _run_calib_command(cfg: dict[str, Any], args: argparse.Namespace) -> int:
     system = _build_system(cfg)
     seed, drawn = _resolve_seed(cfg, args.seed)
-    alphas = cfg.get_float_list("calib.alphas", (1e-3, 1e-2, 5e-2))
-    n_sets = cfg.get_int_list("calib.n_sets", (1, 5, 8))
-    n_bins = cfg.get_int("calib.n_bins", 200_000)
     if drawn:
         print(f"master_seed = {seed}  (drawn from entropy; pass --seed {seed} to reproduce)")
-    try:
-        rows = false_alarm_calibration(
-            system, alphas, n_sets, n_bins=n_bins, master_seed=seed
-        )
-    except ValueError as exc:
-        raise ConfigError("calib.*", str(exc)) from exc
+    rows = _checked(
+        "calib.*",
+        false_alarm_calibration,
+        system,
+        cfg["calib.alphas"],
+        cfg["calib.n_sets"],
+        n_bins=cfg["calib.n_bins"],
+        master_seed=seed,
+    )
     print(f"{'alpha':>10} {'n_sets':>7} {'n_bins':>9} {'rate':>12} {'dev_sigma':>10}")
     for row in rows:
         dev = (row["rate"] - row["alpha"]) / row["stderr"]
@@ -301,14 +274,32 @@ def _run_calib_command(args: argparse.Namespace) -> int:
     return 0
 
 
+# Each subcommand's help text and handler.
+_COMMANDS: dict[str, tuple[str, Callable[[dict[str, Any], argparse.Namespace], int]]] = {
+    "sweep": (
+        "NMSE/capacity sweep over SNR",
+        partial(
+            _run_sweep_command,
+            estimators=("dft", "li", "li-mmse", "mmse", "omp", "a1", "a2", "a3", "exomp"),
+        ),
+    ),
+    "capacity": (
+        "sweep with capacity-oriented defaults",
+        partial(_run_sweep_command, estimators=("ideal", "li", "exomp")),
+    ),
+    "pdp": ("resolve a power delay profile and report metrics", _run_pdp_command),
+    "detect-calib": ("detector false-alarm calibration", _run_calib_command),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sparsechan",
         description="Sparse delay-domain channel estimation simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
+    for name, (help_text, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", metavar="PATH", default=None, help="config file")
         p.add_argument("--out", metavar="PATH", default=None, help="output CSV path")
         p.add_argument(
@@ -322,35 +313,17 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--threads", type=int, default=1, help="worker processes for trials"
         )
-
-    sweep = sub.add_parser("sweep", help="NMSE/capacity sweep over SNR")
-    add_common(sweep)
-    capacity = sub.add_parser("capacity", help="sweep with capacity-oriented defaults")
-    add_common(capacity)
-    pdp = sub.add_parser("pdp", help="resolve a power delay profile and report metrics")
-    add_common(pdp)
-    calib = sub.add_parser("detect-calib", help="detector false-alarm calibration")
-    add_common(calib)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "sweep":
-            return _run_sweep_command(args, capacity_focus=False)
-        if args.command == "capacity":
-            return _run_sweep_command(args, capacity_focus=True)
-        if args.command == "pdp":
-            return _run_pdp_command(args)
-        if args.command == "detect-calib":
-            return _run_calib_command(args)
-        parser.error(f"unknown command {args.command!r}")
+        cfg = _load_config(args.config, args.set)
+        return _COMMANDS[args.command][1](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

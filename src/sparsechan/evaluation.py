@@ -123,6 +123,12 @@ class SweepConfig:
     sets synthesized per trial for the estimators that use side information.
     ``n_symbols`` is the coherence block length used by the capacity bound
     (defaults to d).  ``uniform_spacing`` defaults to d // n_pilots.
+
+    Construction checks every value and resolves the inputs all trials share,
+    so a bad value raises ``ValueError`` here rather than mid-sweep: ``pdp``
+    is the profile on the delay grid, normalized to unit power;
+    ``uni_pattern`` the uniform pilot pattern; ``rrls_support`` the profile's
+    active bins, cut to the n_pilots strongest.
     """
 
     system: SystemConfig
@@ -137,12 +143,17 @@ class SweepConfig:
     omp: OmpConfig = field(default_factory=OmpConfig)
     n_symbols: int | None = None
     uniform_spacing: int | None = None
+    pdp: PowerDelayProfile = field(init=False, repr=False, compare=False)
+    uni_pattern: PilotPattern = field(init=False, repr=False, compare=False)
+    rrls_support: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.snr_db:
             raise ValueError("need at least one SNR point")
         if len(set(self.snr_db)) != len(self.snr_db):
             raise ValueError("SNR points must be distinct")
+        if not all(abs(s) <= 3000.0 for s in self.snr_db):  # 10 ** 308 overflows
+            raise ValueError("SNR points must be finite and within ±3000 dB")
         if self.n_trials < 1:
             raise ValueError("n_trials must be positive")
         if not self.estimators:
@@ -160,8 +171,24 @@ class SweepConfig:
             raise ValueError("sweeps need at least one data subcarrier (n_pilots < d)")
         if self.n_symbols is not None and self.n_symbols < self.system.n_pilots:
             raise ValueError("n_symbols cannot be smaller than the pilot count")
+        DetectionConfig(alpha=self.alpha)
+        system = self.system
+        pdp = to_continuous_pdp(
+            self.profile, system, cluster_rms_s=self.cluster_rms_s, normalize=True
+        )
+        spacing = self.uniform_spacing
+        uni_pattern = PilotPattern.uniform(
+            system, system.d // system.n_pilots if spacing is None else spacing
+        )
+        active = np.flatnonzero(pdp.variances > 0)
+        if active.size > system.n_pilots:
+            strongest = np.argsort(pdp.variances[active])[::-1][: system.n_pilots]
+            active = np.sort(active[strongest])
         object.__setattr__(self, "snr_db", tuple(float(s) for s in self.snr_db))
         object.__setattr__(self, "estimators", tuple(self.estimators))
+        object.__setattr__(self, "pdp", pdp)
+        object.__setattr__(self, "uni_pattern", uni_pattern)
+        object.__setattr__(self, "rrls_support", active)
 
 
 @dataclass(frozen=True)
@@ -214,22 +241,6 @@ class SweepResult:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class _SweepPlan:
-    """Pre-resolved, picklable state shared by every trial."""
-
-    system: SystemConfig
-    pdp: PowerDelayProfile
-    uni_pattern: PilotPattern
-    sigma2: tuple[float, ...]
-    estimators: tuple[str, ...]
-    n_prior_sets: int
-    alpha: float
-    omp: OmpConfig
-    master_seed: int
-    rrls_support: np.ndarray
-
-
 def _data_indices(d: int, pattern: PilotPattern) -> np.ndarray:
     mask = np.ones(d, dtype=bool)
     mask[pattern.indices] = False
@@ -245,33 +256,33 @@ class _Trial:
     draw no random numbers.
     """
 
-    def __init__(self, plan: _SweepPlan, snr_idx: int, trial_idx: int) -> None:
-        system = plan.system
-        sigma2 = plan.sigma2[snr_idx]
-        rng = np.random.default_rng([plan.master_seed, snr_idx, trial_idx])
-        self.plan, self.system, self.sigma2 = plan, system, sigma2
+    def __init__(self, config: SweepConfig, snr_idx: int, trial_idx: int) -> None:
+        system = config.system
+        sigma2 = 10.0 ** (-config.snr_db[snr_idx] / 10.0)
+        rng = np.random.default_rng([config.master_seed, snr_idx, trial_idx])
+        self.config, self.system, self.sigma2 = config, system, sigma2
 
-        theta0 = realize_channel(plan.pdp, rng)
+        theta0 = realize_channel(config.pdp, rng)
         self.true_freq = np.fft.fft(theta0)
         self.norm = float(np.vdot(theta0, theta0).real)
-        self.uni_obs = synthesize_observation(system, plan.uni_pattern, theta0, sigma2, rng)
+        self.uni_obs = synthesize_observation(system, config.uni_pattern, theta0, sigma2, rng)
         rand_pattern = PilotPattern.pseudo_random(system, int(rng.integers(0, 2**63)))
         self.rand_obs = synthesize_observation(system, rand_pattern, theta0, sigma2, rng)
         self.priors_rand = []
-        for _ in range(plan.n_prior_sets):
-            th = realize_channel(plan.pdp, rng)
+        for _ in range(config.n_prior_sets):
+            th = realize_channel(config.pdp, rng)
             pat = PilotPattern.pseudo_random(system, int(rng.integers(0, 2**63)))
             self.priors_rand.append(synthesize_observation(system, pat, th, sigma2, rng))
         self.priors_uni = []
-        for _ in range(plan.n_prior_sets):
-            th = realize_channel(plan.pdp, rng)
+        for _ in range(config.n_prior_sets):
+            th = realize_channel(config.pdp, rng)
             self.priors_uni.append(
-                synthesize_observation(system, plan.uni_pattern, th, sigma2, rng)
+                synthesize_observation(system, config.uni_pattern, th, sigma2, rng)
             )
 
-        self.det = DetectionConfig(alpha=plan.alpha, noise_var=sigma2)
+        self.det = DetectionConfig(alpha=config.alpha, noise_var=sigma2)
         self.data = {
-            "uniform": _data_indices(system.d, plan.uni_pattern),
+            "uniform": _data_indices(system.d, config.uni_pattern),
             "pseudo_random": _data_indices(system.d, rand_pattern),
         }
 
@@ -302,28 +313,28 @@ _ESTIMATORS: dict[str, tuple[str, Callable[[_Trial], np.ndarray]]] = {
     "mmse": (
         "pseudo_random",
         lambda t: estimate_mmse_oracle(
-            t.rand_obs, t.plan.pdp, t.sigma2, t.system
+            t.rand_obs, t.config.pdp, t.sigma2, t.system
         ).channel_freq,
     ),
     "rrls": (
         "uniform",
         lambda t: estimate_reduced_rank_ls(
-            t.uni_obs, SupportSet(t.plan.rrls_support), t.system
+            t.uni_obs, SupportSet(t.config.rrls_support), t.system
         ).channel_freq,
     ),
-    "omp": ("pseudo_random", lambda t: omp(t.rand_obs, t.plan.omp).channel_freq()),
+    "omp": ("pseudo_random", lambda t: omp(t.rand_obs, t.config.omp).channel_freq()),
     "a1": ("pseudo_random", lambda t: algorithm_a1(t.full_set, t.det)[0].channel_freq()),
     "a2": (
         "pseudo_random",
-        lambda t: algorithm_a2(t.rand_obs, t.prior_pdp, t.det, t.plan.omp).channel_freq(),
+        lambda t: algorithm_a2(t.rand_obs, t.prior_pdp, t.det, t.config.omp).channel_freq(),
     ),
     "a3": (
         "pseudo_random",
-        lambda t: algorithm_a3(t.full_set, t.det, t.plan.omp)[0].channel_freq(),
+        lambda t: algorithm_a3(t.full_set, t.det, t.config.omp)[0].channel_freq(),
     ),
     "exomp": (
         "pseudo_random",
-        lambda t: ex_omp(t.full_set, t.det, t.plan.omp)[0].channel_freq(),
+        lambda t: ex_omp(t.full_set, t.det, t.config.omp)[0].channel_freq(),
     ),
     "ideal": ("uniform", lambda t: t.true_freq),
 }
@@ -331,15 +342,15 @@ _ESTIMATORS: dict[str, tuple[str, Callable[[_Trial], np.ndarray]]] = {
 ESTIMATOR_NAMES = tuple(_ESTIMATORS)
 
 
-def _run_trial(plan: _SweepPlan, snr_idx: int, trial_idx: int):
+def _run_trial(config: SweepConfig, snr_idx: int, trial_idx: int):
     """Synthesize one trial and score every estimator on it.
 
     Returns ({estimator: mean squared data-subcarrier error, or None on a
     LinAlgError}, channel tap energy).
     """
-    trial = _Trial(plan, snr_idx, trial_idx)
+    trial = _Trial(config, snr_idx, trial_idx)
     results: dict[str, float | None] = {}
-    for name in plan.estimators:
+    for name in config.estimators:
         kind, transfer = _ESTIMATORS[name]
         try:
             freq = transfer(trial)
@@ -350,10 +361,6 @@ def _run_trial(plan: _SweepPlan, snr_idx: int, trial_idx: int):
         err = freq[data] - trial.true_freq[data]
         results[name] = float(np.mean(np.abs(err) ** 2))
     return results, trial.norm
-
-
-def _trial_star(plan: _SweepPlan, idx: tuple[int, int]):
-    return _run_trial(plan, idx[0], idx[1])
 
 
 def run_sweep(
@@ -370,31 +377,6 @@ def run_sweep(
     identical to the sequential run.
     """
     system = config.system
-    pdp = to_continuous_pdp(
-        config.profile, system, cluster_rms_s=config.cluster_rms_s, normalize=True
-    )
-    spacing = (
-        config.uniform_spacing
-        if config.uniform_spacing is not None
-        else system.d // system.n_pilots
-    )
-    uni_pattern = PilotPattern.uniform(system, spacing)
-    active = np.flatnonzero(pdp.variances > 0)
-    if active.size > system.n_pilots:
-        strongest = np.argsort(pdp.variances[active])[::-1][: system.n_pilots]
-        active = np.sort(active[strongest])
-    plan = _SweepPlan(
-        system=system,
-        pdp=pdp,
-        uni_pattern=uni_pattern,
-        sigma2=tuple(10.0 ** (-s / 10.0) for s in config.snr_db),
-        estimators=config.estimators,
-        n_prior_sets=config.n_prior_sets,
-        alpha=config.alpha,
-        omp=config.omp,
-        master_seed=config.master_seed,
-        rrls_support=active,
-    )
     indices = [
         (si, ti) for si in range(len(config.snr_db)) for ti in range(config.n_trials)
     ]
@@ -402,10 +384,10 @@ def run_sweep(
         chunk = max(1, len(indices) // (8 * n_workers))
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             outcomes = list(
-                pool.map(partial(_trial_star, plan), indices, chunksize=chunk)
+                pool.map(partial(_run_trial, config), *zip(*indices), chunksize=chunk)
             )
     else:
-        outcomes = [_run_trial(plan, si, ti) for si, ti in indices]
+        outcomes = [_run_trial(config, si, ti) for si, ti in indices]
 
     n_symbols = config.n_symbols if config.n_symbols is not None else system.d
     errors = {

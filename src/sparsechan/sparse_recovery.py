@@ -517,8 +517,6 @@ def algorithm_a3(
     solver = _StackedSolver(sets.observations)
     history = [solver.residual_sq]
     for k in seed:
-        if solver.full:
-            break
         try:
             solver.add_bin(int(k))
         except np.linalg.LinAlgError:

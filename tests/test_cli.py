@@ -1,12 +1,16 @@
 """Command line front end: config parsing, subcommands, exit codes."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from sparsechan import cli
 from sparsechan.cli import ConfigError, main, parse_config_text
+
+ROOT = Path(__file__).resolve().parent.parent
 
 TINY = [
     "--set", "system.d=48",
@@ -57,15 +61,49 @@ def test_bad_override_shape_and_type(capsys):
     assert "omp" in capsys.readouterr().err
     assert main(["sweep", "--set", "sweep.snr_db=10,10"]) == 2
     assert "SNR points must be distinct" in capsys.readouterr().err
+    assert main(["sweep", *TINY, "--set", "sweep.estimators="]) == 2
+    assert "need at least one estimator" in capsys.readouterr().err
+    # every key given is parsed, even one the subcommand does not read
+    assert main(["pdp", "--set", "sweep.n_trials=abc"]) == 2
+    assert "sweep.n_trials: expected an integer, got 'abc'" in capsys.readouterr().err
+    # values the library resolves, checked before any trial runs
+    for argv, message in [
+        (["sweep", *TINY, "--set", "detect.alpha=2"], "alpha must lie strictly inside"),
+        (["sweep", *TINY, "--set", "sweep.uniform_spacing=0"], "spacing must be a positive"),
+        (["sweep", *TINY, "--set", "sweep.uniform_spacing=4"],
+         "16 pilots at spacing 4 overrun d=48"),
+        (["sweep", *TINY, "--set", "channel.cluster_rms_us=0"], "cluster RMS width"),
+        (["pdp", "--set", "system.subcarrier_spacing_hz=1e6"],
+         "tap at 1600 ns falls outside the 600-bin grid"),
+        (["pdp", "--set", "channel.cluster_rms_us=0"], "cluster RMS width"),
+    ]:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err, err
 
 
 @pytest.mark.parametrize(
     "preset",
-    sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg")),
+    sorted((ROOT / "configs").glob("*.cfg")),
     ids=lambda p: p.name,
 )
 def test_shipped_presets_load(preset):
     assert main(["pdp", "--config", str(preset)]) == 0
+    # the preset also runs, cut short, through the command its header names
+    command = re.search(r"sparsechan (\S+) --config", preset.read_text()).group(1)
+    if command == "detect-calib":
+        cut = ["--set", "calib.n_bins=600"]
+    else:
+        cut = ["--set", "sweep.n_trials=1", "--set", "sweep.snr_db=10"]
+    assert main([command, "--config", str(preset), *cut]) == 0
+
+
+def test_readme_key_table_matches_cli():
+    text = (ROOT / "README.md").read_text()
+    table = text.split("### Config keys", 1)[1].split("\n\n", 2)[1]
+    first_column = [line.split("|")[1] for line in table.splitlines()[2:]]
+    keys = [k for cell in first_column for k in re.findall(r"`([^`]+)`", cell)]
+    assert sorted(keys) == sorted(cli._KEYS)
 
 
 def test_missing_config_file(capsys):

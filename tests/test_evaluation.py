@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sparsechan import evaluation
-from sparsechan.channel import etu_profile
+from sparsechan.channel import ImpulseProfile, etu_profile
 from sparsechan.evaluation import (
     ESTIMATOR_NAMES,
     NMSE_DB_FLOOR,
@@ -81,6 +81,9 @@ def test_sweep_config_validation():
         _smoke_config(snr_db=())
     with pytest.raises(ValueError):
         _smoke_config(snr_db=(10.0, 10.0))
+    for snr in (float("nan"), math.inf, -4000.0, 4000.0):
+        with pytest.raises(ValueError, match="finite"):
+            _smoke_config(snr_db=(snr,))
     with pytest.raises(ValueError):
         _smoke_config(n_trials=0)
     with pytest.raises(ValueError):
@@ -95,6 +98,15 @@ def test_sweep_config_validation():
         _smoke_config(system=SystemConfig(d=16, n_pilots=16))
     with pytest.raises(ValueError):
         _smoke_config(n_symbols=8)
+    # derived inputs are resolved, and checked, on construction
+    with pytest.raises(ValueError, match="alpha"):
+        _smoke_config(alpha=1.0)
+    with pytest.raises(ValueError, match="spacing"):
+        _smoke_config(uniform_spacing=0)
+    with pytest.raises(ValueError, match="cluster RMS width"):
+        _smoke_config(cluster_rms_s=0.0)
+    with pytest.raises(ValueError, match="outside"):
+        _smoke_config(profile=ImpulseProfile(taps=((0.0, 0.0), (1e-3, -3.0))))
 
 
 # ------------------------------------------------------------------ the sweep
