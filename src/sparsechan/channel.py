@@ -197,8 +197,8 @@ def to_continuous_pdp(
     power; clusters that run off the end of the grid are renormalized over the
     bins that remain, and overlapping clusters add.
     """
-    if cluster_rms_s <= 0:
-        raise ValueError("cluster RMS width must be positive")
+    if not cluster_rms_s > 0:  # also rejects NaN
+        raise ValueError(f"cluster RMS width must be positive, got {cluster_rms_s}")
     width = config.bin_width_s
     weights = np.array(_cluster_weights(width, cluster_rms_s))
     variances = np.zeros(config.d)

@@ -156,6 +156,8 @@ class SweepConfig:
             raise ValueError("SNR points must be finite and within ±3000 dB")
         if self.n_trials < 1:
             raise ValueError("n_trials must be positive")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be non-negative, got {self.master_seed}")
         if not self.estimators:
             raise ValueError("need at least one estimator")
         unknown = [e for e in self.estimators if e not in ESTIMATOR_NAMES]
@@ -465,6 +467,8 @@ def false_alarm_calibration(
         raise ValueError("need at least one alpha and one set count")
     if n_bins < system.d:
         raise ValueError("n_bins must cover at least one trial")
+    if master_seed < 0:
+        raise ValueError(f"master_seed must be non-negative, got {master_seed}")
     rows = []
     zeros = np.zeros(system.d, dtype=np.complex128)
     trials = math.ceil(n_bins / system.d)

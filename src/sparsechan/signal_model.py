@@ -62,8 +62,10 @@ class SystemConfig:
             raise ValueError(
                 f"n_pilots must lie in [1, d={self.d}], got {self.n_pilots}"
             )
-        if self.subcarrier_spacing_hz <= 0:
-            raise ValueError("subcarrier spacing must be positive")
+        if not self.subcarrier_spacing_hz > 0:  # also rejects NaN
+            raise ValueError(
+                f"subcarrier spacing must be positive, got {self.subcarrier_spacing_hz}"
+            )
 
     @property
     def bin_width_s(self) -> float:

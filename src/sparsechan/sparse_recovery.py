@@ -25,7 +25,9 @@ the bins whose coefficients are at rounding level.  Its
 
 Detection treats each sample-PDP bin as an averaged squared magnitude of
 circular Gaussian noise: bin values are compared against a scaled chi-square
-quantile with two degrees of freedom per averaged set.
+quantile with two degrees of freedom per averaged set.  One function,
+``detection_threshold``, sets that threshold for every consumer: ``a1``,
+``a2``, ``a3``, each ``ex_omp`` round and the false-alarm calibration.
 """
 
 from __future__ import annotations
@@ -42,9 +44,7 @@ from .baseline import SupportSet
 from .signal_model import (
     Observation,
     ObservationSet,
-    SystemConfig,
     gram_kernel,
-    matched_filter,
     support_gram,
 )
 
@@ -125,7 +125,8 @@ class DetectionConfig:
     ``noise_var`` splits a sample PDP's mean bin level into its noise floor
     and its signal-leakage part so the threshold can track the level of a
     signal-free bin; leave it at zero when the noise power is unknown and the
-    whole mean should be treated as leakage.
+    whole mean should be treated as leakage.  ``ex_omp`` ignores it and splits
+    with the mean noise variance of its observations.
     """
 
     alpha: float = 1e-3
@@ -153,8 +154,8 @@ class OmpConfig:
     def __post_init__(self) -> None:
         if self.max_iters is not None and self.max_iters < 1:
             raise ValueError("max_iters must be positive when given")
-        if self.residual_gamma <= 0:
-            raise ValueError("residual_gamma must be positive")
+        if not self.residual_gamma > 0:  # also rejects NaN
+            raise ValueError(f"residual_gamma must be positive, got {self.residual_gamma}")
 
 
 @dataclass(frozen=True)
@@ -172,21 +173,35 @@ class SparseEstimate:
         return np.fft.fft(self.theta)
 
 
+def _stack(observations: tuple[Observation, ...]) -> tuple[np.ndarray, ...]:
+    """Pilot index rows, their flat positions in an (n_sets, d) array, and the y rows."""
+    pilots = np.stack([o.pattern.indices for o in observations])
+    index = np.arange(len(observations))[:, None] * observations[0].pattern.d + pilots
+    return pilots, index.ravel(), np.stack([o.y for o in observations])
+
+
+def _spectrum(d: int, index: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Matched filter H_s^H r_s of every set's pilot-domain vector, in one batched FFT."""
+    z = np.zeros((r.shape[0], d), dtype=np.complex128)
+    z.ravel()[index] = r.ravel()
+    return d * np.fft.ifft(z, axis=1)
+
+
+def _pdp(spectra: np.ndarray, energies: np.ndarray, n_pilots: int) -> SamplePdp:
+    """Sample PDP of stacked matched-filter spectra and their vectors' energies."""
+    nn = n_pilots * n_pilots
+    values = np.mean(np.abs(spectra) ** 2 / nn, axis=0)
+    return SamplePdp(values, spectra.shape[0], float(np.mean(energies)) / nn, n_pilots)
+
+
 def sample_pdp(sets: ObservationSet) -> SamplePdp:
     """Average the squared matched-filter spectra of the observations.
 
     The sets are independent, so they are averaged incoherently, power by
     power, giving 2 * n_sets chi-square degrees of freedom per noise bin.
     """
-    config = SystemConfig(d=sets.d, n_pilots=sets.n_pilots)
-    n = sets.n_pilots
-    spectra = [
-        matched_filter(config, o.pattern, o.y) / n for o in sets.observations
-    ]
-    energies = [float(np.vdot(o.y, o.y).real) for o in sets.observations]
-    values = np.mean([np.abs(s) ** 2 for s in spectra], axis=0)
-    scale = float(np.mean(energies)) / (n * n)
-    return SamplePdp(values=values, n_sets=sets.n_sets, scale=scale, n_pilots=n)
+    _, index, y = _stack(sets.observations)
+    return _pdp(_spectrum(sets.d, index, y), np.vecdot(y, y).real, sets.n_pilots)
 
 
 def _null_level(scale: float, n_pilots: int, d: int, noise_var: float) -> float:
@@ -249,11 +264,9 @@ class _StackedSolver:
         n_sets = len(observations)
         self.d = observations[0].pattern.d
         self.n = observations[0].pattern.n
-        pilots = np.stack([o.pattern.indices for o in observations])
-        self.pilots = (np.arange(n_sets)[:, None] * self.d + pilots).ravel()
-        self.y = np.stack([o.y for o in observations])
+        pilots, self.pilots, self.y = _stack(observations)
         self.kernel = gram_kernel(self.d, pilots)
-        self.proj = self.spectrum(self.y)
+        self.proj = _spectrum(self.d, self.pilots, self.y)
         # Only the leading m x m block is read, and add_bin writes each row
         # in full, so neither buffer needs zeroing.
         # The Gram matrices have rank at most n, so at most n bins fit.
@@ -274,11 +287,9 @@ class _StackedSolver:
     def full(self) -> bool:
         return self.m >= self.sel.size
 
-    def spectrum(self, r: np.ndarray) -> np.ndarray:
-        """Matched filter H_s^H r_s of every set's pilot-domain vector."""
-        z = np.zeros((r.shape[0], self.d), dtype=np.complex128)
-        z.ravel()[self.pilots] = r.ravel()
-        return self.d * np.fft.ifft(z, axis=1)
+    def residual_pdp(self) -> SamplePdp:
+        """Sample PDP of the residuals (of the observations while nothing is selected)."""
+        return _pdp(_spectrum(self.d, self.pilots, self.residual), self.residual_sq, self.n)
 
     def add_bin(self, k: int) -> None:
         m = self.m
@@ -305,6 +316,19 @@ class _StackedSolver:
         self.z[:, m] = p * r
         self.sel[m] = k
         self.m = m + 1
+
+    def add_bins(self, bins) -> list[int]:
+        """Add bins in order until full, then solve; returns those skipped as dependent."""
+        skipped = []
+        for k in bins:
+            if self.full:
+                break
+            try:
+                self.add_bin(int(k))
+            except np.linalg.LinAlgError:
+                skipped.append(int(k))
+        self.refresh()
+        return skipped
 
     def refresh(self) -> None:
         """Recompute coefficients and residuals for the current support."""
@@ -374,17 +398,18 @@ def _default_iters(cfg: OmpConfig, n_pilots: int) -> int:
 def _pursue(
     solver: _StackedSolver,
     cfg: OmpConfig,
-    target: float,
+    noise_var: float,
     history: list[np.ndarray],
     weights_fn=None,
 ) -> None:
     """Greedy selection loop shared by the single-set pursuit variants."""
     n = solver.n
+    target = _residual_target(cfg, n, noise_var, history[0][0])
     for _ in range(_default_iters(cfg, n)):
         residual_sq = float(solver.residual_sq[0])
         if residual_sq <= target or solver.full:
             break
-        amp = np.abs(solver.spectrum(solver.residual)[0]) / n
+        amp = np.abs(_spectrum(solver.d, solver.pilots, solver.residual)[0]) / n
         score = amp if weights_fn is None else weights_fn(residual_sq) * amp
         if solver.m:
             score = score.copy()
@@ -412,23 +437,37 @@ def omp(obs: Observation, cfg: OmpConfig = OmpConfig()) -> SparseEstimate:
     """
     solver = _StackedSolver((obs,))
     history = [solver.residual_sq]
-    target = _residual_target(cfg, obs.pattern.n, obs.noise_var, solver.residual_sq[0])
-    _pursue(solver, cfg, target, history)
+    _pursue(solver, cfg, obs.noise_var, history)
     return solver.estimates(history)[0]
 
 
-def _capped_support(sup: SupportSet, pdp: SamplePdp, n_pilots: int) -> np.ndarray:
-    """Trim a detected support to at most n_pilots bins, keeping the strongest."""
-    idx = sup.indices
-    if idx.size > n_pilots:
+def _seeded_solver(
+    sets: ObservationSet, det: DetectionConfig
+) -> tuple[_StackedSolver, list[np.ndarray]]:
+    """A solver seeded with the bins detected in all observations, and its history.
+
+    Warns when it trims the detection to the strongest n_pilots bins, and for
+    each bin it skips as dependent on the bins before it.
+    """
+    solver = _StackedSolver(sets.observations)
+    history = [solver.residual_sq]
+    pdp = solver.residual_pdp()
+    idx = detect_support(pdp, det).indices
+    if idx.size > solver.n:
         warnings.warn(
-            f"detected support of {idx.size} bins exceeds {n_pilots} observations; "
+            f"detected support of {idx.size} bins exceeds {solver.n} observations; "
             "keeping the strongest bins",
             stacklevel=3,
         )
-        strongest = np.argsort(pdp.values[idx])[::-1][:n_pilots]
+        strongest = np.argsort(pdp.values[idx])[::-1][: solver.n]
         idx = np.sort(idx[strongest])
-    return idx
+    for k in solver.add_bins(idx):
+        warnings.warn(
+            f"seed bin {k} is linearly dependent on the support; skipped", stacklevel=3
+        )
+    if solver.m:
+        history.append(solver.residual_sq)
+    return solver, history
 
 
 def algorithm_a1(
@@ -437,24 +476,16 @@ def algorithm_a1(
     """Detect occupied bins from the averaged sample PDP, then least squares.
 
     One shared support is detected from all observations; each observation
-    then gets its own least-squares coefficients on that support.  If nothing
-    clears the threshold a warning is issued and all-zero estimates are
-    returned.
+    then gets its own least-squares coefficients on that support, skipping
+    with a warning a bin dependent on the bins before it.  If nothing clears
+    the threshold a warning is issued and all-zero estimates are returned.
     """
-    spdp = sample_pdp(sets)
-    sup = detect_support(spdp, det)
-    if sup.size == 0:
+    solver, history = _seeded_solver(sets, det)
+    if not solver.m:  # the first bin is never dependent, so nothing was detected
         warnings.warn(
             "no delay bin cleared the detection threshold; returning zero estimates",
             stacklevel=2,
         )
-    solver = _StackedSolver(sets.observations)
-    history = [solver.residual_sq]
-    if sup.size:
-        for k in _capped_support(sup, spdp, sets.n_pilots):
-            solver.add_bin(int(k))
-        solver.refresh()
-        history.append(solver.residual_sq)
     return solver.estimates(history)
 
 
@@ -494,8 +525,7 @@ def algorithm_a2(
 
     solver = _StackedSolver((obs,))
     history = [solver.residual_sq]
-    target = _residual_target(cfg, n, obs.noise_var, solver.residual_sq[0])
-    _pursue(solver, cfg, target, history, weights_fn)
+    _pursue(solver, cfg, obs.noise_var, history, weights_fn)
     return solver.estimates(history)[0]
 
 
@@ -512,27 +542,11 @@ def algorithm_a3(
     the seed support in any observation is skipped, with a warning.  An empty
     detection degenerates to plain pursuit on each observation.
     """
-    spdp = sample_pdp(sets)
-    seed = _capped_support(detect_support(spdp, det), spdp, sets.n_pilots)
-    solver = _StackedSolver(sets.observations)
-    history = [solver.residual_sq]
-    for k in seed:
-        try:
-            solver.add_bin(int(k))
-        except np.linalg.LinAlgError:
-            warnings.warn(
-                f"seed bin {int(k)} is linearly dependent on the support; skipped",
-                stacklevel=2,
-            )
-    if solver.m:
-        solver.refresh()
-        history.append(solver.residual_sq)
-    noise_vars = np.array([o.noise_var for o in sets.observations])
-    targets = _residual_target(cfg, sets.n_pilots, noise_vars, history[0])
+    solver, history = _seeded_solver(sets, det)
     estimates = []
     for s, part in enumerate(solver.split()):
         part_history = [h[s : s + 1] for h in history]
-        _pursue(part, cfg, targets[s], part_history)
+        _pursue(part, cfg, sets.observations[s].noise_var, part_history)
         estimates.extend(part.estimates(part_history))
     return estimates
 
@@ -570,9 +584,11 @@ def ex_omp(
 
     Each round averages the squared residual matched-filter spectra of all
     observations into a combined sample PDP and admits every bin above its
-    chi-square detection threshold (strongest first).  The shared support
-    grows until every observation's residual meets the stopping rule, the
-    iteration cap is reached, or the support size reaches the pilot count.
+    ``detection_threshold`` (strongest first), splitting its null level with
+    the observations' mean noise variance: ``det.noise_var`` is ignored.  The
+    shared support grows until every observation's residual meets the
+    stopping rule, the iteration cap is reached, or the support size reaches
+    the pilot count.
 
     With more than one observation, all of them noisy, the pursuit also
     stops after any round but the first in which no bin clears the
@@ -592,11 +608,10 @@ def ex_omp(
     Returns one estimate per observation, all sharing the same support.
     """
     n = sets.n_pilots
-    n_sets = sets.n_sets
     noise_vars = np.array([o.noise_var for o in sets.observations])
-    shrink = n_sets > 1 and noise_vars.min() > 0.0
-    nv_bar = float(np.mean(noise_vars))
-    quantile = chi2_inv_cdf(1.0 - det.alpha, 2 * n_sets)
+    shrink = sets.n_sets > 1 and noise_vars.min() > 0.0
+    # Every round's threshold uses the observations' mean noise variance.
+    det = DetectionConfig(alpha=det.alpha, noise_var=float(np.mean(noise_vars)))
     solver = _StackedSolver(sets.observations)
     history = [solver.residual_sq]
     targets = _residual_target(cfg, n, noise_vars, solver.residual_sq)
@@ -604,17 +619,14 @@ def ex_omp(
     for round_idx in range(_default_iters(cfg, n)):
         if np.all(solver.residual_sq <= targets) or solver.full:
             break
-        spectra = np.abs(solver.spectrum(solver.residual)) ** 2 / (n * n)
-        combined = np.mean(spectra, axis=0)
-        mean_level = float(np.mean(solver.residual_sq)) / (n * n)
-        mean_level = _null_level(mean_level, n, sets.d, nv_bar)
+        pdp = solver.residual_pdp()
+        # A zero null level (noiseless, with n_pilots == d) admits nothing by threshold.
+        threshold = detection_threshold(pdp, det) or math.inf
+        combined = pdp.values.copy()
         combined[solver.support] = -1.0
         combined[list(blocked)] = -1.0
-        admitted: list[int] = []
-        if mean_level > 0:
-            threshold = mean_level / (2.0 * n_sets) * quantile
-            above = np.flatnonzero(combined > threshold)
-            admitted = list(above[np.argsort(combined[above])[::-1]])
+        above = np.flatnonzero(combined > threshold)
+        admitted = list(above[np.argsort(combined[above])[::-1]])
         if not admitted:
             if shrink and round_idx > 0:
                 break
@@ -622,30 +634,18 @@ def ex_omp(
             if combined[best] <= 0:
                 break
             admitted = [best]
-        progressed = False
-        for k in admitted:
-            if solver.full:
-                break
-            try:
-                solver.add_bin(k)
-            except np.linalg.LinAlgError:
-                blocked.add(k)
-                continue
-            progressed = True
-        if not progressed:
+        m = solver.m
+        blocked.update(solver.add_bins(admitted))
+        if solver.m == m:
             break
-        solver.refresh()
         history.append(solver.residual_sq)
     if shrink and solver.m:
         return solver.estimates(history, _wiener_coefficients(solver, noise_vars))
-    if n_sets > 1 and noise_vars.max() == 0.0 and solver.m:
+    if sets.n_sets > 1 and noise_vars.max() == 0.0 and solver.m:
         # Leakage bins admitted in the same round as the true taps end with
         # coefficients at rounding level in every set; re-solve without them.
         peak = np.abs(solver.coef).max(axis=0)
-        if peak.min() <= 1e-9 * peak.max():
-            kept = solver.support[peak > 1e-9 * peak.max()]
-            solver = _StackedSolver(sets.observations)
-            for k in kept:
-                solver.add_bin(int(k))
-            solver.refresh()
+        kept = solver.support[peak > 1e-9 * peak.max()]
+        solver = _StackedSolver(sets.observations)
+        solver.add_bins(kept)
     return solver.estimates(history)

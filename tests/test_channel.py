@@ -133,6 +133,8 @@ def test_tap_off_grid_rejected():
         to_continuous_pdp(prof, cfg)
     with pytest.raises(ValueError):
         to_continuous_pdp(etu_profile(), cfg, cluster_rms_s=0.0)
+    with pytest.raises(ValueError, match="cluster RMS width"):
+        to_continuous_pdp(etu_profile(), cfg, cluster_rms_s=float("nan"))
 
 
 def test_etu_on_desk_grid():

@@ -76,6 +76,23 @@ def test_bad_override_shape_and_type(capsys):
         (["pdp", "--set", "system.subcarrier_spacing_hz=1e6"],
          "tap at 1600 ns falls outside the 600-bin grid"),
         (["pdp", "--set", "channel.cluster_rms_us=0"], "cluster RMS width"),
+        # a negative seed is rejected by name, not by numpy mid-run
+        (["sweep", *TINY, "--seed", "-1"],
+         "sweep.*: master_seed must be non-negative, got -1"),
+        (["capacity", *TINY, "--seed", "-2"], "master_seed must be non-negative, got -2"),
+        (["sweep", *TINY, "--set", "sweep.master_seed=-3"],
+         "master_seed must be non-negative, got -3"),
+        (["detect-calib", "--seed", "-5"],
+         "calib.*: master_seed must be non-negative, got -5"),
+        # NaN fails the positivity checks
+        (["pdp", "--set", "channel.cluster_rms_us=nan"],
+         "channel.*: cluster RMS width must be positive, got nan"),
+        (["sweep", *TINY, "--set", "channel.cluster_rms_us=nan"],
+         "cluster RMS width must be positive, got nan"),
+        (["sweep", *TINY, "--set", "omp.residual_gamma=nan"],
+         "omp.*: residual_gamma must be positive, got nan"),
+        (["pdp", "--set", "system.subcarrier_spacing_hz=nan"],
+         "system.*: subcarrier spacing must be positive, got nan"),
     ]:
         assert main(argv) == 2, argv
         err = capsys.readouterr().err

@@ -86,6 +86,8 @@ def test_sweep_config_validation():
             _smoke_config(snr_db=(snr,))
     with pytest.raises(ValueError):
         _smoke_config(n_trials=0)
+    with pytest.raises(ValueError, match="master_seed must be non-negative, got -1"):
+        _smoke_config(master_seed=-1)
     with pytest.raises(ValueError):
         _smoke_config(estimators=())
     with pytest.raises(ValueError):
@@ -270,3 +272,5 @@ def test_false_alarm_calibration_validation():
         false_alarm_calibration(system, alphas=(0.1,), n_sets_list=())
     with pytest.raises(ValueError):
         false_alarm_calibration(system, alphas=(0.1,), n_sets_list=(1,), n_bins=16)
+    with pytest.raises(ValueError, match="master_seed must be non-negative, got -1"):
+        false_alarm_calibration(system, alphas=(0.1,), n_sets_list=(1,), master_seed=-1)

@@ -3,8 +3,9 @@
 The engine never builds the partial Fourier matrix: it looks Gram entries up
 in the circulant kernel, takes projections from the matched filter, keeps an
 inverse Cholesky factor, and stacks observation sets along a leading axis.
-Each shortcut is checked here against the explicit matrix on random grids,
-pilot patterns, supports and observations.
+Each shortcut, and the sample PDP built from them, is checked here against
+the explicit matrix on random grids, pilot patterns, supports and
+observations.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from sparsechan.signal_model import (
     Observation,
+    ObservationSet,
     PilotPattern,
     SystemConfig,
     gram_kernel,
@@ -21,7 +23,7 @@ from sparsechan.signal_model import (
     partial_fourier_matrix,
     support_gram,
 )
-from sparsechan.sparse_recovery import _StackedSolver
+from sparsechan.sparse_recovery import _spectrum, _StackedSolver, sample_pdp
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -133,11 +135,28 @@ def test_stacked_solve_equals_separate_solves(problem):
             row = s if got is stacked else 0
             np.testing.assert_allclose(got.coef[row], alone.coef[0], rtol=1e-12, atol=1e-14)
             np.testing.assert_allclose(
-                got.spectrum(got.residual)[row],
-                alone.spectrum(alone.residual)[0],
+                _spectrum(got.d, got.pilots, got.residual)[row],
+                _spectrum(alone.d, alone.pilots, alone.residual)[0],
                 rtol=1e-12,
                 atol=1e-12,
             )
+
+
+@SETTINGS
+@given(problems(max_sets=4))
+def test_sample_pdp_equals_dense_formula(problem):
+    # values = mean_s |H_s^H y_s|^2 / N^2 and scale = mean_s ||y_s||^2 / N^2,
+    # from one batched FFT instead of explicit matrices.
+    config, observations, _ = problem
+    n = config.n_pilots
+    pdp = sample_pdp(ObservationSet(observations))
+    hs = [partial_fourier_matrix(config, o.pattern) for o in observations]
+    values = np.mean([np.abs(h.conj().T @ o.y) ** 2 for h, o in zip(hs, observations)], axis=0)
+    scale = np.mean([np.vdot(o.y, o.y).real for o in observations])
+    # Bins that cancel to near zero carry an error relative to the mean level.
+    np.testing.assert_allclose(pdp.values, values / n**2, rtol=1e-12, atol=1e-14 * scale)
+    assert pdp.scale == pytest.approx(scale / n**2, rel=1e-12)
+    assert (pdp.n_sets, pdp.n_pilots) == (len(observations), n)
 
 
 def test_bin_dependent_in_one_set_raises_before_any_change():

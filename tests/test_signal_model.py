@@ -24,6 +24,8 @@ def test_system_config_validation():
         SystemConfig(d=8, n_pilots=9)
     with pytest.raises(ValueError):
         SystemConfig(d=8, n_pilots=4, subcarrier_spacing_hz=0.0)
+    with pytest.raises(ValueError, match="subcarrier spacing"):
+        SystemConfig(d=8, n_pilots=4, subcarrier_spacing_hz=float("nan"))
 
 
 def test_bin_width():

@@ -79,6 +79,8 @@ def test_config_validation():
         OmpConfig(max_iters=0)
     with pytest.raises(ValueError):
         OmpConfig(residual_gamma=0.0)
+    with pytest.raises(ValueError, match="residual_gamma"):
+        OmpConfig(residual_gamma=float("nan"))
     with pytest.raises(ValueError):
         SamplePdp(values=np.array([-1.0]), n_sets=1, scale=0.1, n_pilots=4)
     with pytest.raises(ValueError):
@@ -540,3 +542,107 @@ def test_oversized_detection_is_capped_with_warning():
         ests = algorithm_a1(ObservationSet(obs), DetectionConfig(alpha=0.9, noise_var=1.0))
     assert any("keeping the strongest" in str(w.message) for w in caught)
     assert all(e.support.size <= 8 for e in ests)
+
+
+# ------------------------------------------------------- one shared detector
+
+
+def _etu_sets(seed, n_sets=9, nv=0.1):
+    cfg = SystemConfig(d=600, n_pilots=200)
+    pdp = to_continuous_pdp(etu_profile(), cfg, cluster_rms_s=1e-7, normalize=True)
+    rng = np.random.default_rng(seed)
+    obs = []
+    for _ in range(n_sets):
+        theta = realize_channel(pdp, rng)
+        pat = PilotPattern.pseudo_random(cfg, int(rng.integers(0, 2**63)))
+        obs.append(synthesize_observation(cfg, pat, theta, nv, rng))
+    return ObservationSet(tuple(obs))
+
+
+def test_ex_omp_first_round_admits_the_detected_support():
+    # Round 0 sees the observations themselves, so it admits exactly what
+    # detect_support finds in their sample PDP, strongest first.
+    nv = 0.1
+    sets = _etu_sets(32, nv=nv)
+    det = DetectionConfig(alpha=1e-3, noise_var=nv)
+    spdp = sample_pdp(sets)
+    detected = detect_support(spdp, det).indices
+    assert detected.size > 1
+    strongest_first = detected[np.argsort(spdp.values[detected])[::-1]]
+    for est in ex_omp(sets, det):
+        assert est.selection_order[: detected.size] == tuple(strongest_first.tolist())
+
+
+def test_ex_omp_splits_the_null_level_with_the_observations_noise():
+    # ex_omp reads only alpha from its DetectionConfig: its threshold uses the
+    # observations' mean noise variance, so det.noise_var leaves its support
+    # alone, while detect_support's threshold rises with det.noise_var.
+    nv = 0.1
+    sets = _etu_sets(32, nv=nv)
+    spdp = sample_pdp(sets)
+    supports, detected = [], []
+    for noise_var in (0.0, nv, 10 * nv):
+        det = DetectionConfig(alpha=1e-3, noise_var=noise_var)
+        supports.append(ex_omp(sets, det)[0].support.tolist())
+        detected.append(detect_support(spdp, det).size)
+    assert supports[0] == supports[1] == supports[2]
+    assert detected[0] > detected[1] > detected[2]
+
+
+# ------------------------------------------------------ dependent (aliased) bins
+
+
+def _aliased_sets():
+    # Spacing-2 pilots on d=16 make bins k and k+8 identical columns.  Taps at
+    # bins 2 and 5 are therefore detected at 2, 5, 10 and 13, of which only
+    # one bin per pair can enter a support.
+    cfg = SystemConfig(d=16, n_pilots=8)
+    pat = PilotPattern.uniform(cfg, spacing=2)
+    rng = np.random.default_rng(0)
+    obs = []
+    for _ in range(3):
+        theta = np.zeros(16, dtype=np.complex128)
+        theta[[2, 5]] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        obs.append(synthesize_observation(cfg, pat, theta, 1e-4, rng))
+    return ObservationSet(tuple(obs)), DetectionConfig(alpha=1e-3, noise_var=1e-4)
+
+
+def _one_bin_per_aliased_pair(support):
+    bins = set(support.tolist())
+    return len(bins & {2, 10}) == 1 and len(bins & {5, 13}) == 1 and not any(
+        k + 8 in bins for k in bins
+    )
+
+
+def _skip_messages(caught):
+    return [str(w.message) for w in caught if "skipped" in str(w.message)]
+
+
+@pytest.mark.parametrize("estimator", [algorithm_a1, algorithm_a3])
+def test_detected_dependent_bins_are_skipped_with_a_warning(estimator):
+    sets, det = _aliased_sets()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ests = estimator(sets, det)
+    assert _skip_messages(caught) == [
+        "seed bin 10 is linearly dependent on the support; skipped",
+        "seed bin 13 is linearly dependent on the support; skipped",
+    ]
+    assert all(w.filename == __file__ for w in caught)  # reported at the caller
+    for est in ests:
+        assert _one_bin_per_aliased_pair(est.support)
+        if estimator is algorithm_a1:
+            assert est.support.tolist() == [2, 5]
+
+
+def test_ex_omp_blocks_dependent_admissions():
+    # Round 0 admits all four detected bins; the two that alias a bin admitted
+    # before them are blocked, silently, and the pursuit goes on with the rest.
+    sets, det = _aliased_sets()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ests = ex_omp(sets, det)
+    assert _skip_messages(caught) == []
+    for est in ests:
+        assert _one_bin_per_aliased_pair(est.support)
+        assert est.residual_sq_history[-1] < 8 * 1e-4 * 10  # fitted to noise level
