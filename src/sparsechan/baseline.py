@@ -7,6 +7,7 @@ them.  The lineup:
 * ``estimate_dft``          inverse-DFT truncation to the first n_pilots bins
 * ``estimate_linear_interp``per-subcarrier linear interpolation between pilots
 * ``estimate_li_mmse``      Wiener smoothing at the pilots, then interpolation
+                            (from a ``PilotCovariance`` eigen-factor)
 * ``estimate_mmse_oracle``  Bayesian estimate given the true tap covariance
 * ``estimate_reduced_rank_ls`` least squares restricted to a known support
 """
@@ -16,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .channel import PowerDelayProfile
 from .signal_model import (
@@ -29,6 +29,7 @@ from .signal_model import (
 
 __all__ = [
     "FullGridEstimate",
+    "PilotCovariance",
     "SupportSet",
     "estimate_dft",
     "estimate_linear_interp",
@@ -114,16 +115,45 @@ def estimate_linear_interp(obs: Observation, config: SystemConfig) -> FullGridEs
     return FullGridEstimate(channel_freq=freq)
 
 
-def pilot_sample_covariance(
-    observations, noise_var: float
-) -> np.ndarray:
+@dataclass(frozen=True)
+class PilotCovariance:
+    """Pilot covariance C = U diag(λ) U^H kept as its thin eigen-factor.
+
+    ``vectors`` (n x k) has orthonormal columns and ``values`` holds the k
+    real eigenvalues; directions outside the columns have eigenvalue 0.  With
+    k prior sets and n pilots this is n k numbers instead of n^2, and Wiener
+    filtering with it costs O(n k) instead of a dense O(n^3) solve.
+    """
+
+    vectors: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        vectors = np.asarray(self.vectors, dtype=np.complex128)
+        values = np.asarray(self.values, dtype=np.float64)
+        if vectors.ndim != 2 or values.shape != vectors.shape[1:]:
+            raise ValueError(
+                f"need n x k vectors and k values, got {vectors.shape} and {values.shape}"
+            )
+        if not np.allclose(vectors.conj().T @ vectors, np.eye(values.size), atol=1e-8):
+            raise ValueError("eigenvectors must be orthonormal columns")
+        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "values", values)
+
+    @property
+    def dense(self) -> np.ndarray:
+        """The n x n matrix U diag(λ) U^H."""
+        return (self.vectors * self.values) @ self.vectors.conj().T
+
+
+def pilot_sample_covariance(observations, noise_var: float) -> PilotCovariance:
     """Sample covariance of the pilot vector with the noise share removed.
 
     Averages y y^H over observations that share one pilot pattern, subtracts
-    noise_var from the diagonal, and clips negative eigenvalues to zero so the
-    result is positive semidefinite.  With fewer observations than pilots the
-    outcome is necessarily rank deficient; that is fine for smoothing, it just
-    means the filter only acts inside the observed subspace.
+    noise_var from each eigenvalue and clips the negative ones to zero, so the
+    result is positive semidefinite.  It is returned as its thin eigen-factor,
+    of rank at most the number of observations: with fewer observations than
+    pilots the filter only acts inside the observed subspace.
     """
     obs = list(observations)
     if not obs:
@@ -138,45 +168,66 @@ def pilot_sample_covariance(
     # Eigenvectors of the sample covariance are the left singular vectors of
     # the stack, so flooring can work on the thin factorization directly.
     u, s, _ = np.linalg.svd(stacked, full_matrices=False)
-    lam = np.maximum(s**2 / len(obs) - noise_var, 0.0)
-    return (u * lam) @ u.conj().T
+    return PilotCovariance(u, np.maximum(s**2 / len(obs) - noise_var, 0.0))
 
 
 def estimate_li_mmse(
     obs: Observation,
-    sample_cov: np.ndarray,
+    sample_cov: PilotCovariance | np.ndarray,
     noise_var: float,
     config: SystemConfig,
 ) -> FullGridEstimate:
     """Wiener-filter the pilot values with a sample covariance, then interpolate.
 
-    The pilot vector is smoothed by C (C + noise_var I)^{-1} and the result is
-    linearly interpolated exactly as in ``estimate_linear_interp``.  With
-    noise_var = 0 the filter is the identity and the output reduces to plain
-    interpolation.
+    The pilot vector is smoothed by C (C + noise_var I)^{-1}, computed from the
+    eigen-factor as U diag(λ / (λ + noise_var)) U^H y, and the result is
+    linearly interpolated exactly as in ``estimate_linear_interp``.  A dense
+    Hermitian n x n matrix is factored with ``eigh`` first.  With noise_var = 0
+    the filter is the identity and the output reduces to plain interpolation.
     """
     _check_obs(config, obs)
-    n = obs.pattern.n
-    cov = np.asarray(sample_cov, dtype=np.complex128)
-    if cov.shape != (n, n):
-        raise ValueError(f"sample covariance must be {n} x {n}, got {cov.shape}")
-    if not np.allclose(cov, cov.conj().T, atol=1e-10 * max(1.0, np.abs(cov).max())):
-        raise ValueError("sample covariance must be Hermitian")
     if noise_var < 0:
         raise ValueError("noise variance cannot be negative")
+    n = obs.pattern.n
+    if isinstance(sample_cov, PilotCovariance):
+        cov = sample_cov
+    else:
+        dense = np.asarray(sample_cov, dtype=np.complex128)
+        if dense.shape != (n, n):
+            raise ValueError(f"sample covariance must be {n} x {n}, got {dense.shape}")
+        if not np.allclose(
+            dense, dense.conj().T, atol=1e-10 * max(1.0, np.abs(dense).max())
+        ):
+            raise ValueError("sample covariance must be Hermitian")
+        values, vectors = np.linalg.eigh(dense)
+        cov = PilotCovariance(vectors, values)
+    if cov.vectors.shape[0] != n:
+        raise ValueError(
+            f"sample covariance must act on {n} pilots, got {cov.vectors.shape[0]}"
+        )
     if noise_var == 0:
         filtered = obs.y
     else:
-        regularized = cov + noise_var * np.eye(n)
-        try:
-            inner = scipy.linalg.solve(regularized, obs.y, assume_a="pos")
-        except np.linalg.LinAlgError as exc:
+        # The eigenvalues of C + noise_var I outside the factor's span are
+        # noise_var itself, so only the factor's own can fail to be positive.
+        shifted = cov.values + noise_var
+        if not np.all(shifted > 0):
             raise np.linalg.LinAlgError(
                 "pilot covariance plus noise term is not positive definite"
-            ) from exc
-        filtered = cov @ inner
+            )
+        filtered = cov.vectors @ (cov.values / shifted * (cov.vectors.conj().T @ obs.y))
     smoothed = Observation(y=filtered, pattern=obs.pattern, noise_var=obs.noise_var)
     return estimate_linear_interp(smoothed, config)
+
+
+def _solve_positive_definite(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve a x = b for Hermitian positive definite a.
+
+    The Cholesky factorization runs first so that a matrix that is not
+    positive definite raises ``LinAlgError``, as a plain solve would not.
+    """
+    np.linalg.cholesky(a)
+    return np.linalg.solve(a, b)
 
 
 def estimate_mmse_oracle(
@@ -208,11 +259,11 @@ def estimate_mmse_oracle(
                 raise np.linalg.LinAlgError(
                     "restricted observation operator is rank deficient"
                 )
-            theta_hat[active] = scipy.linalg.solve(gram, proj, assume_a="pos")
+            theta_hat[active] = _solve_positive_definite(gram, proj)
         else:
             system = gram / noise_var + np.diag(1.0 / pdp.variances[active])
             rhs = proj / noise_var
-            theta_hat[active] = scipy.linalg.solve(system, rhs, assume_a="pos")
+            theta_hat[active] = _solve_positive_definite(system, rhs)
     return FullGridEstimate(channel_freq=np.fft.fft(theta_hat), theta_hat=theta_hat)
 
 
@@ -237,7 +288,7 @@ def estimate_reduced_rank_ls(
     if support.size:
         gram, proj = _support_system(config, obs, support.indices)
         try:
-            coef = scipy.linalg.solve(gram, proj, assume_a="pos")
+            coef = _solve_positive_definite(gram, proj)
         except np.linalg.LinAlgError as exc:
             raise np.linalg.LinAlgError(
                 f"rank-deficient support {support.indices.tolist()}"

@@ -66,6 +66,11 @@ class SystemConfig:
             raise ValueError(
                 f"subcarrier spacing must be positive, got {self.subcarrier_spacing_hz}"
             )
+        if not self.d * self.subcarrier_spacing_hz < np.inf:  # else bin_width_s is 0
+            raise ValueError(
+                f"total bandwidth must be finite, got d={self.d} subcarriers of "
+                f"{self.subcarrier_spacing_hz} Hz"
+            )
 
     @property
     def bin_width_s(self) -> float:

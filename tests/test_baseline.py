@@ -2,9 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsechan.baseline import (
+    PilotCovariance,
     SupportSet,
+    _solve_positive_definite,
     estimate_dft,
     estimate_li_mmse,
     estimate_linear_interp,
@@ -99,7 +104,7 @@ def test_pilot_sample_covariance_moments():
         synthesize_observation(cfg, pat, _random_channel(rng, var), nv, rng)
         for _ in range(6000)
     ]
-    cov = pilot_sample_covariance(obs, nv)
+    cov = pilot_sample_covariance(obs, nv).dense
     assert np.allclose(cov, cov.conj().T)
     assert np.all(np.linalg.eigvalsh(cov) > -1e-10)
     np.testing.assert_allclose(cov, true_cov, atol=0.12)
@@ -163,6 +168,15 @@ def test_li_mmse_validation():
         estimate_li_mmse(obs, skew, 1.0, cfg)
     with pytest.raises(ValueError):
         estimate_li_mmse(obs, np.eye(2), -1.0, cfg)
+    # a factor must have one row per pilot and one value per column
+    with pytest.raises(ValueError, match="act on 2 pilots"):
+        estimate_li_mmse(obs, PilotCovariance(np.eye(3), np.ones(3)), 1.0, cfg)
+    with pytest.raises(ValueError, match="n x k vectors and k values"):
+        PilotCovariance(np.eye(2), np.ones(3))
+    with pytest.raises(ValueError, match="n x k vectors and k values"):
+        PilotCovariance(np.ones(2), np.ones(1))
+    with pytest.raises(ValueError, match="orthonormal"):
+        PilotCovariance(np.ones((2, 1)), np.ones(1))
 
 
 def test_mmse_oracle_matches_wiener_form():
@@ -238,3 +252,88 @@ def test_reduced_rank_ls_edge_cases():
     # spacing-2 pilots on d=8 cannot tell bins 0 and 4 apart: rank deficient
     with pytest.raises(np.linalg.LinAlgError):
         estimate_reduced_rank_ls(obs, SupportSet(np.array([0, 4])), cfg)
+
+
+# ------------------------------------------ eigen-factor and solver identities
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def factors(draw):
+    """A uniform-pilot problem and a random n x k eigen-factor, some values zero."""
+    n = draw(st.integers(2, 24))
+    k = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cfg = SystemConfig(d=2 * n, n_pilots=n)
+    pat = PilotPattern.uniform(cfg, spacing=2)
+    raw = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    vectors = np.linalg.qr(raw)[0]
+    values = rng.uniform(0.0, 10.0, k) * (rng.random(k) < 0.7)
+    y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return cfg, Observation(y, pat, 0.0), PilotCovariance(vectors, values), rng
+
+
+def _interp(cfg, pat, values):
+    grid = np.arange(cfg.d, dtype=float)
+    return np.interp(grid, pat.indices, values.real) + 1j * np.interp(
+        grid, pat.indices, values.imag
+    )
+
+
+def _assert_rel_close(got, want, rtol):
+    assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
+
+
+@SETTINGS
+@given(factors(), st.floats(1e-3, 10.0))
+def test_li_mmse_factor_filter_equals_dense_formula(problem, nv):
+    cfg, obs, cov, _ = problem
+    n = cfg.n_pilots
+    dense = cov.dense
+    filtered = dense @ np.linalg.solve(dense + nv * np.eye(n), obs.y)
+    est = estimate_li_mmse(obs, cov, nv, cfg)
+    _assert_rel_close(est.channel_freq, _interp(cfg, obs.pattern, filtered), 1e-10)
+
+
+@SETTINGS
+@given(factors(), st.floats(1e-3, 10.0))
+def test_li_mmse_dense_input_equals_its_factor(problem, nv):
+    cfg, obs, cov, _ = problem
+    from_factor = estimate_li_mmse(obs, cov, nv, cfg).channel_freq
+    from_dense = estimate_li_mmse(obs, cov.dense, nv, cfg).channel_freq
+    _assert_rel_close(from_dense, from_factor, 1e-10)
+
+
+@SETTINGS
+@given(factors(), st.floats(0.01, 0.9))
+def test_li_mmse_indefinite_dense_covariance_raises(problem, share):
+    # one eigenvalue -a with noise_var = share * a < a: C + noise_var I is indefinite
+    cfg, obs, cov, rng = problem
+    a = float(rng.uniform(0.5, 5.0))
+    values = cov.values.copy()
+    values[0] = -a
+    dense = PilotCovariance(cov.vectors, values).dense
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        estimate_li_mmse(obs, dense, share * a, cfg)
+
+
+@SETTINGS
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.sampled_from([-1.0, 1.0]))
+def test_positive_definite_solve_raises_where_scipy_does(m, seed, sign):
+    # smallest eigenvalue +-0.5 (never near the boundary) on a random basis
+    rng = np.random.default_rng(seed)
+    basis = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))[0]
+    values = rng.uniform(0.5, 20.0, m)
+    values[0] = sign * 0.5
+    a = (basis * values) @ basis.conj().T
+    b = rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2))
+    if sign > 0:
+        want = scipy.linalg.solve(a, b, assume_a="pos")
+        _assert_rel_close(_solve_positive_definite(a, b), want, 1e-10)
+        return
+    with pytest.raises(np.linalg.LinAlgError):
+        _solve_positive_definite(a, b)
+    if m > 1:  # scipy divides a 1 x 1 system without looking at its sign
+        with pytest.raises(np.linalg.LinAlgError):
+            scipy.linalg.solve(a, b, assume_a="pos")

@@ -93,6 +93,11 @@ def test_bad_override_shape_and_type(capsys):
          "omp.*: residual_gamma must be positive, got nan"),
         (["pdp", "--set", "system.subcarrier_spacing_hz=nan"],
          "system.*: subcarrier spacing must be positive, got nan"),
+        # an infinite spacing is blamed on the system, not on the profile
+        (["pdp", "--set", "system.subcarrier_spacing_hz=inf"],
+         "system.*: total bandwidth must be finite"),
+        (["sweep", *TINY, "--set", "system.subcarrier_spacing_hz=inf"],
+         "system.*: total bandwidth must be finite"),
     ]:
         assert main(argv) == 2, argv
         err = capsys.readouterr().err

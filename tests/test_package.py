@@ -27,17 +27,34 @@ def test_module_exports_resolve(module):
     assert missing == []
 
 
-def test_readme_library_example_runs():
-    # The first python block of README.md, run as a user would, from a fresh
-    # interpreter with src/ on the path.
-    root = Path(__file__).resolve().parent.parent
-    readme = (root / "README.md").read_text()
-    code = re.search(r"```python\n(.*?)```", readme, re.DOTALL).group(1)
-    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run_fresh(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter with src/ on the path."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_cli_import_loads_neither_scipy_linalg_nor_optimize():
+    # Each costs about a tenth of a second of every CLI start; only
+    # scipy.special is needed.
+    proc = _run_fresh(
+        "import sys, sparsechan.cli; "
+        "print(sorted(m for m in ('scipy.linalg', 'scipy.optimize') if m in sys.modules))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_readme_library_example_runs():
+    # The first python block of README.md, run as a user would.
+    readme = (ROOT / "README.md").read_text()
+    code = re.search(r"```python\n(.*?)```", readme, re.DOTALL).group(1)
+    proc = _run_fresh(code)
     assert proc.returncode == 0, proc.stderr

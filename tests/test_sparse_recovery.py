@@ -5,7 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsechan.channel import etu_profile, realize_channel, to_continuous_pdp
 from sparsechan.signal_model import (
@@ -54,6 +57,14 @@ def test_chi2_inv_cdf_matches_scipy():
         for prob in (0.1, 0.5, 0.95, 0.999):
             got = chi2_inv_cdf(prob, dof)
             assert got == pytest.approx(scipy.stats.chi2.ppf(prob, dof), rel=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 128), st.floats(1e-6, 1.0 - 1e-6))
+def test_chi2_inv_cdf_round_trips_through_gammainc(dof, prob):
+    assert scipy.special.gammainc(dof / 2, chi2_inv_cdf(prob, dof) / 2) == pytest.approx(
+        prob, rel=1e-12
+    )
 
 
 def test_chi2_inv_cdf_monotone_and_validated():
