@@ -1,109 +1,22 @@
-"""Sparse delay-domain channel estimation for pilot-based OFDM systems."""
+"""Sparse delay-domain channel estimation for pilot-based OFDM systems.
 
-from .baseline import (
-    FullGridEstimate,
-    PilotCovariance,
-    SupportSet,
-    estimate_dft,
-    estimate_li_mmse,
-    estimate_linear_interp,
-    estimate_mmse_oracle,
-    estimate_reduced_rank_ls,
-    pilot_sample_covariance,
-)
-from .channel import (
-    ImpulseProfile,
-    PowerDelayProfile,
-    delay_spread,
-    eta95,
-    etu_profile,
-    realize_channel,
-    rms_delay_spread,
-    to_continuous_pdp,
-)
-from .evaluation import (
-    ESTIMATOR_NAMES,
-    CapacityParams,
-    SweepConfig,
-    SweepResult,
-    SweepRow,
-    capacity_lower_bound,
-    false_alarm_calibration,
-    run_sweep,
-)
-from .signal_model import (
-    Observation,
-    ObservationSet,
-    PilotPattern,
-    SystemConfig,
-    matched_filter,
-    partial_fourier_apply,
-    partial_fourier_matrix,
-    synthesize_observation,
-)
-from .sparse_recovery import (
-    DetectionConfig,
-    OmpConfig,
-    SamplePdp,
-    SparseEstimate,
-    algorithm_a1,
-    algorithm_a2,
-    algorithm_a3,
-    chi2_inv_cdf,
-    detect_support,
-    detection_threshold,
-    ex_omp,
-    omp,
-    sample_pdp,
-)
+The package exports the public names of its five library modules, each listed
+once, in that module's ``__all__``.
+"""
+
+from . import baseline, channel, evaluation, signal_model, sparse_recovery
+from .baseline import *  # noqa: F403
+from .channel import *  # noqa: F403
+from .evaluation import *  # noqa: F403
+from .signal_model import *  # noqa: F403
+from .sparse_recovery import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CapacityParams",
-    "DetectionConfig",
-    "ESTIMATOR_NAMES",
-    "FullGridEstimate",
-    "ImpulseProfile",
-    "Observation",
-    "ObservationSet",
-    "OmpConfig",
-    "PilotCovariance",
-    "PilotPattern",
-    "PowerDelayProfile",
-    "SamplePdp",
-    "SparseEstimate",
-    "SupportSet",
-    "SweepConfig",
-    "SweepResult",
-    "SweepRow",
-    "SystemConfig",
-    "algorithm_a1",
-    "algorithm_a2",
-    "algorithm_a3",
-    "capacity_lower_bound",
-    "chi2_inv_cdf",
-    "delay_spread",
-    "detect_support",
-    "detection_threshold",
-    "estimate_dft",
-    "estimate_li_mmse",
-    "estimate_linear_interp",
-    "estimate_mmse_oracle",
-    "estimate_reduced_rank_ls",
-    "eta95",
-    "etu_profile",
-    "ex_omp",
-    "false_alarm_calibration",
-    "matched_filter",
-    "omp",
-    "partial_fourier_apply",
-    "partial_fourier_matrix",
-    "pilot_sample_covariance",
-    "realize_channel",
-    "rms_delay_spread",
-    "run_sweep",
-    "sample_pdp",
-    "synthesize_observation",
-    "to_continuous_pdp",
+    *baseline.__all__,
+    *channel.__all__,
+    *evaluation.__all__,
+    *signal_model.__all__,
+    *sparse_recovery.__all__,
 ]

@@ -25,6 +25,7 @@ from .signal_model import (
     gram_kernel,
     matched_filter,
     support_gram,
+    support_solve,
 )
 
 __all__ = [
@@ -72,14 +73,6 @@ def _check_obs(config: SystemConfig, obs: Observation) -> None:
         raise ValueError(
             f"observation is on a d={obs.pattern.d} grid, config has d={config.d}"
         )
-
-
-def _support_system(
-    config: SystemConfig, obs: Observation, bins: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gram matrix H_S^H H_S and projections H_S^H y on the given delay bins."""
-    gram = support_gram(gram_kernel(config.d, obs.pattern.indices), bins)
-    return gram, matched_filter(config, obs.pattern, obs.y)[bins]
 
 
 def estimate_dft(obs: Observation, config: SystemConfig) -> FullGridEstimate:
@@ -220,16 +213,6 @@ def estimate_li_mmse(
     return estimate_linear_interp(smoothed, config)
 
 
-def _solve_positive_definite(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a x = b for Hermitian positive definite a.
-
-    The Cholesky factorization runs first so that a matrix that is not
-    positive definite raises ``LinAlgError``, as a plain solve would not.
-    """
-    np.linalg.cholesky(a)
-    return np.linalg.solve(a, b)
-
-
 def estimate_mmse_oracle(
     obs: Observation,
     pdp: PowerDelayProfile,
@@ -238,11 +221,11 @@ def estimate_mmse_oracle(
 ) -> FullGridEstimate:
     """Bayesian tap estimate given the true per-bin prior variances.
 
-    Solves (C^{-1} + H^H H / noise_var) theta = H^H y / noise_var on the bins
-    with nonzero prior variance; bins the prior rules out are returned as
-    exact zeros.  With noise_var = 0 the prior drops out and the estimate is
-    the least-squares solution on those bins, which fails as singular if the
-    restricted operator is rank deficient.
+    Solves the Wiener system (H^H H + noise_var C^{-1}) theta = H^H y on the
+    bins with nonzero prior variance; bins the prior rules out are returned
+    as exact zeros.  With noise_var = 0 the prior drops out and the estimate
+    is the least-squares solution on those bins, which fails as singular if
+    the restricted operator is rank deficient.
     """
     _check_obs(config, obs)
     if pdp.d != config.d:
@@ -252,18 +235,15 @@ def estimate_mmse_oracle(
     active = np.flatnonzero(pdp.variances > 0)
     theta_hat = np.zeros(config.d, dtype=np.complex128)
     if active.size:
-        gram, proj = _support_system(config, obs, active)
-        if noise_var == 0:
-            # More active bins than pilots also leaves the Gram matrix rank deficient.
-            if np.linalg.matrix_rank(gram, hermitian=True) < active.size:
-                raise np.linalg.LinAlgError(
-                    "restricted observation operator is rank deficient"
-                )
-            theta_hat[active] = _solve_positive_definite(gram, proj)
-        else:
-            system = gram / noise_var + np.diag(1.0 / pdp.variances[active])
-            rhs = proj / noise_var
-            theta_hat[active] = _solve_positive_definite(system, rhs)
+        kernel = gram_kernel(config.d, obs.pattern.indices)
+        # More active bins than pilots also leaves the Gram matrix rank deficient.
+        if noise_var == 0 and np.linalg.matrix_rank(
+            support_gram(kernel, active), hermitian=True
+        ) < active.size:
+            raise np.linalg.LinAlgError("restricted observation operator is rank deficient")
+        proj = matched_filter(config, obs.pattern, obs.y)
+        ridge = noise_var / pdp.variances[active]
+        theta_hat[active] = support_solve(kernel, proj, active, ridge)
     return FullGridEstimate(channel_freq=np.fft.fft(theta_hat), theta_hat=theta_hat)
 
 
@@ -286,12 +266,12 @@ def estimate_reduced_rank_ls(
         )
     theta_hat = np.zeros(config.d, dtype=np.complex128)
     if support.size:
-        gram, proj = _support_system(config, obs, support.indices)
+        kernel = gram_kernel(config.d, obs.pattern.indices)
+        proj = matched_filter(config, obs.pattern, obs.y)
         try:
-            coef = _solve_positive_definite(gram, proj)
+            theta_hat[support.indices] = support_solve(kernel, proj, support.indices, 0.0)
         except np.linalg.LinAlgError as exc:
             raise np.linalg.LinAlgError(
                 f"rank-deficient support {support.indices.tolist()}"
             ) from exc
-        theta_hat[support.indices] = coef
     return FullGridEstimate(channel_freq=np.fft.fft(theta_hat), theta_hat=theta_hat)

@@ -167,7 +167,10 @@ def _cluster_weights(bin_width_s: float, rms_s: float) -> tuple[float, ...]:
     """
     lo, hi = 1e-12, 1.0 - 1e-12
     if _truncated_cluster_rms(hi, bin_width_s) < rms_s:
-        raise ValueError("cluster RMS width too large for this grid")
+        raise ValueError(
+            f"cluster RMS width {rms_s:g} s too large for this grid "
+            f"(bin_width_s {bin_width_s:g} s)"
+        )
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if _truncated_cluster_rms(mid, bin_width_s) < rms_s:

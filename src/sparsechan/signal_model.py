@@ -9,8 +9,9 @@ and a pilot observation collects ``c`` at N chosen subcarriers plus circular
 complex Gaussian noise.  Everything downstream (baseline interpolators, greedy
 sparse recovery, detection) is built on the two primitives defined here: the
 forward projection onto a pilot pattern and its adjoint, the matched filter.
-Both are evaluated with FFTs rather than explicit matrices, and least squares
-on a support looks its Gram matrix up in the circulant kernel of H^H H.
+Both are evaluated with FFTs rather than explicit matrices, and every solve
+on a support, least squares or Wiener (``support_solve``), looks its Gram
+matrix up in the circulant kernel of H^H H.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ __all__ = [
     "partial_fourier_apply",
     "partial_fourier_matrix",
     "matched_filter",
-    "gram_kernel",
-    "support_gram",
     "synthesize_observation",
 ]
 
@@ -217,6 +216,20 @@ def partial_fourier_matrix(
     return np.exp(phase * np.outer(pattern.indices, bins))
 
 
+def _stack(observations: tuple[Observation, ...]) -> tuple[np.ndarray, ...]:
+    """Pilot index rows, their flat positions in an (n_sets, d) array, and the y rows."""
+    pilots = np.stack([o.pattern.indices for o in observations])
+    index = np.arange(len(observations))[:, None] * observations[0].pattern.d + pilots
+    return pilots, index.ravel(), np.stack([o.y for o in observations])
+
+
+def _spectrum(d: int, index: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Matched filter H_s^H r_s of every set's pilot-domain vector, in one batched FFT."""
+    z = np.zeros((r.shape[0], d), dtype=np.complex128)
+    z.ravel()[index] = r.ravel()
+    return d * np.fft.ifft(z, axis=1)
+
+
 def matched_filter(
     config: SystemConfig, pattern: PilotPattern, y: np.ndarray
 ) -> np.ndarray:
@@ -230,9 +243,7 @@ def matched_filter(
     y = np.asarray(y, dtype=np.complex128)
     if y.shape != (pattern.n,):
         raise ValueError(f"y must have shape ({pattern.n},), got {y.shape}")
-    z = np.zeros(config.d, dtype=np.complex128)
-    z[pattern.indices] = y
-    return config.d * np.fft.ifft(z)
+    return _spectrum(config.d, pattern.indices, y[None, :])[0]
 
 
 def gram_kernel(d: int, pilots: np.ndarray) -> np.ndarray:
@@ -251,6 +262,23 @@ def support_gram(kernel: np.ndarray, bins: np.ndarray) -> np.ndarray:
     """Gram matrix H_S^H H_S on delay bins S from a (stacked) ``gram_kernel``."""
     bins = np.asarray(bins, dtype=np.int64)
     return kernel[..., (bins[None, :] - bins[:, None]) % kernel.shape[-1]]
+
+
+def support_solve(
+    kernel: np.ndarray, proj: np.ndarray, bins: np.ndarray, ridge
+) -> np.ndarray:
+    """Solve (G_S + diag(ridge)) x = proj[..., S], G_S the ``support_gram`` on bins S.
+
+    ``proj`` holds matched-filter spectra H^H y; leading axes stack sets.
+    Ridge 0 gives least squares, ridge sigma^2 / lambda the Wiener solution
+    for prior variances lambda.  A Cholesky factorization first makes a
+    system that is not positive definite raise ``LinAlgError``.
+    """
+    system = support_gram(kernel, bins)
+    diag = np.arange(system.shape[-1])
+    system[..., diag, diag] += ridge
+    np.linalg.cholesky(system)
+    return np.linalg.solve(system, proj[..., bins, None])[..., 0]
 
 
 def synthesize_observation(

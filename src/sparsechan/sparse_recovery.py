@@ -17,11 +17,9 @@ information gathered from extra pilot observations:
                     shared support, admitting every bin whose combined
                     residual spectrum clears a chi-square detection threshold
 
-With several noisy sets, ``ex_omp`` stops once a later round admits nothing
-and gives Wiener/MMSE coefficients with bin variances estimated across the
-sets; otherwise it keeps least squares, dropping on several noiseless sets
-the bins whose coefficients are at rounding level.  Its
-``residual_sq_history`` records the least-squares residuals either way.
+One round loop, ``_pursue``, runs every pursuit and holds every stop rule;
+the estimators differ in their seed bins and in the rule that picks each
+round's bins.
 
 Detection treats each sample-PDP bin as an averaged squared magnitude of
 circular Gaussian noise: bin values are compared against a scaled chi-square
@@ -35,6 +33,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import gammaincinv
@@ -43,8 +42,10 @@ from .baseline import SupportSet
 from .signal_model import (
     Observation,
     ObservationSet,
+    _spectrum,
+    _stack,
     gram_kernel,
-    support_gram,
+    support_solve,
 )
 
 __all__ = [
@@ -116,8 +117,8 @@ class DetectionConfig:
     ``noise_var`` splits a sample PDP's mean bin level into its noise floor
     and its signal-leakage part so the threshold can track the level of a
     signal-free bin; leave it at zero when the noise power is unknown and the
-    whole mean should be treated as leakage.  ``ex_omp`` ignores it and splits
-    with the mean noise variance of its observations.
+    whole mean should be treated as leakage.  Every consumer of the
+    threshold, ``ex_omp``'s rounds included, reads it from here.
     """
 
     alpha: float = 1e-3
@@ -162,20 +163,6 @@ class SparseEstimate:
     def channel_freq(self) -> np.ndarray:
         """Transfer function on all subcarriers implied by the taps."""
         return np.fft.fft(self.theta)
-
-
-def _stack(observations: tuple[Observation, ...]) -> tuple[np.ndarray, ...]:
-    """Pilot index rows, their flat positions in an (n_sets, d) array, and the y rows."""
-    pilots = np.stack([o.pattern.indices for o in observations])
-    index = np.arange(len(observations))[:, None] * observations[0].pattern.d + pilots
-    return pilots, index.ravel(), np.stack([o.y for o in observations])
-
-
-def _spectrum(d: int, index: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Matched filter H_s^H r_s of every set's pilot-domain vector, in one batched FFT."""
-    z = np.zeros((r.shape[0], d), dtype=np.complex128)
-    z.ravel()[index] = r.ravel()
-    return d * np.fft.ifft(z, axis=1)
 
 
 def _pdp(spectra: np.ndarray, energies: np.ndarray, n_pilots: int) -> SamplePdp:
@@ -244,11 +231,12 @@ class _StackedSolver:
     Keeps each set's inverse Cholesky factor L_s^-1 of G_s = H_s^H H_s on the
     support, so c_s = L_s^-H L_s^-1 H_s^H y_s.  A bin that is (numerically)
     dependent on the support in any set raises before anything changes.
+    ``history`` holds the residual energies, first and after each growing ``add_bins``.
     """
 
     __slots__ = (
         "d", "n", "pilots", "y", "kernel", "proj", "linv", "z", "sel", "m",
-        "coef", "residual", "residual_sq",
+        "coef", "residual", "residual_sq", "history",
     )
 
     def __init__(self, observations: tuple[Observation, ...]) -> None:
@@ -268,6 +256,7 @@ class _StackedSolver:
         self.coef = np.empty((n_sets, 0), dtype=np.complex128)
         self.residual = self.y
         self.residual_sq = np.vecdot(self.y, self.y).real
+        self.history = [self.residual_sq]
 
     @property
     def support(self) -> np.ndarray:
@@ -310,7 +299,7 @@ class _StackedSolver:
 
     def add_bins(self, bins) -> list[int]:
         """Add bins in order until full, then solve; returns those skipped as dependent."""
-        skipped = []
+        m, skipped = self.m, []
         for k in bins:
             if self.full:
                 break
@@ -318,7 +307,9 @@ class _StackedSolver:
                 self.add_bin(int(k))
             except np.linalg.LinAlgError:
                 skipped.append(int(k))
-        self.refresh()
+        if self.m > m:
+            self.refresh()
+            self.history.append(self.residual_sq)
         return skipped
 
     def refresh(self) -> None:
@@ -350,18 +341,17 @@ class _StackedSolver:
             part.sel = self.sel.copy()
             for name in per_set:
                 setattr(part, name, getattr(self, name)[s : s + 1])
+            part.history = [h[s : s + 1] for h in self.history]
             parts.append(part)
         return parts
 
-    def estimates(
-        self, history: list[np.ndarray], coef: np.ndarray | None = None
-    ) -> list[SparseEstimate]:
+    def estimates(self, coef: np.ndarray | None = None) -> list[SparseEstimate]:
         """One estimate per set on the shared support; least squares unless coef is given."""
         coef = self.coef if coef is None else coef
         theta = self.theta(coef)
         order = np.argsort(self.support)
         selection = tuple(self.support.tolist())
-        residuals = np.array(history).T.tolist()
+        residuals = np.array(self.history).T.tolist()
         return [
             SparseEstimate(
                 theta=theta[s],
@@ -374,48 +364,55 @@ class _StackedSolver:
         ]
 
 
-def _residual_target(cfg: OmpConfig, n_pilots: int, noise_var, y_sq):
-    # Scalars or per-set arrays.  The relative floor ends noiseless runs once
-    # the residual is at the level of accumulated rounding error.
-    return np.maximum(cfg.residual_gamma * n_pilots * noise_var, 1e-20 * y_sq)
+def _pursue(solver: _StackedSolver, cfg: OmpConfig, noise_vars, select) -> None:
+    """The greedy round loop of every pursuit, with all of its stop rules.
 
-
-def _default_iters(cfg: OmpConfig, n_pilots: int) -> int:
-    if cfg.max_iters is not None:
-        return cfg.max_iters
-    return max(1, math.ceil(n_pilots / 4))
-
-
-def _pursue(
-    solver: _StackedSolver,
-    cfg: OmpConfig,
-    noise_var: float,
-    history: list[np.ndarray],
-    weights_fn=None,
-) -> None:
-    """Greedy selection loop shared by the single-set pursuit variants."""
+    Each round ``select(solver, taken)`` returns the bins to add, strongest
+    first and none in ``taken`` (the support and the bins skipped as
+    dependent), or nothing, which stops the loop.  So do: every set's residual
+    energy at its target residual_gamma * n_pilots * noise_var (scalar or per
+    set), the round cap (default n_pilots / 4, rounded up), a full support,
+    and a round that adds nothing.
+    """
     n = solver.n
-    target = _residual_target(cfg, n, noise_var, history[0][0])
-    for _ in range(_default_iters(cfg, n)):
-        residual_sq = float(solver.residual_sq[0])
-        if residual_sq <= target or solver.full:
+    # The relative floor ends noiseless runs once the residual is at the level
+    # of accumulated rounding error.
+    targets = np.maximum(cfg.residual_gamma * n * noise_vars, 1e-20 * solver.history[0])
+    single = targets.size == 1
+    if single:  # a scalar comparison is cheaper than np.all on one element
+        targets = float(targets[0])
+    cap = cfg.max_iters if cfg.max_iters is not None else max(1, math.ceil(n / 4))
+    blocked: list[int] = []
+    for _ in range(cap):
+        residual_sq = solver.residual_sq
+        met = residual_sq[0] <= targets if single else np.all(residual_sq <= targets)
+        if met or solver.full:
             break
-        amp = np.abs(_spectrum(solver.d, solver.pilots, solver.residual)[0]) / n
-        score = amp if weights_fn is None else weights_fn(residual_sq) * amp
-        if solver.m:
-            score = score.copy()
-            score[solver.support] = -1.0
-        best = int(np.argmax(score))
-        if score[best] <= 0:
+        taken = np.concatenate((solver.support, blocked)) if blocked else solver.support
+        m = solver.m
+        blocked += solver.add_bins(select(solver, taken))
+        if solver.m == m:
             break
-        # A best correlation at rounding-error level means no remaining column
-        # explains the residual; selecting it would only chase noise in the
-        # arithmetic, so stop instead.
-        if amp[best] <= 1e-10 * math.sqrt(residual_sq / n):
-            break
-        solver.add_bin(best)
-        solver.refresh()
-        history.append(solver.residual_sq)
+
+
+def _largest_correlation(
+    solver: _StackedSolver, taken: np.ndarray, weights_fn=None
+) -> list[int]:
+    """The single-observation rule: the bin of largest (weighted) correlation."""
+    n = solver.n
+    residual_sq = float(solver.residual_sq[0])
+    amp = np.abs(_spectrum(solver.d, solver.pilots, solver.residual)[0]) / n
+    score = amp if weights_fn is None else weights_fn(residual_sq) * amp
+    if taken.size:
+        score = score.copy()
+        score[taken] = -1.0
+    best = int(np.argmax(score))
+    # A best correlation at rounding-error level means no remaining column
+    # explains the residual; selecting it would only chase noise in the
+    # arithmetic, so stop instead.
+    if score[best] <= 0 or amp[best] <= 1e-10 * math.sqrt(residual_sq / n):
+        return []
+    return [best]
 
 
 def omp(obs: Observation, cfg: OmpConfig = OmpConfig()) -> SparseEstimate:
@@ -427,21 +424,17 @@ def omp(obs: Observation, cfg: OmpConfig = OmpConfig()) -> SparseEstimate:
     iteration cap is reached.  Exact float ties go to the lowest bin index.
     """
     solver = _StackedSolver((obs,))
-    history = [solver.residual_sq]
-    _pursue(solver, cfg, obs.noise_var, history)
-    return solver.estimates(history)[0]
+    _pursue(solver, cfg, obs.noise_var, _largest_correlation)
+    return solver.estimates()[0]
 
 
-def _seeded_solver(
-    sets: ObservationSet, det: DetectionConfig
-) -> tuple[_StackedSolver, list[np.ndarray]]:
-    """A solver seeded with the bins detected in all observations, and its history.
+def _seeded_solver(sets: ObservationSet, det: DetectionConfig) -> _StackedSolver:
+    """A solver seeded with the bins detected in all observations.
 
     Warns when it trims the detection to the strongest n_pilots bins, and for
     each bin it skips as dependent on the bins before it.
     """
     solver = _StackedSolver(sets.observations)
-    history = [solver.residual_sq]
     pdp = solver.residual_pdp()
     idx = detect_support(pdp, det).indices
     if idx.size > solver.n:
@@ -456,9 +449,7 @@ def _seeded_solver(
         warnings.warn(
             f"seed bin {k} is linearly dependent on the support; skipped", stacklevel=3
         )
-    if solver.m:
-        history.append(solver.residual_sq)
-    return solver, history
+    return solver
 
 
 def algorithm_a1(
@@ -471,13 +462,13 @@ def algorithm_a1(
     with a warning a bin dependent on the bins before it.  If nothing clears
     the threshold a warning is issued and all-zero estimates are returned.
     """
-    solver, history = _seeded_solver(sets, det)
+    solver = _seeded_solver(sets, det)
     if not solver.m:  # the first bin is never dependent, so nothing was detected
         warnings.warn(
             "no delay bin cleared the detection threshold; returning zero estimates",
             stacklevel=2,
         )
-    return solver.estimates(history)
+    return solver.estimates()
 
 
 def algorithm_a2(
@@ -515,9 +506,9 @@ def algorithm_a2(
         return np.where(denom > 0.0, lam_prior / np.where(denom > 0.0, denom, 1.0), 1.0)
 
     solver = _StackedSolver((obs,))
-    history = [solver.residual_sq]
-    _pursue(solver, cfg, obs.noise_var, history, weights_fn)
-    return solver.estimates(history)[0]
+    select = partial(_largest_correlation, weights_fn=weights_fn)
+    _pursue(solver, cfg, obs.noise_var, select)
+    return solver.estimates()[0]
 
 
 def algorithm_a3(
@@ -533,12 +524,10 @@ def algorithm_a3(
     the seed support in any observation is skipped, with a warning.  An empty
     detection degenerates to plain pursuit on each observation.
     """
-    solver, history = _seeded_solver(sets, det)
     estimates = []
-    for s, part in enumerate(solver.split()):
-        part_history = [h[s : s + 1] for h in history]
-        _pursue(part, cfg, sets.observations[s].noise_var, part_history)
-        estimates.extend(part.estimates(part_history))
+    for obs, part in zip(sets.observations, _seeded_solver(sets, det).split()):
+        _pursue(part, cfg, obs.noise_var, _largest_correlation)
+        estimates.extend(part.estimates())
     return estimates
 
 
@@ -549,8 +538,8 @@ def _wiener_coefficients(solver: _StackedSolver, noise_vars: np.ndarray) -> np.n
     power minus its noise part, lambda_k = mean_s(|c_sk|^2 - sigma_s^2
     [G_s^-1]_kk), with diag(G_s^-1) the squared column norms of the inverse
     factor L_s^-1.  Bins with lambda_k <= 0 get zero; the others solve the
-    Wiener system (G_s + sigma_s^2 diag(1/lambda)) theta = H_s^H y_s on the
-    looked-up Gram matrix.
+    Wiener system (G_s + sigma_s^2 diag(1/lambda)) theta = H_s^H y_s, the one
+    ``estimate_mmse_oracle`` solves with the true variances.
     """
     linv = solver.linv[:, : solver.m, : solver.m]
     inv_diag = np.sum(linv.real**2 + linv.imag**2, axis=1)
@@ -558,11 +547,9 @@ def _wiener_coefficients(solver: _StackedSolver, noise_vars: np.ndarray) -> np.n
     keep = np.flatnonzero(lam > 0.0)
     coef = np.zeros_like(solver.coef)
     if keep.size:
+        ridge = noise_vars[:, None] / lam[keep]
         bins = solver.support[keep]
-        system = support_gram(solver.kernel, bins)
-        diag = np.arange(keep.size)
-        system[:, diag, diag] += noise_vars[:, None] / lam[keep]
-        coef[:, keep] = np.linalg.solve(system, solver.proj[:, bins, None])[:, :, 0]
+        coef[:, keep] = support_solve(solver.kernel, solver.proj, bins, ridge)
     return coef
 
 
@@ -575,68 +562,52 @@ def ex_omp(
 
     Each round averages the squared residual matched-filter spectra of all
     observations into a combined sample PDP and admits every bin above its
-    ``detection_threshold`` (strongest first), splitting its null level with
-    the observations' mean noise variance: ``det.noise_var`` is ignored.  The
-    shared support grows until every observation's residual meets the
-    stopping rule, the iteration cap is reached, or the support size reaches
-    the pilot count.
+    ``detection_threshold`` (strongest first), splitting the null level with
+    ``det.noise_var`` as ``detect_support`` does, so round 0 admits what
+    ``detect_support`` finds in the observations.  A round that admits
+    nothing takes the bin with the largest combined value, except after
+    round 0 with several sets, all of them noisy, where it ends the pursuit.
+    The other stop rules are those of every pursuit (see ``_pursue``).
 
-    With more than one observation, all of them noisy, the pursuit also
-    stops after any round but the first in which no bin clears the
-    threshold, and the final coefficients are shrunk: each set gets
-    Wiener/MMSE coefficients with bin variances estimated across the sets
-    (see ``_wiener_coefficients``), so bins that carry less power than their
-    least-squares noise are zeroed.  Otherwise (a single set, or noiseless
-    observations) a round that admits nothing takes the bin with the largest
-    combined value so the pursuit always progresses, and the coefficients
-    are per-set least squares, as in plain pursuit.  Round 0 always takes
-    that fallback bin, so at least one bin is selected.  Noiseless multi-set
-    runs finally drop the support bins whose least-squares coefficients are
-    at rounding level in every set and re-solve on the rest.
+    With several noisy sets each set then gets Wiener/MMSE coefficients with
+    bin variances estimated across the sets (see ``_wiener_coefficients``),
+    so bins that carry less power than their least-squares noise are zeroed.
+    Otherwise the coefficients are per-set least squares, and several
+    noiseless sets finally drop the support bins whose coefficients are at
+    rounding level in every set and re-solve on the rest.
     ``residual_sq_history`` records the least-squares residuals that drive
     the pursuit, in every case.
 
     Returns one estimate per observation, all sharing the same support.
     """
-    n = sets.n_pilots
     noise_vars = np.array([o.noise_var for o in sets.observations])
     shrink = sets.n_sets > 1 and noise_vars.min() > 0.0
-    # Every round's threshold uses the observations' mean noise variance.
-    det = DetectionConfig(alpha=det.alpha, noise_var=float(np.mean(noise_vars)))
-    solver = _StackedSolver(sets.observations)
-    history = [solver.residual_sq]
-    targets = _residual_target(cfg, n, noise_vars, solver.residual_sq)
-    blocked: set[int] = set()
-    for round_idx in range(_default_iters(cfg, n)):
-        if np.all(solver.residual_sq <= targets) or solver.full:
-            break
+
+    def admissions(solver: _StackedSolver, taken: np.ndarray) -> np.ndarray | list[int]:
         pdp = solver.residual_pdp()
         # A zero null level (noiseless, with n_pilots == d) admits nothing by threshold.
         threshold = detection_threshold(pdp, det) or math.inf
         combined = pdp.values.copy()
-        combined[solver.support] = -1.0
-        combined[list(blocked)] = -1.0
+        combined[taken] = -1.0
         above = np.flatnonzero(combined > threshold)
-        admitted = list(above[np.argsort(combined[above])[::-1]])
-        if not admitted:
-            if shrink and round_idx > 0:
-                break
-            best = int(np.argmax(combined))
-            if combined[best] <= 0:
-                break
-            admitted = [best]
-        m = solver.m
-        blocked.update(solver.add_bins(admitted))
-        if solver.m == m:
-            break
-        history.append(solver.residual_sq)
+        if above.size:
+            return above[np.argsort(combined[above])[::-1]]
+        best = int(np.argmax(combined))
+        if (shrink and solver.m) or combined[best] <= 0:
+            return []
+        return [best]
+
+    solver = _StackedSolver(sets.observations)
+    _pursue(solver, cfg, noise_vars, admissions)
     if shrink and solver.m:
-        return solver.estimates(history, _wiener_coefficients(solver, noise_vars))
+        return solver.estimates(_wiener_coefficients(solver, noise_vars))
     if sets.n_sets > 1 and noise_vars.max() == 0.0 and solver.m:
         # Leakage bins admitted in the same round as the true taps end with
         # coefficients at rounding level in every set; re-solve without them.
         peak = np.abs(solver.coef).max(axis=0)
         kept = solver.support[peak > 1e-9 * peak.max()]
+        history = solver.history
         solver = _StackedSolver(sets.observations)
         solver.add_bins(kept)
-    return solver.estimates(history)
+        solver.history = history
+    return solver.estimates()

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from sparsechan.baseline import (
     PilotCovariance,
     SupportSet,
-    _solve_positive_definite,
     estimate_dft,
     estimate_li_mmse,
     estimate_linear_interp,
@@ -22,7 +21,10 @@ from sparsechan.signal_model import (
     Observation,
     PilotPattern,
     SystemConfig,
+    gram_kernel,
     partial_fourier_matrix,
+    support_gram,
+    support_solve,
     synthesize_observation,
 )
 
@@ -321,19 +323,24 @@ def test_li_mmse_indefinite_dense_covariance_raises(problem, share):
 @SETTINGS
 @given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.sampled_from([-1.0, 1.0]))
 def test_positive_definite_solve_raises_where_scipy_does(m, seed, sign):
-    # smallest eigenvalue +-0.5 (never near the boundary) on a random basis
+    # support_solve on G_S + diag(ridge), with the ridge shifted so that the
+    # smallest eigenvalue is +-0.5 (never near the boundary)
     rng = np.random.default_rng(seed)
-    basis = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))[0]
-    values = rng.uniform(0.5, 20.0, m)
-    values[0] = sign * 0.5
-    a = (basis * values) @ basis.conj().T
-    b = rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2))
+    cfg = SystemConfig(d=32, n_pilots=16)
+    pattern = PilotPattern.pseudo_random(cfg, seed)
+    kernel = gram_kernel(cfg.d, pattern.indices)
+    bins = rng.choice(cfg.d, size=m, replace=False)
+    gram = support_gram(kernel, bins)
+    ridge = rng.uniform(0.0, 20.0, m)
+    ridge += sign * 0.5 - np.linalg.eigvalsh(gram + np.diag(ridge))[0]
+    a = gram + np.diag(ridge)
+    proj = rng.standard_normal(cfg.d) + 1j * rng.standard_normal(cfg.d)
     if sign > 0:
-        want = scipy.linalg.solve(a, b, assume_a="pos")
-        _assert_rel_close(_solve_positive_definite(a, b), want, 1e-10)
+        want = scipy.linalg.solve(a, proj[bins], assume_a="pos")
+        _assert_rel_close(support_solve(kernel, proj, bins, ridge), want, 1e-10)
         return
     with pytest.raises(np.linalg.LinAlgError):
-        _solve_positive_definite(a, b)
+        support_solve(kernel, proj, bins, ridge)
     if m > 1:  # scipy divides a 1 x 1 system without looking at its sign
         with pytest.raises(np.linalg.LinAlgError):
-            scipy.linalg.solve(a, b, assume_a="pos")
+            scipy.linalg.solve(a, proj[bins], assume_a="pos")

@@ -98,6 +98,9 @@ def test_bad_override_shape_and_type(capsys):
          "system.*: total bandwidth must be finite"),
         (["sweep", *TINY, "--set", "system.subcarrier_spacing_hz=inf"],
          "system.*: total bandwidth must be finite"),
+        # a finite but huge spacing names both widths
+        (["pdp", "--set", "system.subcarrier_spacing_hz=1e300"],
+         "cluster RMS width 1e-07 s too large for this grid (bin_width_s 1.66667e-303 s)"),
     ]:
         assert main(argv) == 2, argv
         err = capsys.readouterr().err

@@ -2,7 +2,8 @@
 
 The engine never builds the partial Fourier matrix: it looks Gram entries up
 in the circulant kernel, takes projections from the matched filter, keeps an
-inverse Cholesky factor, and stacks observation sets along a leading axis.
+inverse Cholesky factor, solves ridge systems on a support, and stacks
+observation sets along a leading axis.
 Each shortcut, and the sample PDP built from them, is checked here against
 the explicit matrix on random grids, pilot patterns, supports and
 observations.
@@ -18,12 +19,14 @@ from sparsechan.signal_model import (
     ObservationSet,
     PilotPattern,
     SystemConfig,
+    _spectrum,
     gram_kernel,
     matched_filter,
     partial_fourier_matrix,
     support_gram,
+    support_solve,
 )
-from sparsechan.sparse_recovery import _spectrum, _StackedSolver, sample_pdp
+from sparsechan.sparse_recovery import _StackedSolver, sample_pdp
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -87,6 +90,38 @@ def test_matched_filter_on_support_equals_explicit_projection(problem):
         rtol=0,
         atol=1e-12 * scale,
     )
+
+
+@SETTINGS
+@given(
+    problems(max_sets=4),
+    st.sampled_from(["zero", "positive", "indefinite"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_support_solve_equals_dense_ridge_solve(problem, ridge_kind, seed):
+    # (H_S^H H_S + diag(r))^-1 H_S^H y per stacked set, against explicit
+    # matrices; a negative ridge that leaves one eigenvalue at -0.5 raises.
+    config, observations, support = problem
+    hs = _well_posed(config, observations, support)
+    grams = [h.conj().T @ h for h in hs]
+    rng = np.random.default_rng(seed)
+    if ridge_kind == "zero":
+        ridge = np.zeros((len(hs), support.size))
+    elif ridge_kind == "positive":
+        ridge = rng.uniform(0.01, 2.0, (len(hs), support.size)) * config.n_pilots
+    else:
+        shifts = [np.linalg.eigvalsh(g)[0] + 0.5 for g in grams]
+        ridge = -np.array(shifts)[:, None] * np.ones(support.size)
+    kernel = gram_kernel(config.d, np.stack([o.pattern.indices for o in observations]))
+    proj = np.stack([matched_filter(config, o.pattern, o.y) for o in observations])
+    if ridge_kind == "indefinite":
+        with pytest.raises(np.linalg.LinAlgError):
+            support_solve(kernel, proj, support, ridge)
+        return
+    got = support_solve(kernel, proj, support, ridge)
+    for row, h, g, r, obs in zip(got, hs, grams, ridge, observations):
+        want = np.linalg.solve(g + np.diag(r), h.conj().T @ obs.y)
+        np.testing.assert_allclose(row, want, rtol=0, atol=1e-9 * np.linalg.norm(want))
 
 
 @SETTINGS

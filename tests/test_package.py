@@ -20,6 +20,20 @@ def test_package_exports_resolve():
     assert missing == []
 
 
+def test_package_exports_each_library_name_once():
+    # The package re-exports its library modules' lists; the Gram helpers
+    # stay internal to the modules that use them.
+    names = [
+        n
+        for m in MODULES
+        if m != "cli"
+        for n in importlib.import_module(f"sparsechan.{m}").__all__
+    ]
+    assert sparsechan.__all__ == names
+    assert len(set(names)) == len(names) == 46
+    assert not {"gram_kernel", "support_gram", "support_solve"} & set(names)
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_module_exports_resolve(module):
     mod = importlib.import_module(f"sparsechan.{module}")

@@ -584,20 +584,38 @@ def test_ex_omp_first_round_admits_the_detected_support():
         assert est.selection_order[: detected.size] == tuple(strongest_first.tolist())
 
 
-def test_ex_omp_splits_the_null_level_with_the_observations_noise():
-    # ex_omp reads only alpha from its DetectionConfig: its threshold uses the
-    # observations' mean noise variance, so det.noise_var leaves its support
-    # alone, while detect_support's threshold rises with det.noise_var.
+def test_ex_omp_first_round_follows_the_detection_noise_var():
+    # ex_omp splits its null level with det.noise_var, as detect_support does,
+    # so for every noise_var the first round (the whole pursuit at
+    # max_iters=1) admits exactly the detected bins, strongest first.
     nv = 0.1
     sets = _etu_sets(32, nv=nv)
     spdp = sample_pdp(sets)
-    supports, detected = [], []
+    sizes = []
     for noise_var in (0.0, nv, 10 * nv):
         det = DetectionConfig(alpha=1e-3, noise_var=noise_var)
-        supports.append(ex_omp(sets, det)[0].support.tolist())
-        detected.append(detect_support(spdp, det).size)
-    assert supports[0] == supports[1] == supports[2]
-    assert detected[0] > detected[1] > detected[2]
+        detected = detect_support(spdp, det).indices
+        strongest_first = detected[np.argsort(spdp.values[detected])[::-1]]
+        for est in ex_omp(sets, det, OmpConfig(max_iters=1)):
+            assert est.selection_order == tuple(strongest_first.tolist())
+        sizes.append(detected.size)
+    assert sizes[0] > sizes[1] > sizes[2] > 0
+
+
+@pytest.mark.parametrize("estimator", [algorithm_a1, algorithm_a3])
+def test_each_estimate_keeps_its_own_residual_history(estimator):
+    # The engine keeps the history for all sets; each estimate must get its
+    # own set's: from its observation's energy to its own final residual.
+    nv = 0.1
+    sets = _etu_sets(7, n_sets=3, nv=nv)
+    ests = estimator(sets, DetectionConfig(alpha=1e-3, noise_var=nv))
+    for est, obs in zip(ests, sets.observations):
+        residual = obs.y - np.fft.fft(est.theta)[obs.pattern.indices]
+        energy = np.vdot(obs.y, obs.y).real
+        assert est.residual_sq_history[0] == pytest.approx(energy, rel=1e-12)
+        assert est.residual_sq_history[-1] == pytest.approx(
+            np.vdot(residual, residual).real, rel=1e-9
+        )
 
 
 # ------------------------------------------------------ dependent (aliased) bins
