@@ -49,9 +49,8 @@ from .sparse_recovery import (
     DetectionConfig,
     OmpConfig,
     SamplePdp,
-    algorithm_a1,
+    _seeded_estimate,
     algorithm_a2,
-    algorithm_a3,
     detection_threshold,
     ex_omp,
     omp,
@@ -255,7 +254,9 @@ class _Trial:
     Synthesis happens unconditionally and in a fixed order, so the
     realizations are independent of the estimator list.  The inputs several
     estimators share are built on first use, at most once per trial; they
-    draw no random numbers.
+    draw no random numbers.  ``a1`` and ``a3`` use the prior sets only to
+    detect: they estimate the scored observation alone from ``full_pdp``,
+    the sample PDP of the full set.
     """
 
     def __init__(self, config: SweepConfig, snr_idx: int, trial_idx: int) -> None:
@@ -294,6 +295,11 @@ class _Trial:
         return ObservationSet(tuple([self.rand_obs] + self.priors_rand))
 
     @cached_property
+    def full_pdp(self) -> SamplePdp:
+        """Sample PDP of the full set, from which a1 and a3 detect."""
+        return sample_pdp(self.full_set)
+
+    @cached_property
     def prior_pdp(self) -> SamplePdp:
         """Sample PDP of the pseudo-random prior sets."""
         return sample_pdp(ObservationSet(tuple(self.priors_rand)))
@@ -325,14 +331,17 @@ _ESTIMATORS: dict[str, tuple[str, Callable[[_Trial], np.ndarray]]] = {
         ).channel_freq,
     ),
     "omp": ("pseudo_random", lambda t: omp(t.rand_obs, t.config.omp).channel_freq()),
-    "a1": ("pseudo_random", lambda t: algorithm_a1(t.full_set, t.det)[0].channel_freq()),
+    "a1": (
+        "pseudo_random",
+        lambda t: _seeded_estimate(t.rand_obs, t.full_pdp, t.det).channel_freq(),
+    ),
     "a2": (
         "pseudo_random",
         lambda t: algorithm_a2(t.rand_obs, t.prior_pdp, t.det, t.config.omp).channel_freq(),
     ),
     "a3": (
         "pseudo_random",
-        lambda t: algorithm_a3(t.full_set, t.det, t.config.omp)[0].channel_freq(),
+        lambda t: _seeded_estimate(t.rand_obs, t.full_pdp, t.det, t.config.omp).channel_freq(),
     ),
     "exomp": (
         "pseudo_random",

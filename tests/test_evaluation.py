@@ -168,7 +168,7 @@ def test_run_sweep_results_independent_of_selection(full_table_sweep, name):
 
 
 def test_run_sweep_parallel_matches_sequential():
-    cfg = _smoke_config(estimators=("dft", "li", "omp", "exomp"))
+    cfg = _smoke_config(estimators=ESTIMATOR_NAMES)
     seq = run_sweep(cfg, n_workers=1)
     par = run_sweep(cfg, n_workers=2)
     assert seq.rows == par.rows

@@ -23,6 +23,7 @@ from sparsechan.sparse_recovery import (
     DetectionConfig,
     OmpConfig,
     SamplePdp,
+    _seeded_estimate,
     algorithm_a1,
     algorithm_a2,
     algorithm_a3,
@@ -252,8 +253,9 @@ def test_a1_empty_detection_warns_and_returns_zeros():
     cfg = SystemConfig(d=32, n_pilots=8)
     pat = PilotPattern.pseudo_random(cfg, seed=2)
     obs = Observation(np.zeros(8), pat, 1.0)
-    with pytest.warns(UserWarning, match="no delay bin"):
+    with pytest.warns(UserWarning, match="no delay bin") as caught:
         ests = algorithm_a1(ObservationSet((obs, obs)), DetectionConfig(alpha=1e-6, noise_var=1.0))
+    assert all(w.filename == __file__ for w in caught)  # reported at the caller
     assert all(e.support.size == 0 for e in ests)
     assert all(np.all(e.theta == 0) for e in ests)
 
@@ -548,11 +550,20 @@ def test_oversized_detection_is_capped_with_warning():
         )
         for i in range(4)
     )
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        ests = algorithm_a1(ObservationSet(obs), DetectionConfig(alpha=0.9, noise_var=1.0))
-    assert any("keeping the strongest" in str(w.message) for w in caught)
-    assert all(e.support.size <= 8 for e in ests)
+    det = DetectionConfig(alpha=0.9, noise_var=1.0)
+    pdp = sample_pdp(ObservationSet(obs))
+    detected = detect_support(pdp, det).size
+    assert detected > 8
+    for o in obs:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            est = _seeded_estimate(o, pdp, det)
+        assert [str(w.message) for w in caught if "strongest" in str(w.message)] == [
+            f"detected support of {detected} bins exceeds 8 observations; "
+            "keeping the strongest bins"
+        ]
+        assert all(w.filename == __file__ for w in caught)  # reported at the caller
+        assert est.support.size <= 8
 
 
 # ------------------------------------------------------- one shared detector
@@ -647,20 +658,23 @@ def _skip_messages(caught):
     return [str(w.message) for w in caught if "skipped" in str(w.message)]
 
 
-@pytest.mark.parametrize("estimator", [algorithm_a1, algorithm_a3])
-def test_detected_dependent_bins_are_skipped_with_a_warning(estimator):
+@pytest.mark.parametrize("cfg", [None, OmpConfig()], ids=["algorithm_a1", "algorithm_a3"])
+def test_detected_dependent_bins_are_skipped_with_a_warning(cfg):
+    # a1 (no cfg) and a3 estimate one observation at a time, and each
+    # observation warns once for each seed bin it skips.
     sets, det = _aliased_sets()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        ests = estimator(sets, det)
-    assert _skip_messages(caught) == [
-        "seed bin 10 is linearly dependent on the support; skipped",
-        "seed bin 13 is linearly dependent on the support; skipped",
-    ]
-    assert all(w.filename == __file__ for w in caught)  # reported at the caller
-    for est in ests:
+    pdp = sample_pdp(sets)
+    for obs in sets.observations:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            est = _seeded_estimate(obs, pdp, det, cfg)
+        assert _skip_messages(caught) == [
+            "seed bin 10 is linearly dependent on the support; skipped",
+            "seed bin 13 is linearly dependent on the support; skipped",
+        ]
+        assert all(w.filename == __file__ for w in caught)  # reported at the caller
         assert _one_bin_per_aliased_pair(est.support)
-        if estimator is algorithm_a1:
+        if cfg is None:
             assert est.support.tolist() == [2, 5]
 
 
