@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
@@ -392,6 +391,10 @@ def run_sweep(
         (si, ti) for si in range(len(config.snr_db)) for ti in range(config.n_trials)
     ]
     if n_workers > 1:
+        # Imported here: multiprocessing costs every single-process start
+        # about 30 ms.
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, len(indices) // (8 * n_workers))
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             outcomes = list(

@@ -25,7 +25,11 @@ Detection treats each sample-PDP bin as an averaged squared magnitude of
 circular Gaussian noise: bin values are compared against a scaled chi-square
 quantile with two degrees of freedom per averaged set.  One function,
 ``detection_threshold``, sets that threshold for every consumer: ``a1``,
-``a2``, ``a3``, each ``ex_omp`` round and the false-alarm calibration.
+``a2``, ``a3``, each ``ex_omp`` round and the false-alarm calibration.  The
+quantile, ``chi2_inv_cdf``, inverts the regularized incomplete gamma function
+with the ``math`` module alone (series and continued fraction, then Halley
+steps on the tail that holds the answer) and memoizes each ``(prob, dof)``
+pair, so the package needs no scipy.
 """
 
 from __future__ import annotations
@@ -34,10 +38,9 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
-from scipy.special import gammaincinv
 
 from .baseline import SupportSet
 from .signal_model import (
@@ -69,15 +72,101 @@ __all__ = [
 def chi2_inv_cdf(prob: float, dof: int) -> float:
     """Inverse CDF of the chi-square distribution with ``dof`` degrees of freedom.
 
-    Twice the inverse of the regularized lower incomplete gamma function at
-    shape dof / 2.  For dof = 2 this reduces to -2 ln(1 - prob), which tests
-    use as a closed-form cross-check.
+    Twice the inverse of the regularized lower incomplete gamma function
+    P(a, x) at shape a = dof / 2, found by Halley steps from a Wilson–Hilferty
+    start.  Above the median the steps solve Q(a, x) = 1 - prob on the upper
+    tail instead, where 1 - prob is exact in floating point, so the 1 - alpha
+    quantiles the detector asks for keep their full relative accuracy.  Each
+    inversion costs tens of microseconds, so results are memoized by
+    ``(prob, dof)``; a sweep asks for only a handful of pairs.  For dof = 2
+    the quantile is -2 ln(1 - prob), which tests use as a closed-form
+    cross-check.
     """
     if not 0.0 < prob < 1.0:
         raise ValueError(f"prob must lie strictly inside (0, 1), got {prob}")
-    if dof < 1:
+    if not (dof >= 1 and float(dof).is_integer()):
         raise ValueError(f"dof must be a positive integer, got {dof}")
-    return 2.0 * float(gammaincinv(0.5 * dof, prob))
+    return _chi2_quantile(float(prob), int(dof))
+
+
+_EPS = sys.float_info.epsilon
+_TINY = sys.float_info.min / _EPS
+_MAX_HALLEY_STEPS = 64
+
+
+def _regularized_gamma(a: float, x: float) -> tuple[float, float]:
+    """(P(a, x), Q(a, x)) for x > 0, each accurate to a few ulps.
+
+    The smaller of the two is computed directly, by the power series of P
+    below x = a + 1 and by Lentz's continued fraction for Q above it
+    (Numerical Recipes, section 6.2); the other is its complement.
+    """
+    prefactor = math.exp(a * math.log(x) - x - math.lgamma(a))
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        shape = a
+        while abs(term) > abs(total) * _EPS:
+            shape += 1.0
+            term *= x / shape
+            total += term
+        p = prefactor * total
+        return p, 1.0 - p
+    b = x + 1.0 - a
+    c = 1.0 / _TINY
+    d = 1.0 / b
+    h = d
+    i = 0
+    while True:
+        i += 1
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) >= _TINY else _TINY)
+        c = b + an / c
+        if abs(c) < _TINY:
+            c = _TINY
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) <= _EPS:
+            break
+    q = prefactor * h
+    return 1.0 - q, q
+
+
+@lru_cache
+def _chi2_quantile(prob: float, dof: int) -> float:
+    a = 0.5 * dof
+    upper = prob > 0.5
+    target = 1.0 - prob if upper else prob
+    # Start: Wilson–Hilferty cube with a rational normal quantile (Abramowitz &
+    # Stegun 26.2.23).  Below the median it can fall far short, so take at
+    # least the root of x^a / Gamma(a + 1) = prob, which is a lower bound
+    # because P(a, x) <= x^a / Gamma(a + 1).
+    t = math.sqrt(-2.0 * math.log(target))
+    z = t - (2.515517 + t * (0.802853 + t * 0.010328)) / (
+        1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308))
+    )
+    if not upper:
+        z = -z
+    base = 1.0 - 1.0 / (9.0 * a) + z / (3.0 * math.sqrt(a))
+    x = a * max(base, 0.0) ** 3
+    if not upper:
+        x = max(x, math.exp((math.log(prob) + math.lgamma(a + 1.0)) / a))
+        if x == 0.0:
+            return 0.0  # below the smallest positive double
+    for _ in range(_MAX_HALLEY_STEPS):
+        p, q = _regularized_gamma(a, x)
+        # f(x) = P(a, x) - prob, computed on the tail being solved; f' is the
+        # gamma density and f''/f' = (a - 1)/x - 1.
+        f = target - q if upper else p - target
+        density = math.exp((a - 1.0) * math.log(x) - x - math.lgamma(a))
+        u = f / density
+        step = u / (1.0 - 0.5 * min(1.0, u * ((a - 1.0) / x - 1.0)))
+        x_next = x - step
+        x = x_next if x_next > 0.0 else 0.5 * x
+        if abs(step) <= 1e-10 * x:
+            return 2.0 * x
+    raise ArithmeticError(f"chi-square quantile did not converge at prob={prob}, dof={dof}")
 
 
 @dataclass(frozen=True)

@@ -55,12 +55,14 @@ def _run_fresh(code: str) -> subprocess.CompletedProcess:
     )
 
 
-def test_cli_import_loads_neither_scipy_linalg_nor_optimize():
-    # Each costs about a tenth of a second of every CLI start; only
-    # scipy.special is needed.
+def test_cli_import_loads_neither_scipy_nor_the_process_pool():
+    # scipy.special alone costs about 0.3 s of every CLI start, and
+    # concurrent.futures.process (multiprocessing) about 30 ms; only
+    # run_sweep with several workers needs the pool.
     proc = _run_fresh(
         "import sys, sparsechan.cli; "
-        "print(sorted(m for m in ('scipy.linalg', 'scipy.optimize') if m in sys.modules))"
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] == 'scipy' or m == 'concurrent.futures.process'))"
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

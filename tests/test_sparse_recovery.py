@@ -68,13 +68,25 @@ def test_chi2_inv_cdf_round_trips_through_gammainc(dof, prob):
     )
 
 
+def test_chi2_inv_cdf_matches_gammaincinv_over_the_full_range():
+    # Both tails out to 1e-12, which the round trip above does not reach.
+    tails = (1e-12, 1e-9, 1e-6, 1e-3)
+    probs = (*tails, 0.5, *(1.0 - t for t in tails))
+    for dof in (*range(1, 513), 1000):
+        for prob in probs:
+            want = 2.0 * scipy.special.gammaincinv(dof / 2, prob)
+            assert chi2_inv_cdf(prob, dof) == pytest.approx(want, rel=1e-12), (dof, prob)
+
+
 def test_chi2_inv_cdf_monotone_and_validated():
     assert chi2_inv_cdf(0.9, 6) < chi2_inv_cdf(0.99, 6) < chi2_inv_cdf(0.999, 6)
-    for bad in (0.0, 1.0, -0.2, 1.5):
+    assert chi2_inv_cdf(1e-300, 1) == 0.0  # the true quantile underflows
+    for bad in (0.0, 1.0, -0.2, 1.5, float("nan")):
         with pytest.raises(ValueError):
             chi2_inv_cdf(bad, 2)
-    with pytest.raises(ValueError):
-        chi2_inv_cdf(0.5, 0)
+    for bad in (0, -2, 2.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            chi2_inv_cdf(0.5, bad)
 
 
 # ------------------------------------------------------------- configuration
