@@ -166,7 +166,7 @@ def pilot_sample_covariance(observations, noise_var: float) -> PilotCovariance:
 
 def estimate_li_mmse(
     obs: Observation,
-    sample_cov: PilotCovariance | np.ndarray,
+    sample_cov: PilotCovariance,
     noise_var: float,
     config: SystemConfig,
 ) -> FullGridEstimate:
@@ -175,40 +175,30 @@ def estimate_li_mmse(
     The pilot vector is smoothed by C (C + noise_var I)^{-1}, computed from the
     eigen-factor as U diag(λ / (λ + noise_var)) U^H y, and the result is
     linearly interpolated exactly as in ``estimate_linear_interp``.  A dense
-    Hermitian n x n matrix is factored with ``eigh`` first.  With noise_var = 0
-    the filter is the identity and the output reduces to plain interpolation.
+    Hermitian matrix c factors as ``PilotCovariance(*np.linalg.eigh(c)[::-1])``.
+    With noise_var = 0 the filter is the identity and the output reduces to
+    plain interpolation.
     """
     _check_obs(config, obs)
     if noise_var < 0:
         raise ValueError("noise variance cannot be negative")
     n = obs.pattern.n
-    if isinstance(sample_cov, PilotCovariance):
-        cov = sample_cov
-    else:
-        dense = np.asarray(sample_cov, dtype=np.complex128)
-        if dense.shape != (n, n):
-            raise ValueError(f"sample covariance must be {n} x {n}, got {dense.shape}")
-        if not np.allclose(
-            dense, dense.conj().T, atol=1e-10 * max(1.0, np.abs(dense).max())
-        ):
-            raise ValueError("sample covariance must be Hermitian")
-        values, vectors = np.linalg.eigh(dense)
-        cov = PilotCovariance(vectors, values)
-    if cov.vectors.shape[0] != n:
+    vectors, values = sample_cov.vectors, sample_cov.values
+    if vectors.shape[0] != n:
         raise ValueError(
-            f"sample covariance must act on {n} pilots, got {cov.vectors.shape[0]}"
+            f"sample covariance must act on {n} pilots, got {vectors.shape[0]}"
         )
     if noise_var == 0:
         filtered = obs.y
     else:
         # The eigenvalues of C + noise_var I outside the factor's span are
         # noise_var itself, so only the factor's own can fail to be positive.
-        shifted = cov.values + noise_var
+        shifted = values + noise_var
         if not np.all(shifted > 0):
             raise np.linalg.LinAlgError(
                 "pilot covariance plus noise term is not positive definite"
             )
-        filtered = cov.vectors @ (cov.values / shifted * (cov.vectors.conj().T @ obs.y))
+        filtered = vectors @ (values / shifted * (vectors.conj().T @ obs.y))
     smoothed = Observation(y=filtered, pattern=obs.pattern, noise_var=obs.noise_var)
     return estimate_linear_interp(smoothed, config)
 

@@ -228,8 +228,8 @@ def realize_channel(
     return scale * (gen.standard_normal(pdp.d) + 1j * gen.standard_normal(pdp.d))
 
 
-def eta95(values: np.ndarray, fraction: float = 0.95) -> int:
-    """Smallest number of bins (taken largest first) holding ``fraction`` of the energy."""
+def eta95(values: np.ndarray) -> int:
+    """Smallest number of bins (taken largest first) holding 95 % of the energy."""
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("values must be a non-empty 1-d vector")
@@ -238,13 +238,11 @@ def eta95(values: np.ndarray, fraction: float = 0.95) -> int:
     total = v.sum()
     if total <= 0:
         raise ValueError("eta95 is undefined for an all-zero vector")
-    if not 0 < fraction <= 1:
-        raise ValueError("fraction must lie in (0, 1]")
     ordered = np.sort(v)[::-1]
     running = np.cumsum(ordered)
     # The tiny relative slack keeps exact ties (e.g. 19 of 20 equal bins) stable
     # against floating point accumulation order.
-    target = fraction * total * (1.0 - 1e-12)
+    target = 0.95 * total * (1.0 - 1e-12)
     return int(np.searchsorted(running, target) + 1)
 
 

@@ -3,7 +3,7 @@
 Four subcommands:
 
 * ``sweep``        Monte Carlo NMSE/capacity sweep over SNR, CSV output
-* ``capacity``     same runner, defaults and summary oriented to rate fractions
+* ``capacity``     the same sweep with default estimators ``ideal,li,exomp``
 * ``pdp``          resolve a power delay profile and report its metrics
 * ``detect-calib`` empirical false-alarm rates of the support detector
 
@@ -41,7 +41,6 @@ from .evaluation import (
     run_sweep,
 )
 from .signal_model import SystemConfig
-from .sparse_recovery import OmpConfig
 
 __all__ = ["main", "ConfigError", "parse_config_text"]
 
@@ -101,9 +100,6 @@ _KEYS: dict[str, tuple[Callable[[str], Any], Any]] = {
     "sweep.master_seed": (int, None),
     "sweep.uniform_spacing": (int, None),
     "detect.alpha": (float, 1e-3),
-    "omp.max_iters": (int, None),
-    "omp.residual_gamma": (float, 1.0),
-    "capacity.n_symbols": (int, None),
     "calib.alphas": (_floats, (1e-3, 1e-2, 5e-2)),
     "calib.n_sets": (_ints, (1, 5, 8)),
     "calib.n_bins": (int, 200_000),
@@ -190,13 +186,6 @@ def _run_sweep_command(
         master_seed=seed,
         alpha=cfg["detect.alpha"],
         cluster_rms_s=cfg["channel.cluster_rms_us"] * 1e-6,
-        omp=_checked(
-            "omp.*",
-            OmpConfig,
-            max_iters=cfg["omp.max_iters"],
-            residual_gamma=cfg["omp.residual_gamma"],
-        ),
-        n_symbols=cfg["capacity.n_symbols"],
         uniform_spacing=cfg["sweep.uniform_spacing"],
     )
     if drawn:
@@ -284,7 +273,7 @@ _COMMANDS: dict[str, tuple[str, Callable[[dict[str, Any], argparse.Namespace], i
         ),
     ),
     "capacity": (
-        "sweep with capacity-oriented defaults",
+        "sweep with default estimators ideal,li,exomp",
         partial(_run_sweep_command, estimators=("ideal", "li", "exomp")),
     ),
     "pdp": ("resolve a power delay profile and report metrics", _run_pdp_command),

@@ -119,8 +119,9 @@ class SweepConfig:
 
     ``n_prior_sets`` is the number of extra independent pilot observation
     sets synthesized per trial for the estimators that use side information.
-    ``n_symbols`` is the coherence block length used by the capacity bound
-    (defaults to d).  ``uniform_spacing`` defaults to d // n_pilots.
+    ``uniform_spacing`` defaults to d // n_pilots.  The pursuits run with
+    ``OmpConfig()``, and the capacity bound takes the coherence block to be
+    d symbols long.
 
     Construction checks every value and resolves the inputs all trials share,
     so a bad value raises ``ValueError`` here rather than mid-sweep: ``pdp``
@@ -138,8 +139,6 @@ class SweepConfig:
     master_seed: int = 0
     alpha: float = 1e-3
     cluster_rms_s: float = 1e-7
-    omp: OmpConfig = field(default_factory=OmpConfig)
-    n_symbols: int | None = None
     uniform_spacing: int | None = None
     pdp: PowerDelayProfile = field(init=False, repr=False, compare=False)
     uni_pattern: PilotPattern = field(init=False, repr=False, compare=False)
@@ -169,9 +168,7 @@ class SweepConfig:
             raise ValueError("n_prior_sets must be positive")
         if self.system.n_pilots >= self.system.d:
             raise ValueError("sweeps need at least one data subcarrier (n_pilots < d)")
-        if self.n_symbols is not None and self.n_symbols < self.system.n_pilots:
-            raise ValueError("n_symbols cannot be smaller than the pilot count")
-        DetectionConfig(alpha=self.alpha)
+        DetectionConfig(alpha=self.alpha, noise_var=0.0)
         system = self.system
         pdp = to_continuous_pdp(
             self.profile, system, cluster_rms_s=self.cluster_rms_s, normalize=True
@@ -329,22 +326,22 @@ _ESTIMATORS: dict[str, tuple[str, Callable[[_Trial], np.ndarray]]] = {
             t.uni_obs, SupportSet(t.config.rrls_support), t.system
         ).channel_freq,
     ),
-    "omp": ("pseudo_random", lambda t: omp(t.rand_obs, t.config.omp).channel_freq()),
+    "omp": ("pseudo_random", lambda t: omp(t.rand_obs).channel_freq()),
     "a1": (
         "pseudo_random",
         lambda t: _seeded_estimate(t.rand_obs, t.full_pdp, t.det).channel_freq(),
     ),
     "a2": (
         "pseudo_random",
-        lambda t: algorithm_a2(t.rand_obs, t.prior_pdp, t.det, t.config.omp).channel_freq(),
+        lambda t: algorithm_a2(t.rand_obs, t.prior_pdp, t.det).channel_freq(),
     ),
     "a3": (
         "pseudo_random",
-        lambda t: _seeded_estimate(t.rand_obs, t.full_pdp, t.det, t.config.omp).channel_freq(),
+        lambda t: _seeded_estimate(t.rand_obs, t.full_pdp, t.det, OmpConfig()).channel_freq(),
     ),
     "exomp": (
         "pseudo_random",
-        lambda t: ex_omp(t.full_set, t.det, t.config.omp)[0].channel_freq(),
+        lambda t: ex_omp(t.full_set, t.det)[0].channel_freq(),
     ),
     "ideal": ("uniform", lambda t: t.true_freq),
 }
@@ -403,7 +400,6 @@ def run_sweep(
     else:
         outcomes = [_run_trial(config, si, ti) for si, ti in indices]
 
-    n_symbols = config.n_symbols if config.n_symbols is not None else system.d
     errors = {
         (name, snr): np.full(config.n_trials, np.nan)
         for name in config.estimators
@@ -433,7 +429,7 @@ def run_sweep(
                 params = CapacityParams(
                     rho=rho,
                     sigma_e_sq=min(lin, 1.0),
-                    n_symbols=n_symbols,
+                    n_symbols=system.d,
                     n_pilots=system.n_pilots,
                 )
                 rate = capacity_lower_bound(params, norms[snr][valid])
@@ -477,6 +473,10 @@ def false_alarm_calibration(
     """
     if not alphas or not n_sets_list:
         raise ValueError("need at least one alpha and one set count")
+    # A repeated alpha would add its crossings to one shared count twice.
+    for name, values in (("alphas", alphas), ("set counts", n_sets_list)):
+        if len(set(values)) != len(values):
+            raise ValueError(f"{name} must be distinct")
     if n_bins < system.d:
         raise ValueError("n_bins must cover at least one trial")
     if master_seed < 0:

@@ -42,7 +42,6 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .baseline import SupportSet
 from .signal_model import (
     Observation,
     ObservationSet,
@@ -206,16 +205,17 @@ class DetectionConfig:
 
     ``noise_var`` splits a sample PDP's mean bin level into its noise floor
     and its signal-leakage part so the threshold can track the level of a
-    signal-free bin.  Pass the noise variance whenever it is known: zero
-    treats the whole mean as leakage and shrinks it, which lowers the
-    threshold on noisy data, and ``ex_omp`` then over-admits (over 30 trials
-    of 9 ETU sets at 10 dB, d=600, N=200, its scored estimate kept 55.7 bins
-    with ``noise_var=0`` against 24.4 with the true variance).  Every
-    consumer of the threshold, ``ex_omp``'s rounds included, reads it here.
+    signal-free bin.  Both fields are required, because zero is no safe
+    default for the noise: it treats the whole mean as leakage and shrinks
+    it, which lowers the threshold on noisy data, and ``ex_omp`` then
+    over-admits (over 30 trials of 9 ETU sets at 10 dB, d=600, N=200, its
+    scored estimate kept 55.7 bins with ``noise_var=0`` against 24.4 with
+    the true variance).  Every consumer of the threshold, ``ex_omp``'s
+    rounds included, reads it here.
     """
 
-    alpha: float = 1e-3
-    noise_var: float = 0.0
+    alpha: float
+    noise_var: float
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
@@ -249,7 +249,6 @@ class SparseEstimate:
 
     theta: np.ndarray
     support: np.ndarray
-    coeffs: np.ndarray
     selection_order: tuple[int, ...]
     residual_sq_history: tuple[float, ...]
 
@@ -312,10 +311,9 @@ def detection_threshold(pdp: SamplePdp, det: DetectionConfig) -> float:
     return mu / (2.0 * pdp.n_sets) * quantile
 
 
-def detect_support(pdp: SamplePdp, det: DetectionConfig) -> SupportSet:
-    """Bins of the sample PDP that rise above the chi-square threshold."""
-    threshold = detection_threshold(pdp, det)
-    return SupportSet(indices=np.flatnonzero(pdp.values > threshold))
+def detect_support(pdp: SamplePdp, det: DetectionConfig) -> np.ndarray:
+    """Sorted indices of the sample-PDP bins above the chi-square threshold."""
+    return np.flatnonzero(pdp.values > detection_threshold(pdp, det))
 
 
 class _StackedSolver:
@@ -430,7 +428,6 @@ class _StackedSolver:
             SparseEstimate(
                 theta=theta[s],
                 support=self.support[order],
-                coeffs=coef[s, order],
                 selection_order=selection,
                 residual_sq_history=tuple(residuals[s]),
             )
@@ -522,7 +519,7 @@ def _seeded_estimate(
     and, without ``cfg``, when nothing was detected.
     """
     solver = _StackedSolver((obs,))
-    idx = detect_support(pdp, det).indices
+    idx = detect_support(pdp, det)
     if idx.size > solver.n:
         _warn(
             f"detected support of {idx.size} bins exceeds {solver.n} observations; "
@@ -540,7 +537,7 @@ def _seeded_estimate(
 
 
 def algorithm_a1(
-    sets: ObservationSet, det: DetectionConfig = DetectionConfig()
+    sets: ObservationSet, det: DetectionConfig
 ) -> list[SparseEstimate]:
     """Detect occupied bins from the averaged sample PDP, then least squares.
 
@@ -557,7 +554,7 @@ def algorithm_a1(
 def algorithm_a2(
     obs: Observation,
     prior_pdp: SamplePdp,
-    det: DetectionConfig = DetectionConfig(),
+    det: DetectionConfig,
     cfg: OmpConfig = OmpConfig(),
 ) -> SparseEstimate:
     """Pursuit with selection scores weighted by a prior sample PDP.
@@ -596,7 +593,7 @@ def algorithm_a2(
 
 def algorithm_a3(
     sets: ObservationSet,
-    det: DetectionConfig = DetectionConfig(),
+    det: DetectionConfig,
     cfg: OmpConfig = OmpConfig(),
 ) -> list[SparseEstimate]:
     """Seed each pursuit with the detected support, then continue greedily.
@@ -635,7 +632,7 @@ def _wiener_coefficients(solver: _StackedSolver, noise_vars: np.ndarray) -> np.n
 
 def ex_omp(
     sets: ObservationSet,
-    det: DetectionConfig = DetectionConfig(),
+    det: DetectionConfig,
     cfg: OmpConfig = OmpConfig(),
 ) -> list[SparseEstimate]:
     """Lockstep pursuit over several observations with one shared support.

@@ -130,7 +130,7 @@ def test_li_mmse_noiseless_reduces_to_interpolation():
     pat = PilotPattern.uniform(cfg, spacing=4)
     y = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     obs = Observation(y=y, pattern=pat, noise_var=0.0)
-    cov = np.eye(6, dtype=np.complex128)
+    cov = PilotCovariance(*np.linalg.eigh(np.eye(6, dtype=np.complex128))[::-1])
     smoothed = estimate_li_mmse(obs, cov, 0.0, cfg)
     plain = estimate_linear_interp(obs, cfg)
     np.testing.assert_allclose(smoothed.channel_freq, plain.channel_freq)
@@ -149,7 +149,7 @@ def test_li_mmse_matches_dense_formula():
         nv = float(rng.uniform(0.1, 2.0))
         y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         obs = Observation(y=y, pattern=pat, noise_var=nv)
-        est = estimate_li_mmse(obs, cov, nv, cfg)
+        est = estimate_li_mmse(obs, PilotCovariance(*np.linalg.eigh(cov)[::-1]), nv, cfg)
         # independent evaluation: explicit inverse, then direct interpolation
         filtered = cov @ np.linalg.inv(cov + nv * np.eye(n)) @ y
         grid = np.arange(d, dtype=float)
@@ -164,12 +164,7 @@ def test_li_mmse_validation():
     pat = PilotPattern.uniform(cfg, 2)
     obs = Observation(np.zeros(2), pat, 1.0)
     with pytest.raises(ValueError):
-        estimate_li_mmse(obs, np.eye(3), 1.0, cfg)
-    skew = np.array([[1.0, 1.0], [0.0, 1.0]])
-    with pytest.raises(ValueError):
-        estimate_li_mmse(obs, skew, 1.0, cfg)
-    with pytest.raises(ValueError):
-        estimate_li_mmse(obs, np.eye(2), -1.0, cfg)
+        estimate_li_mmse(obs, PilotCovariance(np.eye(2), np.ones(2)), -1.0, cfg)
     # a factor must have one row per pilot and one value per column
     with pytest.raises(ValueError, match="act on 2 pilots"):
         estimate_li_mmse(obs, PilotCovariance(np.eye(3), np.ones(3)), 1.0, cfg)
@@ -299,15 +294,6 @@ def test_li_mmse_factor_filter_equals_dense_formula(problem, nv):
 
 
 @SETTINGS
-@given(factors(), st.floats(1e-3, 10.0))
-def test_li_mmse_dense_input_equals_its_factor(problem, nv):
-    cfg, obs, cov, _ = problem
-    from_factor = estimate_li_mmse(obs, cov, nv, cfg).channel_freq
-    from_dense = estimate_li_mmse(obs, cov.dense, nv, cfg).channel_freq
-    _assert_rel_close(from_dense, from_factor, 1e-10)
-
-
-@SETTINGS
 @given(factors(), st.floats(0.01, 0.9))
 def test_li_mmse_indefinite_dense_covariance_raises(problem, share):
     # one eigenvalue -a with noise_var = share * a < a: C + noise_var I is indefinite
@@ -315,9 +301,9 @@ def test_li_mmse_indefinite_dense_covariance_raises(problem, share):
     a = float(rng.uniform(0.5, 5.0))
     values = cov.values.copy()
     values[0] = -a
-    dense = PilotCovariance(cov.vectors, values).dense
+    indefinite = PilotCovariance(cov.vectors, values)
     with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
-        estimate_li_mmse(obs, dense, share * a, cfg)
+        estimate_li_mmse(obs, indefinite, share * a, cfg)
 
 
 @SETTINGS

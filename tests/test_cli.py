@@ -1,5 +1,6 @@
 """Command line front end: config parsing, subcommands, exit codes."""
 
+import dataclasses
 import re
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 
 from sparsechan import cli
 from sparsechan.cli import ConfigError, main, parse_config_text
+from sparsechan.evaluation import SweepConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -84,13 +86,16 @@ def test_bad_override_shape_and_type(capsys):
          "master_seed must be non-negative, got -3"),
         (["detect-calib", "--seed", "-5"],
          "calib.*: master_seed must be non-negative, got -5"),
+        # a repeated alpha would be counted twice into one row
+        (["detect-calib", "--set", "calib.alphas=0.05,0.05"],
+         "calib.*: alphas must be distinct"),
+        (["detect-calib", "--set", "calib.n_sets=1,1"],
+         "calib.*: set counts must be distinct"),
         # NaN fails the positivity checks
         (["pdp", "--set", "channel.cluster_rms_us=nan"],
          "channel.*: cluster RMS width must be positive, got nan"),
         (["sweep", *TINY, "--set", "channel.cluster_rms_us=nan"],
          "cluster RMS width must be positive, got nan"),
-        (["sweep", *TINY, "--set", "omp.residual_gamma=nan"],
-         "omp.*: residual_gamma must be positive, got nan"),
         (["pdp", "--set", "system.subcarrier_spacing_hz=nan"],
          "system.*: subcarrier spacing must be positive, got nan"),
         # an infinite spacing is blamed on the system, not on the profile
@@ -198,6 +203,19 @@ def test_sweep_config_file_with_override(capsys, tmp_path):
     row = out.read_text().strip().split("\n")[1].split(",")
     assert row[4] == "3"  # override beat the file
     assert row[6] == "7"  # configured seed used
+
+
+def test_cli_passes_every_sweep_setting(monkeypatch):
+    # A SweepConfig field the CLI never sets would be a setting nothing reaches.
+    passed = []
+
+    def recorder(**kwargs):
+        passed.append(set(kwargs))
+        return SweepConfig(**kwargs)
+
+    monkeypatch.setattr(cli, "SweepConfig", recorder)
+    assert main(["sweep", *TINY, "--set", "sweep.estimators=dft", "--seed", "1"]) == 0
+    assert passed == [{f.name for f in dataclasses.fields(SweepConfig) if f.init}]
 
 
 def test_sweep_draws_seed_from_entropy_when_unset(capsys):

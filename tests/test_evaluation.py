@@ -98,8 +98,6 @@ def test_sweep_config_validation():
         _smoke_config(n_prior_sets=0)
     with pytest.raises(ValueError):
         _smoke_config(system=SystemConfig(d=16, n_pilots=16))
-    with pytest.raises(ValueError):
-        _smoke_config(n_symbols=8)
     # derived inputs are resolved, and checked, on construction
     with pytest.raises(ValueError, match="alpha"):
         _smoke_config(alpha=1.0)
@@ -274,3 +272,8 @@ def test_false_alarm_calibration_validation():
         false_alarm_calibration(system, alphas=(0.1,), n_sets_list=(1,), n_bins=16)
     with pytest.raises(ValueError, match="master_seed must be non-negative, got -1"):
         false_alarm_calibration(system, alphas=(0.1,), n_sets_list=(1,), master_seed=-1)
+    # a repeated alpha would share one count, so both of its rows read double rate
+    with pytest.raises(ValueError, match="alphas must be distinct"):
+        false_alarm_calibration(system, alphas=(0.05, 0.05), n_sets_list=(1,))
+    with pytest.raises(ValueError, match="set counts must be distinct"):
+        false_alarm_calibration(system, alphas=(0.05,), n_sets_list=(2, 1, 2))

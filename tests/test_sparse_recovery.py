@@ -94,11 +94,14 @@ def test_chi2_inv_cdf_monotone_and_validated():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        DetectionConfig(alpha=0.0)
+        DetectionConfig(alpha=0.0, noise_var=0.0)
     with pytest.raises(ValueError):
-        DetectionConfig(alpha=1.0)
+        DetectionConfig(alpha=1.0, noise_var=0.0)
     with pytest.raises(ValueError):
         DetectionConfig(alpha=0.1, noise_var=-1.0)
+    # no default noise: zero would lower the threshold on noisy data unnoticed
+    with pytest.raises(TypeError, match="noise_var"):
+        DetectionConfig(alpha=1e-3)
     with pytest.raises(ValueError):
         OmpConfig(max_iters=0)
     with pytest.raises(ValueError):
@@ -172,7 +175,7 @@ def test_detect_support_strong_taps_always_found():
             pat = PilotPattern.pseudo_random(cfg, int(rng.integers(0, 2**63)))
             obs.append(synthesize_observation(cfg, pat, theta, nv, rng))
         sup = detect_support(sample_pdp(ObservationSet(tuple(obs))), det)
-        assert set(strong) <= set(sup.indices.tolist())
+        assert set(strong) <= set(sup.tolist())
 
 
 # ------------------------------------------------------------------------ omp
@@ -254,7 +257,7 @@ def test_a1_noiseless_strong_channel_exact():
         )
         for i, th in enumerate(thetas)
     )
-    ests = algorithm_a1(ObservationSet(obs), DetectionConfig(alpha=1e-3))
+    ests = algorithm_a1(ObservationSet(obs), DetectionConfig(alpha=1e-3, noise_var=0.0))
     assert len(ests) == 2
     for est, th in zip(ests, thetas):
         assert set(support) <= set(est.support.tolist())
@@ -320,7 +323,7 @@ def test_a2_strong_prior_bin_selected_first():
     values = np.full(16, 1e-3)
     values[10] = 1.0
     prior = SamplePdp(values=values, n_sets=4, scale=1e-3, n_pilots=8)
-    est = algorithm_a2(obs, prior, DetectionConfig(alpha=1e-3))
+    est = algorithm_a2(obs, prior, DetectionConfig(alpha=1e-3, noise_var=0.0))
     assert est.selection_order[0] == 10
 
 
@@ -330,7 +333,7 @@ def test_a2_validation():
     obs = Observation(np.zeros(8), pat, 1.0)
     wrong = SamplePdp(values=np.ones(8), n_sets=1, scale=0.1, n_pilots=8)
     with pytest.raises(ValueError):
-        algorithm_a2(obs, wrong)
+        algorithm_a2(obs, wrong, DetectionConfig(alpha=1e-3, noise_var=0.0))
 
 
 # ------------------------------------------------------------------------- a3
@@ -347,7 +350,7 @@ def test_a3_full_seed_terminates_exactly():
         )
         for i, th in enumerate(thetas)
     )
-    ests = algorithm_a3(ObservationSet(obs), DetectionConfig(alpha=1e-3))
+    ests = algorithm_a3(ObservationSet(obs), DetectionConfig(alpha=1e-3, noise_var=0.0))
     for est, th in zip(ests, thetas):
         assert set(support) <= set(est.support.tolist())
         np.testing.assert_allclose(est.theta[list(support)], th[list(support)], atol=1e-9)
@@ -398,7 +401,7 @@ def test_ex_omp_shared_support_exact_recovery():
         )
         for i, th in enumerate(thetas)
     )
-    ests = ex_omp(ObservationSet(obs), DetectionConfig(alpha=1e-3))
+    ests = ex_omp(ObservationSet(obs), DetectionConfig(alpha=1e-3, noise_var=0.0))
     supports = [e.support.tolist() for e in ests]
     assert all(s == support for s in supports)
     for est, th in zip(ests, thetas):
@@ -435,7 +438,7 @@ def test_ex_omp_noiseless_drops_rounding_level_bins():
             obs.append(synthesize_observation(cfg, pat, th, 0.0))
             thetas.append(th)
     assert support.tolist() == [13, 15, 16, 40]
-    ests = ex_omp(ObservationSet(tuple(obs)), DetectionConfig(alpha=1e-6))
+    ests = ex_omp(ObservationSet(tuple(obs)), DetectionConfig(alpha=1e-6, noise_var=0.0))
     for est, th in zip(ests, thetas):
         assert est.support.tolist() == support.tolist()
         assert est.selection_order == (15, 40, 16, 13)
@@ -543,7 +546,6 @@ def test_ex_omp_noisy_coefficients_match_dense_wiener_formula():
         expected = np.zeros(support.size, dtype=np.complex128)
         expected[keep] = wiener
         assert est.support.tolist() == support.tolist()
-        np.testing.assert_allclose(est.coeffs, expected, atol=1e-10)
         np.testing.assert_allclose(est.theta[support], expected, atol=1e-10)
 
 
@@ -600,7 +602,7 @@ def test_ex_omp_first_round_admits_the_detected_support():
     sets = _etu_sets(32, nv=nv)
     det = DetectionConfig(alpha=1e-3, noise_var=nv)
     spdp = sample_pdp(sets)
-    detected = detect_support(spdp, det).indices
+    detected = detect_support(spdp, det)
     assert detected.size > 1
     strongest_first = detected[np.argsort(spdp.values[detected])[::-1]]
     for est in ex_omp(sets, det):
@@ -617,7 +619,7 @@ def test_ex_omp_first_round_follows_the_detection_noise_var():
     sizes = []
     for noise_var in (0.0, nv, 10 * nv):
         det = DetectionConfig(alpha=1e-3, noise_var=noise_var)
-        detected = detect_support(spdp, det).indices
+        detected = detect_support(spdp, det)
         strongest_first = detected[np.argsort(spdp.values[detected])[::-1]]
         for est in ex_omp(sets, det, OmpConfig(max_iters=1)):
             assert est.selection_order == tuple(strongest_first.tolist())
