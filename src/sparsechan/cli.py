@@ -300,7 +300,10 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument(
-            "--threads", type=int, default=1, help="worker processes for trials"
+            "--threads",
+            type=int,
+            default=1,
+            help="worker processes for blocks of trials (at least 1; at most one per block)",
         )
     return parser
 
@@ -308,6 +311,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ConfigError("--threads", f"need at least 1 worker process, got {args.threads}")
         cfg = _load_config(args.config, args.set)
         return _COMMANDS[args.command][1](cfg, args)
     except ConfigError as exc:

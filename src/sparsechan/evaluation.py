@@ -25,6 +25,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from typing import Any
 
 import numpy as np
 
@@ -48,11 +49,12 @@ from .sparse_recovery import (
     DetectionConfig,
     OmpConfig,
     SamplePdp,
-    _seeded_estimate,
-    algorithm_a2,
+    SparseEstimate,
+    _a2_rows,
+    _omp_rows,
+    _seeded_rows,
     detection_threshold,
     ex_omp,
-    omp,
     sample_pdp,
 )
 
@@ -302,72 +304,111 @@ class _Trial:
 
 
 # Each estimator's pattern kind (its error is measured on the data subcarriers
-# of that trial pattern) and its transfer function on one trial.  The lambdas
-# look the estimator functions up when called, so a replaced module attribute
-# takes effect.
-_ESTIMATORS: dict[str, tuple[str, Callable[[_Trial], np.ndarray]]] = {
-    "dft": ("uniform", lambda t: estimate_dft(t.uni_obs, t.system).channel_freq),
-    "li": ("uniform", lambda t: estimate_linear_interp(t.uni_obs, t.system).channel_freq),
+# of that trial pattern), then either its transfer function on one trial and
+# None, or what it reads from a trial and its transfer functions on a block of
+# trials from those reads.  The pursuits without a shared support run as block
+# entries, so their rounds are paid once per block rather than once per trial.
+# The lambdas look the estimator functions up when called, so a replaced
+# module attribute takes effect.
+_ESTIMATORS: dict[str, tuple[str, Callable[[_Trial], Any], Callable[[list], list] | None]] = {
+    "dft": ("uniform", lambda t: estimate_dft(t.uni_obs, t.system).channel_freq, None),
+    "li": ("uniform", lambda t: estimate_linear_interp(t.uni_obs, t.system).channel_freq, None),
     "li-mmse": (
         "uniform",
         lambda t: estimate_li_mmse(
             t.uni_obs, pilot_sample_covariance(t.priors_uni, t.sigma2), t.sigma2, t.system
         ).channel_freq,
+        None,
     ),
     "mmse": (
         "pseudo_random",
         lambda t: estimate_mmse_oracle(
             t.rand_obs, t.config.pdp, t.sigma2, t.system
         ).channel_freq,
+        None,
     ),
     "rrls": (
         "uniform",
         lambda t: estimate_reduced_rank_ls(
             t.uni_obs, SupportSet(t.config.rrls_support), t.system
         ).channel_freq,
+        None,
     ),
-    "omp": ("pseudo_random", lambda t: omp(t.rand_obs).channel_freq()),
+    "omp": (
+        "pseudo_random",
+        lambda t: t.rand_obs,
+        lambda reads: _freqs(_omp_rows(reads)),
+    ),
     "a1": (
         "pseudo_random",
-        lambda t: _seeded_estimate(t.rand_obs, t.full_pdp, t.det).channel_freq(),
+        lambda t: (t.rand_obs, t.full_pdp, t.det),
+        lambda reads: _freqs(_seeded_rows(*zip(*reads))),
     ),
     "a2": (
         "pseudo_random",
-        lambda t: algorithm_a2(t.rand_obs, t.prior_pdp, t.det).channel_freq(),
+        lambda t: (t.rand_obs, t.prior_pdp, t.det),
+        lambda reads: _freqs(_a2_rows(*zip(*reads))),
     ),
     "a3": (
         "pseudo_random",
-        lambda t: _seeded_estimate(t.rand_obs, t.full_pdp, t.det, OmpConfig()).channel_freq(),
+        lambda t: (t.rand_obs, t.full_pdp, t.det),
+        lambda reads: _freqs(_seeded_rows(*zip(*reads), OmpConfig())),
     ),
     "exomp": (
         "pseudo_random",
         lambda t: ex_omp(t.full_set, t.det)[0].channel_freq(),
+        None,
     ),
-    "ideal": ("uniform", lambda t: t.true_freq),
+    "ideal": ("uniform", lambda t: t.true_freq, None),
 }
 
 ESTIMATOR_NAMES = tuple(_ESTIMATORS)
 
 
-def _run_trial(config: SweepConfig, snr_idx: int, trial_idx: int):
-    """Synthesize one trial and score every estimator on it.
+# Consecutive trials of one SNR point that a sweep evaluates together.  The
+# block entries' rounds cost about as much for ten rows as for one, and at
+# ten a 70-trial sweep still splits into seven blocks for a process pool.
+_BLOCK = 10
 
-    Returns ({estimator: mean squared data-subcarrier error, or None on a
-    LinAlgError}, channel tap energy).
+
+def _freqs(estimates: list[SparseEstimate]) -> list[np.ndarray]:
+    return [est.channel_freq() for est in estimates]
+
+
+def _error(freq: np.ndarray, true_freq: np.ndarray, data: np.ndarray) -> float:
+    err = freq[data] - true_freq[data]
+    return float(np.mean(np.abs(err) ** 2))
+
+
+def _run_block(config: SweepConfig, snr_idx: int, first: int):
+    """Synthesize trials first, first + 1, ... of a block and score every estimator on them.
+
+    Per-trial entries are scored as each trial is synthesized, and only what
+    the block entries read is kept; each block entry then runs once over the
+    whole block.  Returns one ({estimator: mean squared data-subcarrier
+    error, or None on a LinAlgError}, channel tap energy) pair per trial.
     """
-    trial = _Trial(config, snr_idx, trial_idx)
-    results: dict[str, float | None] = {}
-    for name in config.estimators:
-        kind, transfer = _ESTIMATORS[name]
-        try:
-            freq = transfer(trial)
-        except np.linalg.LinAlgError:
-            results[name] = None
-            continue
-        data = trial.data[kind]
-        err = freq[data] - trial.true_freq[data]
-        results[name] = float(np.mean(np.abs(err) ** 2))
-    return results, trial.norm
+    outcomes, truths = [], []
+    reads: dict[str, list] = {}
+    for trial_idx in range(first, min(first + _BLOCK, config.n_trials)):
+        trial = _Trial(config, snr_idx, trial_idx)
+        results: dict[str, float | None] = {}
+        for name in config.estimators:
+            kind, transfer, block = _ESTIMATORS[name]
+            if block is not None:
+                reads.setdefault(name, []).append(transfer(trial))
+                continue
+            try:
+                results[name] = _error(transfer(trial), trial.true_freq, trial.data[kind])
+            except np.linalg.LinAlgError:
+                results[name] = None
+        outcomes.append((results, trial.norm))
+        truths.append((trial.true_freq, trial.data))
+    for name, inputs in reads.items():
+        kind, _, block = _ESTIMATORS[name]
+        for (results, _), freq, (true_freq, data) in zip(outcomes, block(inputs), truths):
+            results[name] = _error(freq, true_freq, data[kind])
+    return outcomes
 
 
 def run_sweep(
@@ -379,26 +420,30 @@ def run_sweep(
     squared data-subcarrier errors divided by the sum of the same trials'
     channel energies; trials where an estimator raised ``LinAlgError`` are
     excluded from that estimator's aggregate and counted in the row's failure
-    column, and other exceptions propagate.  With
-    ``n_workers > 1`` trials are distributed over processes; results are
-    identical to the sequential run.
+    column, and other exceptions propagate.  The pursuits run over blocks of
+    up to ``_BLOCK`` consecutive trials of one SNR point, each row on its own
+    support, and skip a dependent bin row by row.  With ``n_workers > 1``
+    blocks are distributed over at most that many processes, one per block
+    at most.  Results are identical for every block size and worker count.
     """
+    if n_workers < 1:
+        raise ValueError(f"n_workers must be at least 1, got {n_workers}")
     system = config.system
-    indices = [
-        (si, ti) for si in range(len(config.snr_db)) for ti in range(config.n_trials)
+    blocks = [
+        (si, first)
+        for si in range(len(config.snr_db))
+        for first in range(0, config.n_trials, _BLOCK)
     ]
+    n_workers = min(n_workers, len(blocks))
     if n_workers > 1:
         # Imported here: multiprocessing costs every single-process start
         # about 30 ms.
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, len(indices) // (8 * n_workers))
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            outcomes = list(
-                pool.map(partial(_run_trial, config), *zip(*indices), chunksize=chunk)
-            )
+            outcomes = list(pool.map(partial(_run_block, config), *zip(*blocks)))
     else:
-        outcomes = [_run_trial(config, si, ti) for si, ti in indices]
+        outcomes = [_run_block(config, si, first) for si, first in blocks]
 
     errors = {
         (name, snr): np.full(config.n_trials, np.nan)
@@ -406,12 +451,13 @@ def run_sweep(
         for snr in config.snr_db
     }
     norms = {snr: np.empty(config.n_trials) for snr in config.snr_db}
-    for (si, ti), (res, norm) in zip(indices, outcomes):
+    for (si, first), block in zip(blocks, outcomes):
         snr = config.snr_db[si]
-        norms[snr][ti] = norm
-        for name, value in res.items():
-            if value is not None:
-                errors[(name, snr)][ti] = value
+        for ti, (res, norm) in enumerate(block, first):
+            norms[snr][ti] = norm
+            for name, value in res.items():
+                if value is not None:
+                    errors[(name, snr)][ti] = value
 
     rows = []
     for name in config.estimators:

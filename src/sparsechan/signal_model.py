@@ -218,9 +218,9 @@ def partial_fourier_matrix(
 
 def _stack(observations: tuple[Observation, ...]) -> tuple[np.ndarray, ...]:
     """Pilot index rows, their flat positions in an (n_sets, d) array, and the y rows."""
-    pilots = np.stack([o.pattern.indices for o in observations])
+    pilots = np.array([o.pattern.indices for o in observations])
     index = np.arange(len(observations))[:, None] * observations[0].pattern.d + pilots
-    return pilots, index.ravel(), np.stack([o.y for o in observations])
+    return pilots, index.ravel(), np.array([o.y for o in observations])
 
 
 def _spectrum(d: int, index: np.ndarray, r: np.ndarray) -> np.ndarray:

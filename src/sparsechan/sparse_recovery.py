@@ -1,10 +1,13 @@
 """Greedy sparse recovery of delay-domain taps, with optional prior knowledge.
 
 The estimators share one engine, in the manner of Batch-OMP (Rubinstein,
-Zibulevsky & Elad 2008): least squares for a stack of observation sets on one
-shared, growing support, with Gram entries looked up in the circulant kernel
-of H^H H, one inverse-Cholesky row update per bin, and batched FFTs for the
-residuals and their spectra.  Around the engine sit three ways of using side
+Zibulevsky & Elad 2008): least squares for rows of stacked observation sets,
+each row on its own growing support shared by its sets, with Gram entries
+looked up in the circulant kernel of H^H H, one inverse-Cholesky row update
+per bin, and batched FFTs for the residuals and their spectra.  ``omp``,
+``algorithm_a2`` and the seeded estimate of ``a1`` and ``a3`` run one row per
+observation, so a sweep pursues a whole block of trials at once; ``ex_omp``
+runs one row of all its sets.  Around the engine sit three ways of using side
 information gathered from extra pilot observations:
 
 * ``algorithm_a1``  detect occupied bins from the sample PDP of all sets,
@@ -17,9 +20,9 @@ information gathered from extra pilot observations:
                     shared support, admitting every bin whose combined
                     residual spectrum clears a chi-square detection threshold
 
-One round loop, ``_pursue``, runs every pursuit and holds every stop rule;
-the estimators differ in their seed bins and in the rule that picks each
-round's bins.
+One round loop, ``_pursue``, runs every pursuit over every row and holds
+every stop rule; the estimators differ in their seed bins and in the rule
+that picks each round's bins.
 
 Detection treats each sample-PDP bin as an averaged squared magnitude of
 circular Gaussian noise: bin values are compared against a scaled chi-square
@@ -37,6 +40,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -317,117 +321,197 @@ def detect_support(pdp: SamplePdp, det: DetectionConfig) -> np.ndarray:
 
 
 class _StackedSolver:
-    """Incremental least squares of B observations on one shared, growing support.
+    """Incremental least squares of stacked observation sets, one growing support per row.
 
-    Keeps each set's inverse Cholesky factor L_s^-1 of G_s = H_s^H H_s on the
-    support, so c_s = L_s^-H L_s^-1 H_s^H y_s.  A bin that is (numerically)
-    dependent on the support in any set raises before anything changes.
-    ``history`` holds the residual energies, first and after each growing ``add_bins``.
+    Row r stacks S observation sets that share the support ``sel[r, :m[r]]``:
+    the single-observation pursuits run one set per row and one row per
+    observation, ``ex_omp`` one row of all its sets.  Each set keeps its
+    inverse Cholesky factor L^-1 of G = H^H H on its row's support, so
+    c = L^-H L^-1 H^H y.  ``add_bins`` takes sorted row indices and advances
+    together only the rows that hold the same support size; ``spectra``,
+    ``coef`` and ``refresh`` take such rows as a slice or sorted indices.
+    Each row's arithmetic is then exactly that of a solver built for it
+    alone, whatever rows it is stacked with.  ``history[r]`` holds row r's
+    residual energies, first and after each ``add_bins`` that grows it.
     """
 
     __slots__ = (
-        "d", "n", "pilots", "y", "kernel", "proj", "linv", "z", "sel", "m",
-        "coef", "residual", "residual_sq", "history",
+        "d", "n", "base", "pilots", "y", "kernel", "proj", "linv", "z", "sel", "m",
+        "residual", "residual_sq", "history",
     )
 
-    def __init__(self, observations: tuple[Observation, ...]) -> None:
-        n_sets = len(observations)
-        self.d = observations[0].pattern.d
-        self.n = observations[0].pattern.n
-        pilots, self.pilots, self.y = _stack(observations)
-        self.kernel = gram_kernel(self.d, pilots)
-        self.proj = _spectrum(self.d, self.pilots, self.y)
-        # Only the leading m x m block is read, and add_bin writes each row
-        # in full, so neither buffer needs zeroing.
-        # The Gram matrices have rank at most n, so at most n bins fit.
-        self.linv = np.empty((n_sets, self.n, self.n), dtype=np.complex128)
-        self.z = np.empty((n_sets, self.n), dtype=np.complex128)
-        self.sel = np.empty(self.n, dtype=np.int64)
-        self.m = 0
-        self.coef = np.empty((n_sets, 0), dtype=np.complex128)
-        self.residual = self.y
+    def __init__(self, rows: Sequence[tuple[Observation, ...]]) -> None:
+        shape = (len(rows), len(rows[0]))
+        self.d = rows[0][0].pattern.d
+        self.n = n = rows[0][0].pattern.n
+        pilots, index, y = _stack(tuple(o for row in rows for o in row))
+        # Flat offset of each (row, set) in a (rows, sets, d) array.
+        self.base = (np.arange(shape[0] * shape[1]) * self.d).reshape(shape + (1,))
+        self.pilots = pilots.reshape(shape + (n,))
+        self.y = y.reshape(shape + (n,))
+        self.kernel = gram_kernel(self.d, pilots).reshape(shape + (self.d,))
+        self.proj = _spectrum(self.d, index, y).reshape(shape + (self.d,))
+        # Grown as the supports grow.  Only the leading m x m block of linv
+        # is read, and it starts zeroed, so its upper triangle stays zero.
+        self.linv = np.empty(shape + (0, 0), dtype=np.complex128)
+        self.z = np.empty(shape + (0,), dtype=np.complex128)
+        self.sel = np.empty((shape[0], 0), dtype=np.int64)
+        self.m = np.zeros(shape[0], dtype=np.int64)
+        self.residual = self.y.copy()
         self.residual_sq = np.vecdot(self.y, self.y).real
-        self.history = [self.residual_sq]
+        self.history = [[energy] for energy in self.residual_sq]
 
-    @property
-    def support(self) -> np.ndarray:
-        """Selected bins in selection order."""
-        return self.sel[: self.m]
+    def support(self, row: int) -> np.ndarray:
+        """Row ``row``'s selected bins in selection order."""
+        return self.sel[row, : self.m[row]]
 
-    @property
-    def full(self) -> bool:
-        return self.m >= self.sel.size
+    def spectra(self, rows) -> np.ndarray:
+        """Matched-filter spectra of the rows' residuals, one (sets, d) block per row."""
+        residual = self.residual[rows]
+        index = (self.base[: residual.shape[0]] + self.pilots[rows]).ravel()
+        flat = residual.reshape(-1, self.n)
+        return _spectrum(self.d, index, flat).reshape(residual.shape[:2] + (self.d,))
 
-    def residual_pdp(self) -> SamplePdp:
-        """Sample PDP of the residuals (of the observations while nothing is selected)."""
-        return _pdp(_spectrum(self.d, self.pilots, self.residual), self.residual_sq, self.n)
+    def add_bins(self, rows: np.ndarray, bins: np.ndarray) -> list[tuple[int, int]]:
+        """Add each row's bins in order until its support is full, then solve.
 
-    def add_bin(self, k: int) -> None:
-        m = self.m
+        ``bins[i]`` lists the bins for ``rows[i]``, padded with -1.  Rows that
+        hold the same support size advance together.  Returns the (row, bin)
+        pairs skipped as dependent.
+        """
+        before = self.m[rows]
+        skipped = self._extend(rows, bins)
+        grown = rows[self.m[rows] > before]
+        for at in _by_size(self.m[grown]):
+            self.refresh(_packed(grown[at]))
+        for row in grown.tolist():
+            self.history[row].append(self.residual_sq[row])
+        return skipped
+
+    def _extend(self, rows: np.ndarray, bins: np.ndarray) -> list[tuple[int, int]]:
+        """Grow the supports bin by bin, the rows of each support size together."""
+        skipped = []
+        for at in _by_size(self.m[rows]):
+            group, new = rows[at], bins[at]
+            m = int(self.m[group[0]])
+            self._reserve(m + new.shape[1])
+            # The Gram entries of every new bin against the support it joins
+            # and the bins before it, and its projections, gathered at once;
+            # each step then reads slices.  Padding gathers unused entries.
+            support = np.concatenate((self.sel[group, :m], new), axis=1)
+            lag = (new[:, :, None] - support[:, None, :]) % self.d
+            gram = self.kernel.take(self.base[group, :, :, None] + lag[:, None])
+            proj = self.proj.take(self.base[group] + new[:, None, :])
+            lengths = np.count_nonzero(new >= 0, axis=1)
+            every, packed = int(lengths.min()), _packed(group)
+            for j in range(min(new.shape[1], self.n - m)):
+                step, at_rows = slice(None), packed
+                if j >= every:  # some rows have run out of bins
+                    step = np.flatnonzero(lengths > j)
+                    if not step.size:
+                        break
+                    at_rows = _packed(group[step])
+                dependent = self._add_bin(
+                    at_rows, new[step, j], gram[step, :, j, : m + j], proj[step, :, j], m + j
+                )
+                if dependent:
+                    skipped += [(int(group[step][i]), int(new[step, j][i])) for i in dependent]
+                    # Those rows no longer hold the supports gathered for; go
+                    # on from the supports they hold.
+                    skipped += self._extend(group, new[:, j + 1 :])
+                    break
+        return skipped
+
+    def _reserve(self, size: int) -> None:
+        """Room for supports of ``size`` bins; the Gram matrices have rank at most n."""
+        have = self.sel.shape[1]
+        if size <= have:
+            return
+        size = min(self.n, max(size, 2 * have))
+        linv = np.zeros(self.linv.shape[:2] + (size, size), dtype=np.complex128)
+        linv[..., :have, :have] = self.linv
+        z = np.empty(self.z.shape[:2] + (size,), dtype=np.complex128)
+        z[..., :have] = self.z
+        sel = np.empty((self.sel.shape[0], size), dtype=np.int64)
+        sel[:, :have] = self.sel
+        self.linv, self.z, self.sel = linv, z, sel
+
+    def _add_bin(self, rows, k, gram, p, m: int) -> list[int]:
+        """Add bin ``k[i]`` to the i-th of ``rows``, which all hold m bins.
+
+        ``gram`` holds the bins' Gram entries against the supports and ``p``
+        their projections H^H y.  Returns the positions i of the rows left
+        unchanged because their bin is (numerically) dependent on their
+        support in some set.
+        """
+        n = self.n
         if m:
-            linv = self.linv[:, :m, :m]
-            w = np.matvec(linv, self.kernel[:, (k - self.sel[:m]) % self.d])
-            gap = self.n - np.vecdot(w, w).real
+            linv = self.linv[rows, :, :m, :m]
+            w = np.matvec(linv, gram)
+            gap = n - np.vecdot(w, w).real
         else:
-            gap = np.full(len(self.y), float(self.n))  # G[k, k] = n
-        if gap.min() <= 1e-12 * self.n:
-            raise np.linalg.LinAlgError(
-                f"rank-deficient support {sorted(self.support.tolist() + [int(k)])}"
-            )
+            gap = np.full(p.shape, float(n))  # G[k, k] = n
+        dependent = []
+        if gap.min() <= 1e-12 * n:
+            keep = gap.min(axis=1) > 1e-12 * n
+            dependent = np.flatnonzero(~keep).tolist()
+            rows, k, p, gap = np.arange(self.m.size)[rows][keep], k[keep], p[keep], gap[keep]
+            if m:
+                linv, w = linv[keep], w[keep]
         r = 1.0 / np.sqrt(gap)
-        p = self.proj[:, k]
         if m:
             # With G = L L^H and w = L^-1 G[S, k], the grown factor is
             # [[L, 0], [w^H, delta]] with delta^2 = gap, and its inverse has
             # the new row [-w^H L^-1 / delta, 1 / delta].
-            self.linv[:, m, :m] = np.vecmat(w, linv) * -r[:, None]
-            p = p - np.vecdot(w, self.z[:, :m])
-        self.linv[:, m, m] = r
-        self.linv[:, m, m + 1 :] = 0.0
-        self.z[:, m] = p * r
-        self.sel[m] = k
-        self.m = m + 1
+            self.linv[rows, :, m, :m] = np.vecmat(w, linv) * -r[..., None]
+            p = p - np.vecdot(w, self.z[rows, :, :m])
+        self.linv[rows, :, m, m] = r
+        self.z[rows, :, m] = p * r
+        self.sel[rows, m] = k
+        self.m[rows] = m + 1
+        return dependent
 
-    def add_bins(self, bins) -> list[int]:
-        """Add bins in order until full, then solve; returns those skipped as dependent."""
-        m, skipped = self.m, []
-        for k in bins:
-            if self.full:
-                break
-            try:
-                self.add_bin(int(k))
-            except np.linalg.LinAlgError:
-                skipped.append(int(k))
-        if self.m > m:
-            self.refresh()
-            self.history.append(self.residual_sq)
-        return skipped
+    def refresh(self, rows) -> None:
+        """Recompute coefficients and residuals of rows that hold the same support size."""
+        coef = self.coef(rows)
+        m = coef.shape[2]
+        base = self.base[: coef.shape[0]]
+        theta = np.zeros(coef.shape[:2] + (self.d,), dtype=np.complex128)
+        theta.reshape(-1)[base + self.sel[rows, None, :m]] = coef
+        fitted = np.fft.fft(theta, axis=2).reshape(-1)[base + self.pilots[rows]]
+        residual = self.y[rows] - fitted
+        self.residual[rows] = residual
+        self.residual_sq = self.residual_sq.copy()  # the history holds rows of the old one
+        self.residual_sq[rows] = np.vecdot(residual, residual).real
 
-    def refresh(self) -> None:
-        """Recompute coefficients and residuals for the current support."""
-        m = self.m
+    def coef(self, rows) -> np.ndarray:
+        """Least-squares coefficients, in selection order, of rows of one support size."""
+        m = int(self.m[rows][0])
         # c = L^-H z, i.e. conj(z^H L^-1).
-        self.coef = np.vecmat(self.z[:, :m], self.linv[:, :m, :m]).conj()
-        fitted = np.fft.fft(self.theta(self.coef), axis=1).ravel()[self.pilots]
-        self.residual = self.y - fitted.reshape(self.y.shape)
-        self.residual_sq = np.vecdot(self.residual, self.residual).real
+        return np.vecmat(self.z[rows, :, :m], self.linv[rows, :, :m, :m]).conj()
 
-    def theta(self, coef: np.ndarray) -> np.ndarray:
+    def taken(self, rows: np.ndarray, blocked: dict[int, list[int]]) -> np.ndarray:
+        """Mask of each row's support and the bins it skipped as dependent."""
+        taken = np.zeros((rows.size, self.d), dtype=bool)
+        for i, row in enumerate(rows.tolist()):
+            taken[i, self.support(row)] = True
+            if row in blocked:
+                taken[i, blocked[row]] = True
+        return taken
+
+    def estimates(self, row: int, coef: np.ndarray | None = None) -> list[SparseEstimate]:
+        """One estimate per set of the row; least squares unless coef is given."""
+        support = self.support(row)
+        coef = self.coef(slice(row, row + 1))[0] if coef is None else coef
         theta = np.zeros((coef.shape[0], self.d), dtype=np.complex128)
-        theta[:, self.support] = coef
-        return theta
-
-    def estimates(self, coef: np.ndarray | None = None) -> list[SparseEstimate]:
-        """One estimate per set on the shared support; least squares unless coef is given."""
-        coef = self.coef if coef is None else coef
-        theta = self.theta(coef)
-        order = np.argsort(self.support)
-        selection = tuple(self.support.tolist())
-        residuals = np.array(self.history).T.tolist()
+        theta[:, support] = coef
+        order = np.argsort(support)
+        selection = tuple(support.tolist())
+        residuals = np.array(self.history[row]).T.tolist()
         return [
             SparseEstimate(
                 theta=theta[s],
-                support=self.support[order],
+                support=support[order],
                 selection_order=selection,
                 residual_sq_history=tuple(residuals[s]),
             )
@@ -435,55 +519,91 @@ class _StackedSolver:
         ]
 
 
-def _pursue(solver: _StackedSolver, cfg: OmpConfig, noise_vars, select) -> None:
-    """The greedy round loop of every pursuit, with all of its stop rules.
+def _packed(rows: np.ndarray):
+    """Sorted rows as a slice when they are consecutive, so the solver reads views."""
+    if rows[-1] - rows[0] + 1 == rows.size:
+        return slice(int(rows[0]), int(rows[-1]) + 1)
+    return rows
 
-    Each round ``select(solver, taken)`` returns the bins to add, strongest
-    first and none in ``taken`` (the support and the bins skipped as
-    dependent), or nothing, which stops the loop.  So do: every set's residual
-    energy at its target residual_gamma * n_pilots * noise_var (scalar or per
-    set), the round cap (default n_pilots / 4, rounded up), a full support,
-    and a round that adds nothing.
+
+def _by_size(sizes: np.ndarray) -> list:
+    """Positions grouped by their support size: all at once unless the sizes differ."""
+    if sizes.size < 2:
+        return [slice(None)] if sizes.size else []
+    if sizes.min() == sizes.max():
+        return [slice(None)]
+    return [np.flatnonzero(sizes == size) for size in np.unique(sizes)]
+
+
+def _padded(lists) -> np.ndarray:
+    """Rows of bins padded with -1 into one array."""
+    out = np.full((len(lists), max(map(len, lists), default=0)), -1, dtype=np.int64)
+    for i, bins in enumerate(lists):
+        out[i, : len(bins)] = bins
+    return out
+
+
+def _pursue(solver: _StackedSolver, cfg: OmpConfig, noise_vars: np.ndarray, select) -> None:
+    """The greedy round loop of every pursuit, with all of its stop rules, over every row.
+
+    Each round ``select(solver, rows, taken)`` returns the bins to add for
+    each pursuing row, strongest first, padded with -1 and none marked in
+    the row's ``taken`` (its support and the bins it skipped as dependent);
+    a row given no bin stops.  So does a row whose every set has residual
+    energy at its target residual_gamma * n_pilots * noise_var (``noise_vars``
+    holds one per row and set), a row with a full support, and a row whose
+    round adds nothing; the round cap (default n_pilots / 4, rounded up)
+    stops them all.  Rows advance together but never interact.
     """
     n = solver.n
     # The relative floor ends noiseless runs once the residual is at the level
     # of accumulated rounding error.
-    targets = np.maximum(cfg.residual_gamma * n * noise_vars, 1e-20 * solver.history[0])
-    single = targets.size == 1
-    if single:  # a scalar comparison is cheaper than np.all on one element
-        targets = float(targets[0])
+    first = np.array([history[0] for history in solver.history])
+    targets = np.maximum(cfg.residual_gamma * n * noise_vars, 1e-20 * first)
     cap = cfg.max_iters if cfg.max_iters is not None else max(1, math.ceil(n / 4))
-    blocked: list[int] = []
+    rows = np.arange(solver.m.size)
+    blocked: dict[int, list[int]] = {}
     for _ in range(cap):
-        residual_sq = solver.residual_sq
-        met = residual_sq[0] <= targets if single else np.all(residual_sq <= targets)
-        if met or solver.full:
+        met = np.all(solver.residual_sq[rows] <= targets[rows], axis=1)
+        rows = rows[~(met | (solver.m[rows] >= n))]
+        if not rows.size:
             break
-        taken = np.concatenate((solver.support, blocked)) if blocked else solver.support
-        m = solver.m
-        blocked += solver.add_bins(select(solver, taken))
-        if solver.m == m:
-            break
+        before = solver.m[rows]
+        bins = select(solver, _packed(rows), solver.taken(rows, blocked))
+        for row, k in solver.add_bins(rows, bins):
+            blocked.setdefault(row, []).append(k)
+        rows = rows[solver.m[rows] > before]
 
 
 def _largest_correlation(
-    solver: _StackedSolver, taken: np.ndarray, weights_fn=None
-) -> list[int]:
-    """The single-observation rule: the bin of largest (weighted) correlation."""
+    solver: _StackedSolver, rows, taken: np.ndarray, weights=None
+) -> np.ndarray:
+    """The single-observation rule: each row's bin of largest (weighted) correlation."""
     n = solver.n
-    residual_sq = float(solver.residual_sq[0])
-    amp = np.abs(_spectrum(solver.d, solver.pilots, solver.residual)[0]) / n
-    score = amp if weights_fn is None else weights_fn(residual_sq) * amp
-    if taken.size:
-        score = score.copy()
-        score[taken] = -1.0
-    best = int(np.argmax(score))
+    residual_sq = solver.residual_sq[rows, 0]
+    amp = np.abs(solver.spectra(rows)[:, 0]) / n
+    score = amp if weights is None else weights(rows, residual_sq) * amp
+    score = np.where(taken, -1.0, score)
+    best = np.argmax(score, axis=1)
+    at = np.arange(best.size)
     # A best correlation at rounding-error level means no remaining column
     # explains the residual; selecting it would only chase noise in the
-    # arithmetic, so stop instead.
-    if score[best] <= 0 or amp[best] <= 1e-10 * math.sqrt(residual_sq / n):
-        return []
-    return [best]
+    # arithmetic, so the row stops instead.
+    stop = (score[at, best] <= 0) | (amp[at, best] <= 1e-10 * np.sqrt(residual_sq / n))
+    return np.where(stop, -1, best)[:, None]
+
+
+def _single_rows(observations) -> tuple[_StackedSolver, np.ndarray]:
+    """A solver with one row per observation, and their noise variances by row."""
+    solver = _StackedSolver([(obs,) for obs in observations])
+    return solver, np.array([[obs.noise_var] for obs in observations])
+
+
+def _omp_rows(observations, cfg: OmpConfig = OmpConfig()) -> list[SparseEstimate]:
+    """``omp`` on each observation, all pursued together; observations share d and N."""
+    solver, noise_vars = _single_rows(observations)
+    _pursue(solver, cfg, noise_vars, _largest_correlation)
+    return [solver.estimates(row)[0] for row in range(len(observations))]
 
 
 def omp(obs: Observation, cfg: OmpConfig = OmpConfig()) -> SparseEstimate:
@@ -494,9 +614,7 @@ def omp(obs: Observation, cfg: OmpConfig = OmpConfig()) -> SparseEstimate:
     residual energy falls to residual_gamma * n_pilots * noise_var or the
     iteration cap is reached.  Exact float ties go to the lowest bin index.
     """
-    solver = _StackedSolver((obs,))
-    _pursue(solver, cfg, obs.noise_var, _largest_correlation)
-    return solver.estimates()[0]
+    return _omp_rows((obs,), cfg)[0]
 
 
 def _warn(message: str) -> None:
@@ -505,6 +623,32 @@ def _warn(message: str) -> None:
     while frame.f_globals is globals():
         frame, level = frame.f_back, level + 1
     warnings.warn(message, stacklevel=level)
+
+
+def _seeded_rows(
+    observations, pdps, dets, cfg: OmpConfig | None = None
+) -> list[SparseEstimate]:
+    """``_seeded_estimate`` on each (observation, pdp, det), all solved together."""
+    solver, noise_vars = _single_rows(observations)
+    seeds = []
+    for pdp, det in zip(pdps, dets):
+        idx = detect_support(pdp, det)
+        if idx.size > solver.n:
+            _warn(
+                f"detected support of {idx.size} bins exceeds {solver.n} observations; "
+                "keeping the strongest bins"
+            )
+            strongest = np.argsort(pdp.values[idx])[::-1][: solver.n]
+            idx = np.sort(idx[strongest])
+        seeds.append(idx)
+    for _, k in solver.add_bins(np.arange(len(seeds)), _padded(seeds)):
+        _warn(f"seed bin {k} is linearly dependent on the support; skipped")
+    if cfg is not None:
+        _pursue(solver, cfg, noise_vars, _largest_correlation)
+    else:  # the first bin is never dependent, so an empty support detected nothing
+        for _ in range(int(np.count_nonzero(solver.m == 0))):
+            _warn("no delay bin cleared the detection threshold; returning zero estimates")
+    return [solver.estimates(row)[0] for row in range(len(seeds))]
 
 
 def _seeded_estimate(
@@ -518,22 +662,7 @@ def _seeded_estimate(
     n_pilots bins, for each bin it skips as dependent on the bins before it,
     and, without ``cfg``, when nothing was detected.
     """
-    solver = _StackedSolver((obs,))
-    idx = detect_support(pdp, det)
-    if idx.size > solver.n:
-        _warn(
-            f"detected support of {idx.size} bins exceeds {solver.n} observations; "
-            "keeping the strongest bins"
-        )
-        strongest = np.argsort(pdp.values[idx])[::-1][: solver.n]
-        idx = np.sort(idx[strongest])
-    for k in solver.add_bins(idx):
-        _warn(f"seed bin {k} is linearly dependent on the support; skipped")
-    if cfg is not None:
-        _pursue(solver, cfg, obs.noise_var, _largest_correlation)
-    elif not solver.m:  # the first bin is never dependent, so nothing was detected
-        _warn("no delay bin cleared the detection threshold; returning zero estimates")
-    return solver.estimates()[0]
+    return _seeded_rows((obs,), (pdp,), (det,), cfg)[0]
 
 
 def algorithm_a1(
@@ -549,6 +678,33 @@ def algorithm_a1(
     """
     pdp = sample_pdp(sets)
     return [_seeded_estimate(obs, pdp, det) for obs in sets.observations]
+
+
+def _a2_rows(observations, prior_pdps, dets, cfg: OmpConfig = OmpConfig()) -> list[SparseEstimate]:
+    """``algorithm_a2`` on each (observation, prior, det), all pursued together."""
+    lam_prior = []
+    for obs, prior_pdp, det in zip(observations, prior_pdps, dets):
+        if prior_pdp.values.size != obs.pattern.d:
+            raise ValueError(
+                f"prior has {prior_pdp.values.size} bins, observation grid has {obs.pattern.d}"
+            )
+        threshold = detection_threshold(prior_pdp, det)
+        noise_level = _null_level(
+            prior_pdp.scale, prior_pdp.n_pilots, prior_pdp.values.size, det.noise_var
+        )
+        lam_prior.append(np.where(prior_pdp.values > threshold, prior_pdp.values, noise_level))
+    lam_prior = np.array(lam_prior)
+    solver, noise_vars = _single_rows(observations)
+    n, d = solver.n, solver.d
+
+    def weights(rows, residual_sq: np.ndarray) -> np.ndarray:
+        lam_res = _null_level(residual_sq / (n * n), n, d, noise_vars[rows, 0])[:, None]
+        lam = lam_prior[rows]
+        denom = lam + lam_res
+        return np.where(denom > 0.0, lam / np.where(denom > 0.0, denom, 1.0), 1.0)
+
+    _pursue(solver, cfg, noise_vars, partial(_largest_correlation, weights=weights))
+    return [solver.estimates(row)[0] for row in range(len(observations))]
 
 
 def algorithm_a2(
@@ -568,27 +724,7 @@ def algorithm_a2(
     weighting carries no information and the score falls back to the plain
     correlation.
     """
-    if prior_pdp.values.size != obs.pattern.d:
-        raise ValueError(
-            f"prior has {prior_pdp.values.size} bins, observation grid has {obs.pattern.d}"
-        )
-    threshold = detection_threshold(prior_pdp, det)
-    noise_level = _null_level(
-        prior_pdp.scale, prior_pdp.n_pilots, prior_pdp.values.size, det.noise_var
-    )
-    lam_prior = np.where(prior_pdp.values > threshold, prior_pdp.values, noise_level)
-    n = obs.pattern.n
-    d = obs.pattern.d
-
-    def weights_fn(residual_sq: float) -> np.ndarray:
-        lam_res = _null_level(residual_sq / (n * n), n, d, obs.noise_var)
-        denom = lam_prior + lam_res
-        return np.where(denom > 0.0, lam_prior / np.where(denom > 0.0, denom, 1.0), 1.0)
-
-    solver = _StackedSolver((obs,))
-    select = partial(_largest_correlation, weights_fn=weights_fn)
-    _pursue(solver, cfg, obs.noise_var, select)
-    return solver.estimates()[0]
+    return _a2_rows((obs,), (prior_pdp,), (det,), cfg)[0]
 
 
 def algorithm_a3(
@@ -609,7 +745,7 @@ def algorithm_a3(
 
 
 def _wiener_coefficients(solver: _StackedSolver, noise_vars: np.ndarray) -> np.ndarray:
-    """Per-set MMSE coefficients on the shared support, in selection order.
+    """Per-set MMSE coefficients on the shared support of row 0, in selection order.
 
     Each bin's variance is estimated across the sets as the least-squares
     power minus its noise part, lambda_k = mean_s(|c_sk|^2 - sigma_s^2
@@ -618,15 +754,17 @@ def _wiener_coefficients(solver: _StackedSolver, noise_vars: np.ndarray) -> np.n
     Wiener system (G_s + sigma_s^2 diag(1/lambda)) theta = H_s^H y_s, the one
     ``estimate_mmse_oracle`` solves with the true variances.
     """
-    linv = solver.linv[:, : solver.m, : solver.m]
+    m = int(solver.m[0])
+    linv = solver.linv[0, :, :m, :m]
     inv_diag = np.sum(linv.real**2 + linv.imag**2, axis=1)
-    lam = np.mean(np.abs(solver.coef) ** 2 - noise_vars[:, None] * inv_diag, axis=0)
+    least_squares = solver.coef(slice(0, 1))[0]
+    lam = np.mean(np.abs(least_squares) ** 2 - noise_vars[:, None] * inv_diag, axis=0)
     keep = np.flatnonzero(lam > 0.0)
-    coef = np.zeros_like(solver.coef)
+    coef = np.zeros_like(least_squares)
     if keep.size:
         ridge = noise_vars[:, None] / lam[keep]
-        bins = solver.support[keep]
-        coef[:, keep] = support_solve(solver.kernel, solver.proj, bins, ridge)
+        bins = solver.support(0)[keep]
+        coef[:, keep] = support_solve(solver.kernel[0], solver.proj[0], bins, ridge)
     return coef
 
 
@@ -660,31 +798,30 @@ def ex_omp(
     noise_vars = np.array([o.noise_var for o in sets.observations])
     shrink = sets.n_sets > 1 and noise_vars.min() > 0.0
 
-    def admissions(solver: _StackedSolver, taken: np.ndarray) -> np.ndarray | list[int]:
-        pdp = solver.residual_pdp()
+    def admissions(solver: _StackedSolver, rows, taken: np.ndarray) -> np.ndarray:
+        pdp = _pdp(solver.spectra(rows)[0], solver.residual_sq[0], solver.n)
         # A zero null level (noiseless, with n_pilots == d) admits nothing by threshold.
         threshold = detection_threshold(pdp, det) or math.inf
-        combined = pdp.values.copy()
-        combined[taken] = -1.0
+        combined = np.where(taken[0], -1.0, pdp.values)
         above = np.flatnonzero(combined > threshold)
         if above.size:
-            return above[np.argsort(combined[above])[::-1]]
+            return above[np.argsort(combined[above])[::-1]][None, :]
         best = int(np.argmax(combined))
-        if (shrink and solver.m) or combined[best] <= 0:
-            return []
-        return [best]
+        if (shrink and solver.m[0]) or combined[best] <= 0:
+            return np.empty((1, 0), dtype=np.int64)
+        return np.array([[best]])
 
-    solver = _StackedSolver(sets.observations)
-    _pursue(solver, cfg, noise_vars, admissions)
-    if shrink and solver.m:
-        return solver.estimates(_wiener_coefficients(solver, noise_vars))
-    if sets.n_sets > 1 and noise_vars.max() == 0.0 and solver.m:
+    solver = _StackedSolver((sets.observations,))
+    _pursue(solver, cfg, noise_vars[None, :], admissions)
+    if shrink and solver.m[0]:
+        return solver.estimates(0, _wiener_coefficients(solver, noise_vars))
+    if sets.n_sets > 1 and noise_vars.max() == 0.0 and solver.m[0]:
         # Leakage bins admitted in the same round as the true taps end with
         # coefficients at rounding level in every set; re-solve without them.
-        peak = np.abs(solver.coef).max(axis=0)
-        kept = solver.support[peak > 1e-9 * peak.max()]
+        peak = np.abs(solver.coef(slice(0, 1))[0]).max(axis=0)
+        kept = solver.support(0)[peak > 1e-9 * peak.max()]
         history = solver.history
-        solver = _StackedSolver(sets.observations)
-        solver.add_bins(kept)
+        solver = _StackedSolver((sets.observations,))
+        solver.add_bins(np.arange(1), kept[None, :])
         solver.history = history
-    return solver.estimates()
+    return solver.estimates(0)

@@ -1,5 +1,6 @@
 """Command line front end: config parsing, subcommands, exit codes."""
 
+import concurrent.futures
 import dataclasses
 import re
 import subprocess
@@ -216,6 +217,35 @@ def test_cli_passes_every_sweep_setting(monkeypatch):
     monkeypatch.setattr(cli, "SweepConfig", recorder)
     assert main(["sweep", *TINY, "--set", "sweep.estimators=dft", "--seed", "1"]) == 0
     assert passed == [{f.name for f in dataclasses.fields(SweepConfig) if f.init}]
+
+
+def test_threads_start_one_worker_per_block_and_reject_below_one(monkeypatch, capsys):
+    sizes = []
+
+    class RecordingPool:  # records the pool size and maps in this process
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    args = ["sweep", *TINY, "--set", "sweep.snr_db=10,20", "--set", "sweep.estimators=dft"]
+    assert main([*args, "--seed", "1", "--threads", "500"]) == 0
+    assert sizes == [2]  # two SNR points of two trials: two blocks
+    capsys.readouterr()
+    for bad in ("0", "-3"):
+        assert main([*args, "--threads", bad]) == 2
+        assert f"config error: --threads: need at least 1 worker process, got {bad}" in (
+            capsys.readouterr().err
+        )
+    assert sizes == [2]
 
 
 def test_sweep_draws_seed_from_entropy_when_unset(capsys):

@@ -1,5 +1,6 @@
 """Scoring, the capacity bound, and the Monte Carlo sweep harness."""
 
+import concurrent.futures
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from sparsechan.evaluation import (
     run_sweep,
 )
 from sparsechan.signal_model import SystemConfig
+from sparsechan.sparse_recovery import algorithm_a1, algorithm_a2, algorithm_a3, omp
 
 ETU = etu_profile()
 
@@ -172,6 +174,66 @@ def test_run_sweep_parallel_matches_sequential():
     assert seq.rows == par.rows
 
 
+def test_run_sweep_results_independent_of_block_size_and_workers(monkeypatch):
+    # 7 trials split into blocks of 1 and into one ragged block of the default
+    # size; every trial error must also be the public per-trial call's.
+    cfg = _smoke_config(n_trials=7)
+    blocked = run_sweep(cfg, keep_trials=True)
+    par = run_sweep(cfg, n_workers=3)  # one process per block: two
+    assert blocked.rows == par.rows
+    monkeypatch.setattr(evaluation, "_BLOCK", 1)
+    single = run_sweep(cfg, keep_trials=True)
+    assert single.rows == blocked.rows
+    for key, errors in blocked.trial_errors.items():
+        np.testing.assert_array_equal(single.trial_errors[key], errors)
+    public = {
+        "omp": lambda t: omp(t.rand_obs),
+        "a1": lambda t: algorithm_a1(t.full_set, t.det)[0],
+        "a2": lambda t: algorithm_a2(t.rand_obs, t.prior_pdp, t.det),
+        "a3": lambda t: algorithm_a3(t.full_set, t.det)[0],
+    }
+    for si, snr in enumerate(cfg.snr_db):
+        for ti in range(cfg.n_trials):
+            trial = evaluation._Trial(cfg, si, ti)
+            data = trial.data["pseudo_random"]
+            for name, estimate in public.items():
+                err = estimate(trial).channel_freq()[data] - trial.true_freq[data]
+                assert blocked.trial_errors[(name, snr)][ti] == np.mean(np.abs(err) ** 2)
+
+
+class _RecordingPool:
+    """Stands in for the process pool: records its size, maps in this process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_run_sweep_starts_one_worker_per_block_at_most(monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    cfg = _smoke_config(estimators=("dft",), n_trials=3)  # 2 SNR points, 1 block each
+    reference = run_sweep(cfg)
+    assert run_sweep(cfg, n_workers=500).rows == reference.rows
+    assert run_sweep(cfg, n_workers=2).rows == reference.rows
+    monkeypatch.setattr(evaluation, "_BLOCK", 1)
+    assert run_sweep(cfg, n_workers=4).rows == reference.rows
+    assert _RecordingPool.sizes == [2, 2, 4]
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="n_workers must be at least 1"):
+            run_sweep(cfg, n_workers=bad)
+
+
 def test_run_sweep_counts_deterministic_failures():
     # With four pilots every 32 carriers on d=128, delay bins repeat mod 4;
     # the strongest profile bins {0, 1, 3, 4} put two taps on one column, so
@@ -205,7 +267,7 @@ def test_run_sweep_raises_programming_errors(monkeypatch, n_workers):
     def broken(*args, **kwargs):
         raise TypeError("broken estimator")
 
-    monkeypatch.setattr(evaluation, "omp", broken)
+    monkeypatch.setattr(evaluation, "_omp_rows", broken)
     cfg = _smoke_config(estimators=("dft", "omp"), n_trials=2)
     with pytest.raises(TypeError, match="broken estimator"):
         run_sweep(cfg, n_workers=n_workers)

@@ -3,7 +3,8 @@
 The engine never builds the partial Fourier matrix: it looks Gram entries up
 in the circulant kernel, takes projections from the matched filter, keeps an
 inverse Cholesky factor, solves ridge systems on a support, and stacks
-observation sets along a leading axis.
+observation sets, and rows of sets with supports of their own, along leading
+axes.
 Each shortcut, and the sample PDP built from them, is checked here against
 the explicit matrix on random grids, pilot patterns, supports and
 observations.
@@ -19,7 +20,6 @@ from sparsechan.signal_model import (
     ObservationSet,
     PilotPattern,
     SystemConfig,
-    _spectrum,
     gram_kernel,
     matched_filter,
     partial_fourier_matrix,
@@ -61,11 +61,10 @@ def _well_posed(config, observations, support):
     return hs
 
 
-def _solved(observations, support):
-    solver = _StackedSolver(observations)
-    for k in support:
-        solver.add_bin(int(k))
-    solver.refresh()
+def _solved(rows, support):
+    """A solver holding ``support`` in every row of observation sets."""
+    solver = _StackedSolver(rows)
+    solver.add_bins(np.arange(len(rows)), np.tile(support, (len(rows), 1)))
     return solver
 
 
@@ -129,10 +128,10 @@ def test_support_solve_equals_dense_ridge_solve(problem, ridge_kind, seed):
 def test_inverse_factor_whitens_the_gram_matrix(problem):
     config, observations, support = problem
     _well_posed(config, observations, support)
-    solver = _solved(observations, support)
+    solver = _solved((observations,), support)
     m = support.size
-    linv = solver.linv[0, :m, :m]
-    gram = support_gram(solver.kernel[0], support)
+    linv = solver.linv[0, 0, :m, :m]
+    gram = support_gram(solver.kernel[0, 0], support)
     assert np.allclose(np.triu(linv, 1), 0.0)
     np.testing.assert_allclose(linv @ gram @ linv.conj().T, np.eye(m), rtol=0, atol=1e-9)
 
@@ -142,13 +141,14 @@ def test_inverse_factor_whitens_the_gram_matrix(problem):
 def test_coefficients_equal_explicit_least_squares(problem):
     config, observations, support = problem
     (h,) = _well_posed(config, observations, support)
-    solver = _solved(observations, support)
+    solver = _solved((observations,), support)
     expected = np.linalg.lstsq(h, observations[0].y, rcond=None)[0]
     scale = np.linalg.norm(expected)
-    np.testing.assert_allclose(solver.coef[0], expected, rtol=0, atol=1e-10 * scale)
+    coef = solver.coef(slice(0, 1))[0, 0]
+    np.testing.assert_allclose(coef, expected, rtol=0, atol=1e-10 * scale)
     residual = observations[0].y - h @ expected
     np.testing.assert_allclose(
-        solver.residual_sq[0], np.vdot(residual, residual).real,
+        solver.residual_sq[0, 0], np.vdot(residual, residual).real,
         rtol=1e-8, atol=1e-12 * np.vdot(observations[0].y, observations[0].y).real,
     )
 
@@ -156,21 +156,25 @@ def test_coefficients_equal_explicit_least_squares(problem):
 @SETTINGS
 @given(problems(max_sets=4))
 def test_stacked_solve_equals_separate_solves(problem):
-    # Row s of the stacked solver matches a solver built for set s alone, so
-    # a one-set solver gives the rows a stacked solve would.
+    # Set s of a row of stacked sets, and row s of a block with one set per
+    # row, both match a solver built for set s alone, so a one-set solver
+    # gives the sets a stacked solve would, and the rows a block solve would.
     config, observations, support = problem
     _well_posed(config, observations, support)
-    stacked = _solved(observations, support)
-    spectra = _spectrum(stacked.d, stacked.pilots, stacked.residual)
+    stacked = _solved((observations,), support)
+    block = _solved([(obs,) for obs in observations], support)
+    spectra = stacked.spectra(slice(0, 1))[0]
+    block_spectra = block.spectra(slice(None))[:, 0]
     for s, obs in enumerate(observations):
-        alone = _solved((obs,), support)
-        np.testing.assert_allclose(stacked.coef[s], alone.coef[0], rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(
-            spectra[s],
-            _spectrum(alone.d, alone.pilots, alone.residual)[0],
-            rtol=1e-12,
-            atol=1e-12,
-        )
+        alone = _solved(((obs,),), support)
+        coef = alone.coef(slice(0, 1))[0, 0]
+        alone_spectrum = alone.spectra(slice(0, 1))[0, 0]
+        for got, spectrum in (
+            (stacked.coef(slice(0, 1))[0, s], spectra[s]),
+            (block.coef(slice(s, s + 1))[0, 0], block_spectra[s]),
+        ):
+            np.testing.assert_allclose(got, coef, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(spectrum, alone_spectrum, rtol=1e-12, atol=1e-12)
 
 
 @SETTINGS
@@ -190,9 +194,9 @@ def test_sample_pdp_equals_dense_formula(problem):
     assert (pdp.n_sets, pdp.n_pilots) == (len(observations), n)
 
 
-def test_bin_dependent_in_one_set_raises_before_any_change():
+def test_bin_dependent_in_one_set_is_skipped_before_any_change():
     # Spacing-2 pilots on d=16 cannot tell bins 2 and 10 apart, while the
-    # pseudo-random set can: the stacked add must refuse bin 10 and leave the
+    # pseudo-random set can: the stacked add must skip bin 10 and leave the
     # solver exactly as it was.
     config = SystemConfig(d=16, n_pilots=8)
     rng = np.random.default_rng(0)
@@ -203,12 +207,10 @@ def test_bin_dependent_in_one_set_raises_before_any_change():
             PilotPattern.uniform(config, spacing=2),
         )
     )
-    solver = _solved(observations, np.array([2]))
-    with pytest.raises(np.linalg.LinAlgError, match=r"\[2, 10\]"):
-        solver.add_bin(10)
-    assert solver.support.tolist() == [2]
-    solver.add_bin(5)
-    solver.refresh()
-    fresh = _solved(observations, np.array([2, 5]))
-    np.testing.assert_array_equal(solver.coef, fresh.coef)
+    solver = _solved((observations,), np.array([2]))
+    assert solver.add_bins(np.arange(1), np.array([[10]])) == [(0, 10)]
+    assert solver.support(0).tolist() == [2]
+    assert solver.add_bins(np.arange(1), np.array([[5]])) == []
+    fresh = _solved((observations,), np.array([2, 5]))
+    np.testing.assert_array_equal(solver.coef(slice(0, 1)), fresh.coef(slice(0, 1)))
     np.testing.assert_array_equal(solver.residual, fresh.residual)

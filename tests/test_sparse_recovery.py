@@ -23,7 +23,10 @@ from sparsechan.sparse_recovery import (
     DetectionConfig,
     OmpConfig,
     SamplePdp,
+    _a2_rows,
+    _omp_rows,
     _seeded_estimate,
+    _seeded_rows,
     algorithm_a1,
     algorithm_a2,
     algorithm_a3,
@@ -703,3 +706,90 @@ def test_ex_omp_blocks_dependent_admissions():
     for est in ests:
         assert _one_bin_per_aliased_pair(est.support)
         assert est.residual_sq_history[-1] < 8 * 1e-4 * 10  # fitted to noise level
+
+
+# ------------------------------------------------------------ block pursuits
+
+
+@st.composite
+def blocks(draw):
+    """Observations on one grid, each with two prior observations and a detector.
+
+    The grid is d = n * spacing, so a uniform pattern at that spacing sees
+    bins k, k + n, k + 2n, ... as one column.  Each row is one of: a sparse
+    channel in noise, the same without noise, pure noise below the pursuit's
+    residual target (so it stops in round 0), or taps at b and b + n seen
+    through the aliasing pattern (so every seed after b is dependent).
+    """
+    n = draw(st.integers(4, 10))
+    spacing = draw(st.integers(2, 5))
+    config = SystemConfig(d=n * spacing, n_pilots=n)
+    kinds = draw(
+        st.lists(
+            st.sampled_from(["signal", "noiseless", "noise", "aliased"]), min_size=2, max_size=6
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for kind in kinds:
+        nv = 0.0 if kind == "noiseless" else 0.05
+        if kind == "aliased":
+            b = int(rng.integers(n))
+            support, patterns = [b, b + n], [PilotPattern.uniform(config, spacing)] * 3
+        else:
+            support = rng.choice(config.d, size=int(rng.integers(1, n // 2 + 1)), replace=False)
+            patterns = [
+                PilotPattern.pseudo_random(config, int(rng.integers(2**32))) for _ in range(3)
+            ]
+        obs = []
+        for pattern in patterns:
+            theta = _sparse_channel(rng, config.d, support, scale=0.0 if kind == "noise" else 1.0)
+            o = synthesize_observation(config, pattern, theta, nv, rng)
+            if kind == "noise":  # energy at half the target n * nv
+                o = Observation(o.y * np.sqrt(0.5 * n * nv / np.vdot(o.y, o.y).real), pattern, nv)
+            obs.append(o)
+        rows.append((kind, obs[0], tuple(obs[1:]), DetectionConfig(alpha=1e-2, noise_var=nv)))
+    return n, rows
+
+
+def _assert_same(got, want):
+    np.testing.assert_array_equal(got.theta, want.theta)
+    np.testing.assert_array_equal(got.support, want.support)
+    assert got.selection_order == want.selection_order
+    assert got.residual_sq_history == want.residual_sq_history
+
+
+@settings(max_examples=60, deadline=None)
+@given(blocks())
+def test_each_row_of_a_block_pursuit_equals_its_one_row_pursuit(block):
+    # Rows of one block pursuit never interact: each is bitwise the one-row
+    # result, whatever stops, skips or finishes early beside it.
+    n, rows = block
+    kinds, observations, priors, dets = zip(*rows)
+    cfg = OmpConfig(max_iters=n)
+    full = [ObservationSet((o,) + p) for o, p in zip(observations, priors)]
+    full_pdps = [sample_pdp(f) for f in full]
+    prior_pdps = [sample_pdp(ObservationSet(p)) for p in priors]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = {
+            "omp": _omp_rows(observations, cfg),
+            "a1": _seeded_rows(observations, full_pdps, dets),
+            "a2": _a2_rows(observations, prior_pdps, dets, cfg),
+            "a3": _seeded_rows(observations, full_pdps, dets, cfg),
+        }
+        for i, (kind, obs, det) in enumerate(zip(kinds, observations, dets)):
+            want = {
+                "omp": omp(obs, cfg),
+                "a1": algorithm_a1(full[i], det)[0],
+                "a2": algorithm_a2(obs, prior_pdps[i], det, cfg),
+                "a3": algorithm_a3(full[i], det, cfg)[0],
+            }
+            for name, est in want.items():
+                _assert_same(got[name][i], est)
+            if kind == "noise":
+                assert len(got["omp"][i].residual_sq_history) == 1
+                assert len(got["a2"][i].residual_sq_history) == 1
+            if kind == "aliased":  # one bin per column, the others skipped
+                residues = got["a1"][i].support % n
+                assert residues.size == np.unique(residues).size
