@@ -25,7 +25,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Any
+from operator import attrgetter
 
 import numpy as np
 
@@ -247,14 +247,15 @@ def _data_indices(d: int, pattern: PilotPattern) -> np.ndarray:
 
 
 class _Trial:
-    """One trial's synthesized inputs.
+    """One trial's synthesized inputs, which every estimator entry reads.
 
     Synthesis happens unconditionally and in a fixed order, so the
     realizations are independent of the estimator list.  The inputs several
     estimators share are built on first use, at most once per trial; they
-    draw no random numbers.  ``a1`` and ``a3`` use the prior sets only to
-    detect: they estimate the scored observation alone from ``full_pdp``,
-    the sample PDP of the full set.
+    draw no random numbers, so they are the same whenever a block's entries
+    ask for them.  ``a1`` and ``a3`` use the prior sets only to detect: they
+    estimate the scored observation alone from ``full_pdp``, the sample PDP
+    of the full set.
     """
 
     def __init__(self, config: SweepConfig, snr_idx: int, trial_idx: int) -> None:
@@ -303,76 +304,87 @@ class _Trial:
         return sample_pdp(ObservationSet(tuple(self.priors_rand)))
 
 
+def _each(transfer: Callable[[_Trial], np.ndarray]) -> Callable[[list[_Trial]], list]:
+    """A one-trial estimator over a block, scoring a ``LinAlgError`` as None for its trial only."""
+
+    def run(trials: list[_Trial]) -> list[np.ndarray | None]:
+        freqs = []
+        for trial in trials:
+            try:
+                freqs.append(transfer(trial))
+            except np.linalg.LinAlgError:
+                freqs.append(None)
+        return freqs
+
+    return run
+
+
+def _reads(trials: list[_Trial], *names: str):
+    """The named inputs of a block's trials, one tuple per name."""
+    return zip(*map(attrgetter(*names), trials))
+
+
+def _freqs(estimates: list[SparseEstimate]) -> list[np.ndarray]:
+    return [est.channel_freq() for est in estimates]
+
+
 # Each estimator's pattern kind (its error is measured on the data subcarriers
-# of that trial pattern), then either its transfer function on one trial and
-# None, or what it reads from a trial and its transfer functions on a block of
-# trials from those reads.  The pursuits without a shared support run as block
-# entries, so their rounds are paid once per block rather than once per trial.
-# The lambdas look the estimator functions up when called, so a replaced
-# module attribute takes effect.
-_ESTIMATORS: dict[str, tuple[str, Callable[[_Trial], Any], Callable[[list], list] | None]] = {
-    "dft": ("uniform", lambda t: estimate_dft(t.uni_obs, t.system).channel_freq, None),
-    "li": ("uniform", lambda t: estimate_linear_interp(t.uni_obs, t.system).channel_freq, None),
+# of that trial pattern) and its transfer functions on a block of trials.  The
+# pursuits without a shared support run on the whole block at once, so their
+# rounds are paid once per block rather than once per trial; the other
+# estimators run once per trial.  The lambdas look the estimator functions up
+# when called, so a replaced module attribute takes effect.
+_ESTIMATORS: dict[str, tuple[str, Callable[[list[_Trial]], list]]] = {
+    "dft": ("uniform", _each(lambda t: estimate_dft(t.uni_obs, t.system).channel_freq)),
+    "li": ("uniform", _each(lambda t: estimate_linear_interp(t.uni_obs, t.system).channel_freq)),
     "li-mmse": (
         "uniform",
-        lambda t: estimate_li_mmse(
-            t.uni_obs, pilot_sample_covariance(t.priors_uni, t.sigma2), t.sigma2, t.system
-        ).channel_freq,
-        None,
+        _each(
+            lambda t: estimate_li_mmse(
+                t.uni_obs, pilot_sample_covariance(t.priors_uni, t.sigma2), t.sigma2, t.system
+            ).channel_freq
+        ),
     ),
     "mmse": (
         "pseudo_random",
-        lambda t: estimate_mmse_oracle(
-            t.rand_obs, t.config.pdp, t.sigma2, t.system
-        ).channel_freq,
-        None,
+        _each(
+            lambda t: estimate_mmse_oracle(
+                t.rand_obs, t.config.pdp, t.sigma2, t.system
+            ).channel_freq
+        ),
     ),
     "rrls": (
         "uniform",
-        lambda t: estimate_reduced_rank_ls(
-            t.uni_obs, SupportSet(t.config.rrls_support), t.system
-        ).channel_freq,
-        None,
+        _each(
+            lambda t: estimate_reduced_rank_ls(
+                t.uni_obs, SupportSet(t.config.rrls_support), t.system
+            ).channel_freq
+        ),
     ),
-    "omp": (
-        "pseudo_random",
-        lambda t: t.rand_obs,
-        lambda reads: _freqs(_omp_rows(reads)),
-    ),
+    "omp": ("pseudo_random", lambda ts: _freqs(_omp_rows([t.rand_obs for t in ts]))),
     "a1": (
         "pseudo_random",
-        lambda t: (t.rand_obs, t.full_pdp, t.det),
-        lambda reads: _freqs(_seeded_rows(*zip(*reads))),
+        lambda ts: _freqs(_seeded_rows(*_reads(ts, "rand_obs", "full_pdp", "det"))),
     ),
     "a2": (
         "pseudo_random",
-        lambda t: (t.rand_obs, t.prior_pdp, t.det),
-        lambda reads: _freqs(_a2_rows(*zip(*reads))),
+        lambda ts: _freqs(_a2_rows(*_reads(ts, "rand_obs", "prior_pdp", "det"))),
     ),
     "a3": (
         "pseudo_random",
-        lambda t: (t.rand_obs, t.full_pdp, t.det),
-        lambda reads: _freqs(_seeded_rows(*zip(*reads), OmpConfig())),
+        lambda ts: _freqs(_seeded_rows(*_reads(ts, "rand_obs", "full_pdp", "det"), OmpConfig())),
     ),
-    "exomp": (
-        "pseudo_random",
-        lambda t: ex_omp(t.full_set, t.det)[0].channel_freq(),
-        None,
-    ),
-    "ideal": ("uniform", lambda t: t.true_freq, None),
+    "exomp": ("pseudo_random", _each(lambda t: ex_omp(t.full_set, t.det)[0].channel_freq())),
+    "ideal": ("uniform", _each(lambda t: t.true_freq)),
 }
 
 ESTIMATOR_NAMES = tuple(_ESTIMATORS)
 
 
 # Consecutive trials of one SNR point that a sweep evaluates together.  The
-# block entries' rounds cost about as much for ten rows as for one, and at
+# block pursuits' rounds cost about as much for ten rows as for one, and at
 # ten a 70-trial sweep still splits into seven blocks for a process pool.
 _BLOCK = 10
-
-
-def _freqs(estimates: list[SparseEstimate]) -> list[np.ndarray]:
-    return [est.channel_freq() for est in estimates]
 
 
 def _error(freq: np.ndarray, true_freq: np.ndarray, data: np.ndarray) -> float:
@@ -383,32 +395,20 @@ def _error(freq: np.ndarray, true_freq: np.ndarray, data: np.ndarray) -> float:
 def _run_block(config: SweepConfig, snr_idx: int, first: int):
     """Synthesize trials first, first + 1, ... of a block and score every estimator on them.
 
-    Per-trial entries are scored as each trial is synthesized, and only what
-    the block entries read is kept; each block entry then runs once over the
-    whole block.  Returns one ({estimator: mean squared data-subcarrier
-    error, or None on a LinAlgError}, channel tap energy) pair per trial.
+    Each estimator entry runs once over the block's trials.  Returns one
+    ({estimator: mean squared data-subcarrier error, or None on a
+    LinAlgError}, channel tap energy) pair per trial.
     """
-    outcomes, truths = [], []
-    reads: dict[str, list] = {}
-    for trial_idx in range(first, min(first + _BLOCK, config.n_trials)):
-        trial = _Trial(config, snr_idx, trial_idx)
-        results: dict[str, float | None] = {}
-        for name in config.estimators:
-            kind, transfer, block = _ESTIMATORS[name]
-            if block is not None:
-                reads.setdefault(name, []).append(transfer(trial))
-                continue
-            try:
-                results[name] = _error(transfer(trial), trial.true_freq, trial.data[kind])
-            except np.linalg.LinAlgError:
-                results[name] = None
-        outcomes.append((results, trial.norm))
-        truths.append((trial.true_freq, trial.data))
-    for name, inputs in reads.items():
-        kind, _, block = _ESTIMATORS[name]
-        for (results, _), freq, (true_freq, data) in zip(outcomes, block(inputs), truths):
-            results[name] = _error(freq, true_freq, data[kind])
-    return outcomes
+    trials = [
+        _Trial(config, snr_idx, trial_idx)
+        for trial_idx in range(first, min(first + _BLOCK, config.n_trials))
+    ]
+    results: list[dict[str, float | None]] = [{} for _ in trials]
+    for name in config.estimators:
+        kind, run = _ESTIMATORS[name]
+        for res, freq, trial in zip(results, run(trials), trials):
+            res[name] = None if freq is None else _error(freq, trial.true_freq, trial.data[kind])
+    return [(res, trial.norm) for res, trial in zip(results, trials)]
 
 
 def run_sweep(
@@ -527,6 +527,9 @@ def false_alarm_calibration(
         raise ValueError("n_bins must cover at least one trial")
     if master_seed < 0:
         raise ValueError(f"master_seed must be non-negative, got {master_seed}")
+    if min(n_sets_list) < 1:
+        raise ValueError(f"set counts must be positive, got {min(n_sets_list)}")
+    dets = {alpha: DetectionConfig(alpha=alpha, noise_var=1.0) for alpha in alphas}
     rows = []
     zeros = np.zeros(system.d, dtype=np.complex128)
     trials = math.ceil(n_bins / system.d)
@@ -539,10 +542,8 @@ def false_alarm_calibration(
                 pat = PilotPattern.pseudo_random(system, int(rng.integers(0, 2**63)))
                 obs.append(synthesize_observation(system, pat, zeros, 1.0, rng))
             spdp = sample_pdp(ObservationSet(tuple(obs)))
-            for alpha in alphas:
-                thr = detection_threshold(
-                    spdp, DetectionConfig(alpha=alpha, noise_var=1.0)
-                )
+            for alpha, det in dets.items():
+                thr = detection_threshold(spdp, det)
                 counts[alpha] += int(np.count_nonzero(spdp.values > thr))
         total = trials * system.d
         for alpha in alphas:

@@ -4,11 +4,14 @@ The estimators share one engine, in the manner of Batch-OMP (Rubinstein,
 Zibulevsky & Elad 2008): least squares for rows of stacked observation sets,
 each row on its own growing support shared by its sets, with Gram entries
 looked up in the circulant kernel of H^H H, one inverse-Cholesky row update
-per bin, and batched FFTs for the residuals and their spectra.  ``omp``,
-``algorithm_a2`` and the seeded estimate of ``a1`` and ``a3`` run one row per
-observation, so a sweep pursues a whole block of trials at once; ``ex_omp``
-runs one row of all its sets.  Around the engine sit three ways of using side
-information gathered from extra pilot observations:
+per bin, and batched FFTs for the residuals and their spectra.  Every
+single-observation pursuit has one call form, a block of rows with one
+observation each (``_omp_rows``, ``_a2_rows``, ``_seeded_rows``): ``omp`` and
+``algorithm_a2`` are a block of one row, ``algorithm_a1`` and
+``algorithm_a3`` one row per observation of their set, and a sweep pursues a
+whole block of trials at once.  ``ex_omp`` runs one row of all its sets.
+Around the engine sit three ways of using side information gathered from
+extra pilot observations:
 
 * ``algorithm_a1``  detect occupied bins from the sample PDP of all sets,
                     then fit each observation by least squares on that support
@@ -332,12 +335,15 @@ class _StackedSolver:
     ``coef`` and ``refresh`` take such rows as a slice or sorted indices.
     Each row's arithmetic is then exactly that of a solver built for it
     alone, whatever rows it is stacked with.  ``history[r]`` holds row r's
-    residual energies, first and after each ``add_bins`` that grows it.
+    residual energies, first and after each ``add_bins`` that grows it;
+    ``noise_vars[r]`` its sets' noise variances; ``taken[r]`` marks its
+    support and every bin ever offered to it, so a bin skipped as dependent
+    is never offered again.
     """
 
     __slots__ = (
-        "d", "n", "base", "pilots", "y", "kernel", "proj", "linv", "z", "sel", "m",
-        "residual", "residual_sq", "history",
+        "d", "n", "base", "pilots", "y", "noise_vars", "kernel", "proj", "linv", "z", "sel",
+        "m", "taken", "residual", "residual_sq", "history",
     )
 
     def __init__(self, rows: Sequence[tuple[Observation, ...]]) -> None:
@@ -349,6 +355,7 @@ class _StackedSolver:
         self.base = (np.arange(shape[0] * shape[1]) * self.d).reshape(shape + (1,))
         self.pilots = pilots.reshape(shape + (n,))
         self.y = y.reshape(shape + (n,))
+        self.noise_vars = np.array([[o.noise_var for o in row] for row in rows])
         self.kernel = gram_kernel(self.d, pilots).reshape(shape + (self.d,))
         self.proj = _spectrum(self.d, index, y).reshape(shape + (self.d,))
         # Grown as the supports grow.  Only the leading m x m block of linv
@@ -357,6 +364,7 @@ class _StackedSolver:
         self.z = np.empty(shape + (0,), dtype=np.complex128)
         self.sel = np.empty((shape[0], 0), dtype=np.int64)
         self.m = np.zeros(shape[0], dtype=np.int64)
+        self.taken = np.zeros((shape[0], self.d), dtype=bool)
         self.residual = self.y.copy()
         self.residual_sq = np.vecdot(self.y, self.y).real
         self.history = [[energy] for energy in self.residual_sq]
@@ -379,6 +387,8 @@ class _StackedSolver:
         hold the same support size advance together.  Returns the (row, bin)
         pairs skipped as dependent.
         """
+        at, j = np.nonzero(bins >= 0)
+        self.taken[rows[at], bins[at, j]] = True
         before = self.m[rows]
         skipped = self._extend(rows, bins)
         grown = rows[self.m[rows] > before]
@@ -490,15 +500,6 @@ class _StackedSolver:
         # c = L^-H z, i.e. conj(z^H L^-1).
         return np.vecmat(self.z[rows, :, :m], self.linv[rows, :, :m, :m]).conj()
 
-    def taken(self, rows: np.ndarray, blocked: dict[int, list[int]]) -> np.ndarray:
-        """Mask of each row's support and the bins it skipped as dependent."""
-        taken = np.zeros((rows.size, self.d), dtype=bool)
-        for i, row in enumerate(rows.tolist()):
-            taken[i, self.support(row)] = True
-            if row in blocked:
-                taken[i, blocked[row]] = True
-        return taken
-
     def estimates(self, row: int, coef: np.ndarray | None = None) -> list[SparseEstimate]:
         """One estimate per set of the row; least squares unless coef is given."""
         support = self.support(row)
@@ -543,47 +544,41 @@ def _padded(lists) -> np.ndarray:
     return out
 
 
-def _pursue(solver: _StackedSolver, cfg: OmpConfig, noise_vars: np.ndarray, select) -> None:
+def _pursue(solver: _StackedSolver, cfg: OmpConfig, select) -> None:
     """The greedy round loop of every pursuit, with all of its stop rules, over every row.
 
-    Each round ``select(solver, rows, taken)`` returns the bins to add for
-    each pursuing row, strongest first, padded with -1 and none marked in
-    the row's ``taken`` (its support and the bins it skipped as dependent);
-    a row given no bin stops.  So does a row whose every set has residual
-    energy at its target residual_gamma * n_pilots * noise_var (``noise_vars``
-    holds one per row and set), a row with a full support, and a row whose
-    round adds nothing; the round cap (default n_pilots / 4, rounded up)
-    stops them all.  Rows advance together but never interact.
+    Each round ``select(solver, rows)`` returns the bins to add for each
+    pursuing row, strongest first, padded with -1 and none marked in the
+    solver's ``taken``; a row given no bin stops.  So does a row whose every
+    set has residual energy at its target residual_gamma * n_pilots *
+    noise_var, a row with a full support, and a row whose round adds
+    nothing; the round cap (default n_pilots / 4, rounded up) stops them
+    all.  Rows advance together but never interact.
     """
     n = solver.n
     # The relative floor ends noiseless runs once the residual is at the level
     # of accumulated rounding error.
     first = np.array([history[0] for history in solver.history])
-    targets = np.maximum(cfg.residual_gamma * n * noise_vars, 1e-20 * first)
+    targets = np.maximum(cfg.residual_gamma * n * solver.noise_vars, 1e-20 * first)
     cap = cfg.max_iters if cfg.max_iters is not None else max(1, math.ceil(n / 4))
     rows = np.arange(solver.m.size)
-    blocked: dict[int, list[int]] = {}
     for _ in range(cap):
         met = np.all(solver.residual_sq[rows] <= targets[rows], axis=1)
         rows = rows[~(met | (solver.m[rows] >= n))]
         if not rows.size:
             break
         before = solver.m[rows]
-        bins = select(solver, _packed(rows), solver.taken(rows, blocked))
-        for row, k in solver.add_bins(rows, bins):
-            blocked.setdefault(row, []).append(k)
+        solver.add_bins(rows, select(solver, _packed(rows)))
         rows = rows[solver.m[rows] > before]
 
 
-def _largest_correlation(
-    solver: _StackedSolver, rows, taken: np.ndarray, weights=None
-) -> np.ndarray:
+def _largest_correlation(solver: _StackedSolver, rows, weights=None) -> np.ndarray:
     """The single-observation rule: each row's bin of largest (weighted) correlation."""
     n = solver.n
     residual_sq = solver.residual_sq[rows, 0]
     amp = np.abs(solver.spectra(rows)[:, 0]) / n
     score = amp if weights is None else weights(rows, residual_sq) * amp
-    score = np.where(taken, -1.0, score)
+    score = np.where(solver.taken[rows], -1.0, score)
     best = np.argmax(score, axis=1)
     at = np.arange(best.size)
     # A best correlation at rounding-error level means no remaining column
@@ -593,16 +588,10 @@ def _largest_correlation(
     return np.where(stop, -1, best)[:, None]
 
 
-def _single_rows(observations) -> tuple[_StackedSolver, np.ndarray]:
-    """A solver with one row per observation, and their noise variances by row."""
-    solver = _StackedSolver([(obs,) for obs in observations])
-    return solver, np.array([[obs.noise_var] for obs in observations])
-
-
 def _omp_rows(observations, cfg: OmpConfig = OmpConfig()) -> list[SparseEstimate]:
     """``omp`` on each observation, all pursued together; observations share d and N."""
-    solver, noise_vars = _single_rows(observations)
-    _pursue(solver, cfg, noise_vars, _largest_correlation)
+    solver = _StackedSolver([(obs,) for obs in observations])
+    _pursue(solver, cfg, _largest_correlation)
     return [solver.estimates(row)[0] for row in range(len(observations))]
 
 
@@ -628,8 +617,16 @@ def _warn(message: str) -> None:
 def _seeded_rows(
     observations, pdps, dets, cfg: OmpConfig | None = None
 ) -> list[SparseEstimate]:
-    """``_seeded_estimate`` on each (observation, pdp, det), all solved together."""
-    solver, noise_vars = _single_rows(observations)
+    """Each observation's estimate seeded with the bins its ``det`` detects in its ``pdp``.
+
+    All rows are solved together.  The detected bins are least-squares
+    fitted; without ``cfg`` that is the estimate (``algorithm_a1``), with it
+    plain pursuit continues from there (``algorithm_a3``).  Warns for each
+    row whose detection it trims to the strongest n_pilots bins, for each
+    seed bin a row skips as dependent on the bins before it, and, without
+    ``cfg``, for each row that detected nothing.
+    """
+    solver = _StackedSolver([(obs,) for obs in observations])
     seeds = []
     for pdp, det in zip(pdps, dets):
         idx = detect_support(pdp, det)
@@ -644,25 +641,11 @@ def _seeded_rows(
     for _, k in solver.add_bins(np.arange(len(seeds)), _padded(seeds)):
         _warn(f"seed bin {k} is linearly dependent on the support; skipped")
     if cfg is not None:
-        _pursue(solver, cfg, noise_vars, _largest_correlation)
+        _pursue(solver, cfg, _largest_correlation)
     else:  # the first bin is never dependent, so an empty support detected nothing
         for _ in range(int(np.count_nonzero(solver.m == 0))):
             _warn("no delay bin cleared the detection threshold; returning zero estimates")
     return [solver.estimates(row)[0] for row in range(len(seeds))]
-
-
-def _seeded_estimate(
-    obs: Observation, pdp: SamplePdp, det: DetectionConfig, cfg: OmpConfig | None = None
-) -> SparseEstimate:
-    """One observation's estimate seeded with the bins detected in ``pdp``.
-
-    The detected bins are least-squares fitted; without ``cfg`` that is the
-    estimate (``algorithm_a1``), with it plain pursuit continues from there
-    (``algorithm_a3``).  Warns when it trims the detection to the strongest
-    n_pilots bins, for each bin it skips as dependent on the bins before it,
-    and, without ``cfg``, when nothing was detected.
-    """
-    return _seeded_rows((obs,), (pdp,), (det,), cfg)[0]
 
 
 def algorithm_a1(
@@ -676,8 +659,8 @@ def algorithm_a1(
     If nothing clears the threshold a warning is issued and all-zero
     estimates are returned.
     """
-    pdp = sample_pdp(sets)
-    return [_seeded_estimate(obs, pdp, det) for obs in sets.observations]
+    n = sets.n_sets
+    return _seeded_rows(sets.observations, (sample_pdp(sets),) * n, (det,) * n)
 
 
 def _a2_rows(observations, prior_pdps, dets, cfg: OmpConfig = OmpConfig()) -> list[SparseEstimate]:
@@ -694,16 +677,16 @@ def _a2_rows(observations, prior_pdps, dets, cfg: OmpConfig = OmpConfig()) -> li
         )
         lam_prior.append(np.where(prior_pdp.values > threshold, prior_pdp.values, noise_level))
     lam_prior = np.array(lam_prior)
-    solver, noise_vars = _single_rows(observations)
+    solver = _StackedSolver([(obs,) for obs in observations])
     n, d = solver.n, solver.d
 
     def weights(rows, residual_sq: np.ndarray) -> np.ndarray:
-        lam_res = _null_level(residual_sq / (n * n), n, d, noise_vars[rows, 0])[:, None]
+        lam_res = _null_level(residual_sq / (n * n), n, d, solver.noise_vars[rows, 0])[:, None]
         lam = lam_prior[rows]
         denom = lam + lam_res
         return np.where(denom > 0.0, lam / np.where(denom > 0.0, denom, 1.0), 1.0)
 
-    _pursue(solver, cfg, noise_vars, partial(_largest_correlation, weights=weights))
+    _pursue(solver, cfg, partial(_largest_correlation, weights=weights))
     return [solver.estimates(row)[0] for row in range(len(observations))]
 
 
@@ -740,8 +723,8 @@ def algorithm_a3(
     the bins before it in an observation is skipped there, with a warning.
     An empty detection degenerates to plain pursuit on each observation.
     """
-    pdp = sample_pdp(sets)
-    return [_seeded_estimate(obs, pdp, det, cfg) for obs in sets.observations]
+    n = sets.n_sets
+    return _seeded_rows(sets.observations, (sample_pdp(sets),) * n, (det,) * n, cfg)
 
 
 def _wiener_coefficients(solver: _StackedSolver, noise_vars: np.ndarray) -> np.ndarray:
@@ -795,14 +778,15 @@ def ex_omp(
 
     Returns one estimate per observation, all sharing the same support.
     """
-    noise_vars = np.array([o.noise_var for o in sets.observations])
+    solver = _StackedSolver((sets.observations,))
+    noise_vars = solver.noise_vars[0]
     shrink = sets.n_sets > 1 and noise_vars.min() > 0.0
 
-    def admissions(solver: _StackedSolver, rows, taken: np.ndarray) -> np.ndarray:
+    def admissions(solver: _StackedSolver, rows) -> np.ndarray:
         pdp = _pdp(solver.spectra(rows)[0], solver.residual_sq[0], solver.n)
         # A zero null level (noiseless, with n_pilots == d) admits nothing by threshold.
         threshold = detection_threshold(pdp, det) or math.inf
-        combined = np.where(taken[0], -1.0, pdp.values)
+        combined = np.where(solver.taken[0], -1.0, pdp.values)
         above = np.flatnonzero(combined > threshold)
         if above.size:
             return above[np.argsort(combined[above])[::-1]][None, :]
@@ -811,8 +795,7 @@ def ex_omp(
             return np.empty((1, 0), dtype=np.int64)
         return np.array([[best]])
 
-    solver = _StackedSolver((sets.observations,))
-    _pursue(solver, cfg, noise_vars[None, :], admissions)
+    _pursue(solver, cfg, admissions)
     if shrink and solver.m[0]:
         return solver.estimates(0, _wiener_coefficients(solver, noise_vars))
     if sets.n_sets > 1 and noise_vars.max() == 0.0 and solver.m[0]:

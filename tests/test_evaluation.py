@@ -263,14 +263,40 @@ def test_run_sweep_counts_deterministic_failures():
 @pytest.mark.parametrize("n_workers", [1, 2])
 def test_run_sweep_raises_programming_errors(monkeypatch, n_workers):
     # Only numeric LinAlgErrors count as estimator failures; a bug in an
-    # estimator must stop the sweep, in the workers as well.
+    # estimator, one run per trial or one run on the whole block, must stop
+    # the sweep, in the workers as well.
     def broken(*args, **kwargs):
         raise TypeError("broken estimator")
 
-    monkeypatch.setattr(evaluation, "_omp_rows", broken)
-    cfg = _smoke_config(estimators=("dft", "omp"), n_trials=2)
-    with pytest.raises(TypeError, match="broken estimator"):
-        run_sweep(cfg, n_workers=n_workers)
+    for name, function in (("dft", "estimate_dft"), ("omp", "_omp_rows")):
+        with monkeypatch.context() as patch:
+            patch.setattr(evaluation, function, broken)
+            cfg = _smoke_config(estimators=("li", name), n_trials=2)
+            with pytest.raises(TypeError, match="broken estimator"):
+                run_sweep(cfg, n_workers=n_workers)
+
+
+def test_run_sweep_scores_a_linalg_error_for_its_trial_only(monkeypatch):
+    # One trial of a block fails; the others in the block, and every other
+    # estimator on the failing trial, keep their unpatched errors.
+    cfg = _smoke_config(n_trials=4)
+    reference = run_sweep(cfg, keep_trials=True)
+    oracle = evaluation.estimate_mmse_oracle
+    target = evaluation._Trial(cfg, 1, 2).rand_obs
+
+    def failing_once(obs, *args):
+        if np.array_equal(obs.y, target.y):
+            raise np.linalg.LinAlgError("singular")
+        return oracle(obs, *args)
+
+    monkeypatch.setattr(evaluation, "estimate_mmse_oracle", failing_once)
+    res = run_sweep(cfg, keep_trials=True)
+    assert res.row("mmse", 20.0).failures == 1
+    for key, errors in res.trial_errors.items():
+        want = reference.trial_errors[key].copy()
+        if key == ("mmse", 20.0):
+            want[2] = np.nan
+        np.testing.assert_array_equal(errors, want)
 
 
 def test_sweep_result_csv_round_trip(tmp_path):
@@ -324,7 +350,11 @@ def test_false_alarm_calibration_runs_and_counts():
     assert again == rows
 
 
-def test_false_alarm_calibration_validation():
+def test_false_alarm_calibration_validation(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("synthesized before the values were checked")
+
+    monkeypatch.setattr(evaluation, "synthesize_observation", no_draws)
     system = SystemConfig(d=32, n_pilots=8)
     with pytest.raises(ValueError):
         false_alarm_calibration(system, alphas=(), n_sets_list=(1,))
@@ -339,3 +369,9 @@ def test_false_alarm_calibration_validation():
         false_alarm_calibration(system, alphas=(0.05, 0.05), n_sets_list=(1,))
     with pytest.raises(ValueError, match="set counts must be distinct"):
         false_alarm_calibration(system, alphas=(0.05,), n_sets_list=(2, 1, 2))
+    # Every value is checked before the first draw, not when the loop reaches
+    # the combination that uses it.
+    with pytest.raises(ValueError, match="set counts must be positive, got 0"):
+        false_alarm_calibration(system, alphas=(0.1,), n_sets_list=(1, 0))
+    with pytest.raises(ValueError, match="alpha must lie strictly inside"):
+        false_alarm_calibration(system, alphas=(0.1, 1.5), n_sets_list=(1,))

@@ -211,6 +211,7 @@ def test_bin_dependent_in_one_set_is_skipped_before_any_change():
     assert solver.add_bins(np.arange(1), np.array([[10]])) == [(0, 10)]
     assert solver.support(0).tolist() == [2]
     assert solver.add_bins(np.arange(1), np.array([[5]])) == []
+    assert np.flatnonzero(solver.taken[0]).tolist() == [2, 5, 10]  # never offered again
     fresh = _solved((observations,), np.array([2, 5]))
     np.testing.assert_array_equal(solver.coef(slice(0, 1)), fresh.coef(slice(0, 1)))
     np.testing.assert_array_equal(solver.residual, fresh.residual)

@@ -25,7 +25,6 @@ from sparsechan.sparse_recovery import (
     SamplePdp,
     _a2_rows,
     _omp_rows,
-    _seeded_estimate,
     _seeded_rows,
     algorithm_a1,
     algorithm_a2,
@@ -574,7 +573,7 @@ def test_oversized_detection_is_capped_with_warning():
     for o in obs:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            est = _seeded_estimate(o, pdp, det)
+            est = _seeded_rows((o,), (pdp,), (det,))[0]
         assert [str(w.message) for w in caught if "strongest" in str(w.message)] == [
             f"detected support of {detected} bins exceeds 8 observations; "
             "keeping the strongest bins"
@@ -677,14 +676,14 @@ def _skip_messages(caught):
 
 @pytest.mark.parametrize("cfg", [None, OmpConfig()], ids=["algorithm_a1", "algorithm_a3"])
 def test_detected_dependent_bins_are_skipped_with_a_warning(cfg):
-    # a1 (no cfg) and a3 estimate one observation at a time, and each
-    # observation warns once for each seed bin it skips.
+    # a1 (no cfg) and a3 estimate each observation on a row of its own, and
+    # each observation warns once for each seed bin it skips.
     sets, det = _aliased_sets()
     pdp = sample_pdp(sets)
     for obs in sets.observations:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            est = _seeded_estimate(obs, pdp, det, cfg)
+            est = _seeded_rows((obs,), (pdp,), (det,), cfg)[0]
         assert _skip_messages(caught) == [
             "seed bin 10 is linearly dependent on the support; skipped",
             "seed bin 13 is linearly dependent on the support; skipped",
@@ -781,12 +780,18 @@ def test_each_row_of_a_block_pursuit_equals_its_one_row_pursuit(block):
         for i, (kind, obs, det) in enumerate(zip(kinds, observations, dets)):
             want = {
                 "omp": omp(obs, cfg),
-                "a1": algorithm_a1(full[i], det)[0],
+                "a1": _seeded_rows((obs,), (full_pdps[i],), (det,))[0],
                 "a2": algorithm_a2(obs, prior_pdps[i], det, cfg),
-                "a3": algorithm_a3(full[i], det, cfg)[0],
+                "a3": _seeded_rows((obs,), (full_pdps[i],), (det,), cfg)[0],
             }
             for name, est in want.items():
                 _assert_same(got[name][i], est)
+            # The set forms are a block of one row per observation of the set.
+            for o, a1, a3 in zip(
+                full[i].observations, algorithm_a1(full[i], det), algorithm_a3(full[i], det, cfg)
+            ):
+                _assert_same(a1, _seeded_rows((o,), (full_pdps[i],), (det,))[0])
+                _assert_same(a3, _seeded_rows((o,), (full_pdps[i],), (det,), cfg)[0])
             if kind == "noise":
                 assert len(got["omp"][i].residual_sq_history) == 1
                 assert len(got["a2"][i].residual_sq_history) == 1
