@@ -45,12 +45,16 @@ class ImpulseProfile:
     def __post_init__(self) -> None:
         if not self.taps:
             raise ValueError("profile needs at least one tap")
-        delays = [t[0] for t in self.taps]
+        taps = tuple((float(d), float(p)) for d, p in self.taps)
+        for delay, power in taps:
+            if not math.isfinite(delay) or not math.isfinite(power):
+                raise ValueError(f"taps must be finite, got {power:g} dB at {delay:g} s")
+        delays = [t[0] for t in taps]
         if delays[0] < 0:
             raise ValueError("delays must be nonnegative")
         if any(b <= a for a, b in zip(delays, delays[1:])):
             raise ValueError("delays must be strictly increasing")
-        object.__setattr__(self, "taps", tuple((float(d), float(p)) for d, p in self.taps))
+        object.__setattr__(self, "taps", taps)
 
     @property
     def delays_s(self) -> np.ndarray:
@@ -70,9 +74,11 @@ class ImpulseProfile:
         taps = []
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
-            if reader.fieldnames is None or "delay_ns" not in reader.fieldnames:
+            if not {"delay_ns", "power_db"} <= set(reader.fieldnames or ()):
                 raise ValueError(f"{path}: expected columns delay_ns,power_db")
             for row in reader:
+                if None in row.values():  # a short row leaves its missing fields None
+                    raise ValueError(f"{path}: line {reader.line_num}: expected delay_ns,power_db")
                 taps.append((float(row["delay_ns"]) * 1e-9, float(row["power_db"])))
         return cls(taps=tuple(taps))
 
@@ -95,8 +101,8 @@ class PowerDelayProfile:
         var = np.asarray(self.variances, dtype=np.float64)
         if var.ndim != 1 or var.size == 0:
             raise ValueError("variances must be a non-empty 1-d vector")
-        if np.any(var < 0):
-            raise ValueError("variances must be nonnegative")
+        if not np.all(np.isfinite(var) & (var >= 0)):
+            raise ValueError("variances must be finite and nonnegative")
         if self.bin_width_s <= 0:
             raise ValueError("bin width must be positive")
         object.__setattr__(self, "variances", var)

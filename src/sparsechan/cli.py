@@ -1,9 +1,8 @@
 """Command line front end.
 
-Four subcommands:
+Three subcommands:
 
 * ``sweep``        Monte Carlo NMSE/capacity sweep over SNR, CSV output
-* ``capacity``     the same sweep with default estimators ``ideal,li,exomp``
 * ``pdp``          resolve a power delay profile and report its metrics
 * ``detect-calib`` empirical false-alarm rates of the support detector
 
@@ -11,9 +10,10 @@ Configuration comes from a flat ``key = value`` file (``#`` starts a comment;
 keys are dotted, e.g. ``sweep.n_trials``), optionally overridden on the
 command line with repeated ``--set key=value`` flags.  Every key given is
 parsed and every value checked before any work starts, whichever subcommand
-reads it.  ``--seed`` overrides the configured master seed; when no seed is
-configured at all, one is drawn from system entropy and printed so the run
-can be reproduced.
+reads it, and so is the directory of ``--out``.  Each subcommand takes only
+the flags it reads.  ``--seed`` overrides the configured master seed; when no
+seed is configured at all, one is drawn from system entropy and printed so
+the run can be reproduced.
 
 Exit codes: 0 on success, 1 when a sweep finished but some estimator failed
 on more than half its trials, 2 on configuration or usage errors.
@@ -22,10 +22,10 @@ on more than half its trials, 2 on configuration or usage errors.
 from __future__ import annotations
 
 import argparse
+import os
 import secrets
 import sys
 from collections.abc import Callable
-from functools import partial
 from typing import Any
 
 from .channel import (
@@ -86,7 +86,7 @@ _EXPECTED = {
 # Every key any subcommand understands, with its parser and default.  A config
 # file may carry keys used only by other subcommands (so one preset can drive
 # several tools), but a key outside this table is rejected as a likely typo.
-# A default of None leaves the choice to the subcommand or the library.
+# Only ``sweep.master_seed`` defaults to None: the seed is then drawn at run time.
 _KEYS: dict[str, tuple[Callable[[str], Any], Any]] = {
     "system.d": (int, 600),
     "system.n_pilots": (int, 200),
@@ -95,10 +95,9 @@ _KEYS: dict[str, tuple[Callable[[str], Any], Any]] = {
     "channel.cluster_rms_us": (float, 0.1),
     "sweep.snr_db": (_floats, (0.0, 5.0, 10.0, 15.0, 20.0)),
     "sweep.n_trials": (int, 500),
-    "sweep.estimators": (_names, None),
+    "sweep.estimators": (_names, _names("dft,li,li-mmse,mmse,omp,a1,a2,a3,exomp")),
     "sweep.n_prior_sets": (int, 8),
     "sweep.master_seed": (int, None),
-    "sweep.uniform_spacing": (int, None),
     "detect.alpha": (float, 1e-3),
     "calib.alphas": (_floats, (1e-3, 1e-2, 5e-2)),
     "calib.n_sets": (_ints, (1, 5, 8)),
@@ -157,7 +156,7 @@ def _build_profile(cfg: dict[str, Any]) -> ImpulseProfile:
         return etu_profile()
     try:
         return ImpulseProfile.from_csv(name)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError("channel.profile", f"cannot load {name!r}: {exc}") from exc
 
 
@@ -166,14 +165,13 @@ def _resolve_seed(cfg: dict[str, Any], seed_flag: int | None) -> tuple[int, bool
     return (secrets.randbits(32), True) if seed is None else (seed, False)
 
 
-def _run_sweep_command(
-    cfg: dict[str, Any], args: argparse.Namespace, estimators: tuple[str, ...]
-) -> int:
+def _run_sweep_command(cfg: dict[str, Any], args: argparse.Namespace) -> int:
+    """NMSE/capacity sweep over SNR"""
+    if args.threads < 1:
+        raise ConfigError("--threads", f"need at least 1 worker process, got {args.threads}")
     system = _build_system(cfg)
     profile = _build_profile(cfg)
     seed, drawn = _resolve_seed(cfg, args.seed)
-    if cfg["sweep.estimators"] is not None:
-        estimators = cfg["sweep.estimators"]
     sweep_cfg = _checked(
         "sweep.*",
         SweepConfig,
@@ -181,12 +179,11 @@ def _run_sweep_command(
         profile=profile,
         snr_db=cfg["sweep.snr_db"],
         n_trials=cfg["sweep.n_trials"],
-        estimators=estimators,
+        estimators=cfg["sweep.estimators"],
         n_prior_sets=cfg["sweep.n_prior_sets"],
         master_seed=seed,
         alpha=cfg["detect.alpha"],
         cluster_rms_s=cfg["channel.cluster_rms_us"] * 1e-6,
-        uniform_spacing=cfg["sweep.uniform_spacing"],
     )
     if drawn:
         print(f"master_seed = {seed}  (drawn from entropy; pass --seed {seed} to reproduce)")
@@ -207,6 +204,7 @@ def _run_sweep_command(
 
 
 def _run_pdp_command(cfg: dict[str, Any], args: argparse.Namespace) -> int:
+    """resolve a power delay profile and report metrics"""
     system = _build_system(cfg)
     profile = _build_profile(cfg)
     continuous = _checked(
@@ -231,6 +229,7 @@ def _run_pdp_command(cfg: dict[str, Any], args: argparse.Namespace) -> int:
 
 
 def _run_calib_command(cfg: dict[str, Any], args: argparse.Namespace) -> int:
+    """detector false-alarm calibration"""
     system = _build_system(cfg)
     seed, drawn = _resolve_seed(cfg, args.seed)
     if drawn:
@@ -263,21 +262,11 @@ def _run_calib_command(cfg: dict[str, Any], args: argparse.Namespace) -> int:
     return 0
 
 
-# Each subcommand's help text and handler.
-_COMMANDS: dict[str, tuple[str, Callable[[dict[str, Any], argparse.Namespace], int]]] = {
-    "sweep": (
-        "NMSE/capacity sweep over SNR",
-        partial(
-            _run_sweep_command,
-            estimators=("dft", "li", "li-mmse", "mmse", "omp", "a1", "a2", "a3", "exomp"),
-        ),
-    ),
-    "capacity": (
-        "sweep with default estimators ideal,li,exomp",
-        partial(_run_sweep_command, estimators=("ideal", "li", "exomp")),
-    ),
-    "pdp": ("resolve a power delay profile and report metrics", _run_pdp_command),
-    "detect-calib": ("detector false-alarm calibration", _run_calib_command),
+# Each subcommand's handler; its docstring is the subcommand's help text.
+_COMMANDS: dict[str, Callable[[dict[str, Any], argparse.Namespace], int]] = {
+    "sweep": _run_sweep_command,
+    "pdp": _run_pdp_command,
+    "detect-calib": _run_calib_command,
 }
 
 
@@ -287,8 +276,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Sparse delay-domain channel estimation simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+    commands = {name: sub.add_parser(name, help=run.__doc__) for name, run in _COMMANDS.items()}
+    for p in commands.values():
         p.add_argument("--config", metavar="PATH", default=None, help="config file")
         p.add_argument("--out", metavar="PATH", default=None, help="output CSV path")
         p.add_argument(
@@ -298,23 +287,26 @@ def _build_parser() -> argparse.ArgumentParser:
             default=[],
             help="override one config key (repeatable)",
         )
-        p.add_argument("--seed", type=int, default=None, help="master seed override")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="worker processes for blocks of trials (at least 1; at most one per block)",
-        )
+    for name in ("sweep", "detect-calib"):
+        commands[name].add_argument("--seed", type=int, default=None, help="master seed override")
+    commands["sweep"].add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="worker processes for blocks of trials (at least 1; at most one per block)",
+    )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.threads < 1:
-            raise ConfigError("--threads", f"need at least 1 worker process, got {args.threads}")
+        if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise ConfigError("--out", f"no directory to write {args.out!r} into")
+        if args.out is not None and os.path.isdir(args.out):
+            raise ConfigError("--out", f"{args.out!r} is a directory")
         cfg = _load_config(args.config, args.set)
-        return _COMMANDS[args.command][1](cfg, args)
+        return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -121,15 +121,15 @@ class SweepConfig:
 
     ``n_prior_sets`` is the number of extra independent pilot observation
     sets synthesized per trial for the estimators that use side information.
-    ``uniform_spacing`` defaults to d // n_pilots.  The pursuits run with
-    ``OmpConfig()``, and the capacity bound takes the coherence block to be
-    d symbols long.
+    The pursuits run with ``OmpConfig()``, and the capacity bound takes the
+    coherence block to be d symbols long.
 
     Construction checks every value and resolves the inputs all trials share,
     so a bad value raises ``ValueError`` here rather than mid-sweep: ``pdp``
     is the profile on the delay grid, normalized to unit power;
-    ``uni_pattern`` the uniform pilot pattern; ``rrls_support`` the profile's
-    active bins, cut to the n_pilots strongest.
+    ``uni_pattern`` the uniform pilot pattern, spaced d // n_pilots;
+    ``rrls_support`` the profile's active bins, cut to the n_pilots
+    strongest.
     """
 
     system: SystemConfig
@@ -141,7 +141,6 @@ class SweepConfig:
     master_seed: int = 0
     alpha: float = 1e-3
     cluster_rms_s: float = 1e-7
-    uniform_spacing: int | None = None
     pdp: PowerDelayProfile = field(init=False, repr=False, compare=False)
     uni_pattern: PilotPattern = field(init=False, repr=False, compare=False)
     rrls_support: np.ndarray = field(init=False, repr=False, compare=False)
@@ -175,10 +174,7 @@ class SweepConfig:
         pdp = to_continuous_pdp(
             self.profile, system, cluster_rms_s=self.cluster_rms_s, normalize=True
         )
-        spacing = self.uniform_spacing
-        uni_pattern = PilotPattern.uniform(
-            system, system.d // system.n_pilots if spacing is None else spacing
-        )
+        uni_pattern = PilotPattern.uniform(system, system.d // system.n_pilots)
         active = np.flatnonzero(pdp.variances > 0)
         if active.size > system.n_pilots:
             strongest = np.argsort(pdp.variances[active])[::-1][: system.n_pilots]

@@ -81,7 +81,6 @@ def capacity_sweep():
         estimators=("ideal", "li", "exomp"),
         n_prior_sets=8,
         master_seed=MASTER_SEED,
-        uniform_spacing=6,
     )
     return run_sweep(cfg)
 

@@ -1,5 +1,7 @@
 """Delay-domain priors: profiles, gridded PDPs, realizations, spread metrics."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,10 @@ def test_impulse_profile_validation():
         ImpulseProfile(taps=((-1e-9, 0.0),))
     with pytest.raises(ValueError):
         ImpulseProfile(taps=((0.0, 0.0), (0.0, -3.0)))  # not strictly increasing
+    for tap in ((5e-7, math.nan), (5e-7, math.inf), (5e-7, -math.inf), (math.nan, 0.0),
+                (math.inf, 0.0)):
+        with pytest.raises(ValueError, match="finite"):
+            ImpulseProfile(taps=((0.0, 0.0), tap))
 
 
 def test_impulse_profile_accessors():
@@ -39,9 +45,13 @@ def test_impulse_profile_csv_round_trip(tmp_path):
     back = ImpulseProfile.from_csv(path)
     np.testing.assert_allclose(back.delays_s, prof.delays_s, rtol=1e-5)
     np.testing.assert_allclose(back.powers_db, prof.powers_db, rtol=1e-5)
-    (tmp_path / "bad.csv").write_text("wrong,header\n1,2\n")
-    with pytest.raises(ValueError):
-        ImpulseProfile.from_csv(tmp_path / "bad.csv")
+    for header in ("wrong,header", "delay_ns,power"):
+        (tmp_path / "bad.csv").write_text(f"{header}\n1,2\n")
+        with pytest.raises(ValueError, match="expected columns delay_ns,power_db"):
+            ImpulseProfile.from_csv(tmp_path / "bad.csv")
+    (tmp_path / "short.csv").write_text("delay_ns,power_db\n0,0\n500\n")
+    with pytest.raises(ValueError, match="line 3: expected delay_ns,power_db"):
+        ImpulseProfile.from_csv(tmp_path / "short.csv")
 
 
 def test_etu_table():
@@ -65,6 +75,9 @@ def test_pdp_validation_and_normalization():
         PowerDelayProfile(variances=np.array([1.0, -0.1]), bin_width_s=1e-7)
     with pytest.raises(ValueError):
         PowerDelayProfile(variances=np.array([1.0]), bin_width_s=0.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            PowerDelayProfile(variances=np.array([1.0, bad]), bin_width_s=1e-7)
     pdp = PowerDelayProfile(variances=np.array([1.0, 3.0]), bin_width_s=1e-7)
     assert pdp.d == 2
     assert pdp.total_power == pytest.approx(4.0)

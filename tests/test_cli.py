@@ -55,7 +55,7 @@ def test_unknown_key_is_rejected(capsys):
     assert "bogus.key" in capsys.readouterr().err
 
 
-def test_bad_override_shape_and_type(capsys):
+def test_bad_override_shape_and_type(capsys, tmp_path):
     assert main(["sweep", "--set", "nonsense"]) == 2
     assert "key=value" in capsys.readouterr().err
     assert main(["sweep", "--set", "sweep.n_trials=abc"]) == 2
@@ -69,12 +69,12 @@ def test_bad_override_shape_and_type(capsys):
     # every key given is parsed, even one the subcommand does not read
     assert main(["pdp", "--set", "sweep.n_trials=abc"]) == 2
     assert "sweep.n_trials: expected an integer, got 'abc'" in capsys.readouterr().err
+    nan_tap, inf_tap = tmp_path / "nan_tap.csv", tmp_path / "inf_tap.csv"
+    nan_tap.write_text("delay_ns,power_db\n0,0\n500,nan\n")
+    inf_tap.write_text("delay_ns,power_db\n0,0\n500,inf\n")
     # values the library resolves, checked before any trial runs
     for argv, message in [
         (["sweep", *TINY, "--set", "detect.alpha=2"], "alpha must lie strictly inside"),
-        (["sweep", *TINY, "--set", "sweep.uniform_spacing=0"], "spacing must be a positive"),
-        (["sweep", *TINY, "--set", "sweep.uniform_spacing=4"],
-         "16 pilots at spacing 4 overrun d=48"),
         (["sweep", *TINY, "--set", "channel.cluster_rms_us=0"], "cluster RMS width"),
         (["pdp", "--set", "system.subcarrier_spacing_hz=1e6"],
          "tap at 1600 ns falls outside the 600-bin grid"),
@@ -82,7 +82,6 @@ def test_bad_override_shape_and_type(capsys):
         # a negative seed is rejected by name, not by numpy mid-run
         (["sweep", *TINY, "--seed", "-1"],
          "sweep.*: master_seed must be non-negative, got -1"),
-        (["capacity", *TINY, "--seed", "-2"], "master_seed must be non-negative, got -2"),
         (["sweep", *TINY, "--set", "sweep.master_seed=-3"],
          "master_seed must be non-negative, got -3"),
         (["detect-calib", "--seed", "-5"],
@@ -104,6 +103,13 @@ def test_bad_override_shape_and_type(capsys):
          "system.*: total bandwidth must be finite"),
         (["sweep", *TINY, "--set", "system.subcarrier_spacing_hz=inf"],
          "system.*: total bandwidth must be finite"),
+        # a non-finite tap power is blamed on the profile, not on the estimators
+        (["sweep", *TINY, "--set", "sweep.estimators=dft,li", "--set",
+          f"channel.profile={nan_tap}", "--seed", "1"],
+         "channel.profile: cannot load"),
+        (["sweep", *TINY, "--set", "sweep.estimators=dft,li", "--set",
+          f"channel.profile={inf_tap}", "--seed", "1"],
+         "taps must be finite, got inf dB at 5e-07 s"),
         # a finite but huge spacing names both widths
         (["pdp", "--set", "system.subcarrier_spacing_hz=1e300"],
          "cluster RMS width 1e-07 s too large for this grid (bin_width_s 1.66667e-303 s)"),
@@ -137,6 +143,43 @@ def test_readme_key_table_matches_cli():
     assert sorted(keys) == sorted(cli._KEYS)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pdp", "--seed", "1"],
+        ["pdp", "--threads", "2"],
+        ["detect-calib", "--threads", "2"],
+        ["capacity"],
+    ],
+    ids=" ".join,
+)
+def test_subcommands_take_only_the_flags_they_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "sparsechan" in capsys.readouterr().err
+
+
+def test_unwritable_out_is_rejected_before_any_work(monkeypatch, capsys, tmp_path):
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran work for an --out that cannot be written")
+
+    monkeypatch.setattr(cli, "run_sweep", no_work)
+    monkeypatch.setattr(cli, "false_alarm_calibration", no_work)
+    missing = tmp_path / "no" / "x.csv"
+    for argv, message in [
+        (["sweep", *TINY, "--seed", "1", "--out", str(missing)],
+         f"no directory to write {str(missing)!r} into"),
+        (["detect-calib", "--seed", "1", "--out", str(missing)], "no directory to write"),
+        (["detect-calib", "--seed", "1", "--out", str(tmp_path)],
+         f"{str(tmp_path)!r} is a directory"),
+        (["pdp", "--out", str(tmp_path)], "is a directory"),
+    ]:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --out: ") and message in err, err
+
+
 def test_missing_config_file(capsys):
     assert main(["pdp", "--config", "/no/such/file.cfg"]) == 2
     assert "cannot read config file" in capsys.readouterr().err
@@ -168,6 +211,10 @@ def test_pdp_loads_profile_csv(capsys, tmp_path):
     assert "taps: 2" in capsys.readouterr().out
     assert main(["pdp", "--set", "channel.profile=/no/such.csv"]) == 2
     assert "channel.profile" in capsys.readouterr().err
+    short = tmp_path / "short_row.csv"
+    short.write_text("delay_ns,power_db\n0,0\n500\n")
+    assert main(["pdp", "--set", f"channel.profile={short}"]) == 2
+    assert "channel.profile: cannot load" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------- sweep
@@ -269,13 +316,6 @@ def test_sweep_exit_one_when_estimator_keeps_failing(capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "rrls" in err and "failed on 2 of 2 trials" in err
-
-
-def test_capacity_command_defaults(capsys):
-    assert main(["capacity", *TINY, "--seed", "3"]) == 0
-    text = capsys.readouterr().out
-    for name in ("ideal", "li", "exomp"):
-        assert name in text
 
 
 # --------------------------------------------------------------- detect-calib

@@ -103,8 +103,6 @@ def test_sweep_config_validation():
     # derived inputs are resolved, and checked, on construction
     with pytest.raises(ValueError, match="alpha"):
         _smoke_config(alpha=1.0)
-    with pytest.raises(ValueError, match="spacing"):
-        _smoke_config(uniform_spacing=0)
     with pytest.raises(ValueError, match="cluster RMS width"):
         _smoke_config(cluster_rms_s=0.0)
     with pytest.raises(ValueError, match="outside"):
@@ -148,8 +146,8 @@ def test_run_sweep_reproducible_and_spacing_default():
     res2 = run_sweep(_smoke_config())
     assert res1.rows == res2.rows
     assert res1.trial_errors is None
-    explicit = run_sweep(_smoke_config(uniform_spacing=3))  # 48 // 16
-    assert explicit.rows == res1.rows
+    # the uniform pattern is spaced d // n_pilots
+    np.testing.assert_array_equal(_smoke_config().uni_pattern.indices, np.arange(16) * 3)
 
 
 @pytest.fixture(scope="module")
