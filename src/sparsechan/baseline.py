@@ -22,9 +22,10 @@ from .channel import PowerDelayProfile
 from .signal_model import (
     Observation,
     SystemConfig,
+    _check_noise_var,
+    _check_pattern,
     gram_kernel,
     matched_filter,
-    support_gram,
     support_solve,
 )
 
@@ -68,13 +69,6 @@ class SupportSet:
         return int(self.indices.size)
 
 
-def _check_obs(config: SystemConfig, obs: Observation) -> None:
-    if obs.pattern.d != config.d:
-        raise ValueError(
-            f"observation is on a d={obs.pattern.d} grid, config has d={config.d}"
-        )
-
-
 def estimate_dft(obs: Observation, config: SystemConfig) -> FullGridEstimate:
     """Matched filter scaled by 1/n_pilots, truncated to the first n_pilots bins.
 
@@ -84,7 +78,7 @@ def estimate_dft(obs: Observation, config: SystemConfig) -> FullGridEstimate:
     beyond that unambiguous range.  No prior and no noise averaging: the noise
     on the data subcarriers passes straight through.
     """
-    _check_obs(config, obs)
+    _check_pattern(config, obs.pattern)
     taps = matched_filter(config, obs.pattern, obs.y) / obs.pattern.n
     theta_hat = np.zeros(config.d, dtype=np.complex128)
     theta_hat[: obs.pattern.n] = taps[: obs.pattern.n]
@@ -97,7 +91,7 @@ def estimate_linear_interp(obs: Observation, config: SystemConfig) -> FullGridEs
     Requires a uniform pattern.  Subcarriers beyond the last pilot hold its
     value.  There is no delay-domain representation; ``theta_hat`` is None.
     """
-    _check_obs(config, obs)
+    _check_pattern(config, obs.pattern)
     if obs.pattern.kind != "uniform":
         raise ValueError("linear interpolation requires a uniform pilot pattern")
     grid = np.arange(config.d, dtype=np.float64)
@@ -133,11 +127,6 @@ class PilotCovariance:
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "values", values)
 
-    @property
-    def dense(self) -> np.ndarray:
-        """The n x n matrix U diag(λ) U^H."""
-        return (self.vectors * self.values) @ self.vectors.conj().T
-
 
 def pilot_sample_covariance(observations, noise_var: float) -> PilotCovariance:
     """Sample covariance of the pilot vector with the noise share removed.
@@ -155,8 +144,7 @@ def pilot_sample_covariance(observations, noise_var: float) -> PilotCovariance:
     for o in obs[1:]:
         if not np.array_equal(o.pattern.indices, first.indices):
             raise ValueError("all observations must share one pilot pattern")
-    if noise_var < 0:
-        raise ValueError("noise variance cannot be negative")
+    _check_noise_var(noise_var)
     stacked = np.column_stack([o.y for o in obs])
     # Eigenvectors of the sample covariance are the left singular vectors of
     # the stack, so flooring can work on the thin factorization directly.
@@ -179,9 +167,8 @@ def estimate_li_mmse(
     With noise_var = 0 the filter is the identity and the output reduces to
     plain interpolation.
     """
-    _check_obs(config, obs)
-    if noise_var < 0:
-        raise ValueError("noise variance cannot be negative")
+    _check_pattern(config, obs.pattern)
+    _check_noise_var(noise_var)
     n = obs.pattern.n
     vectors, values = sample_cov.vectors, sample_cov.values
     if vectors.shape[0] != n:
@@ -214,23 +201,18 @@ def estimate_mmse_oracle(
     Solves the Wiener system (H^H H + noise_var C^{-1}) theta = H^H y on the
     bins with nonzero prior variance; bins the prior rules out are returned
     as exact zeros.  With noise_var = 0 the prior drops out and the estimate
-    is the least-squares solution on those bins, which fails as singular if
-    the restricted operator is rank deficient.
+    is the least-squares solution on those bins, which raises ``LinAlgError``
+    by ``support_solve``'s rank test when the restricted operator is rank
+    deficient (always so with more active bins than pilots).
     """
-    _check_obs(config, obs)
+    _check_pattern(config, obs.pattern)
     if pdp.d != config.d:
         raise ValueError(f"profile has {pdp.d} bins, config has d={config.d}")
-    if noise_var < 0:
-        raise ValueError("noise variance cannot be negative")
+    _check_noise_var(noise_var)
     active = np.flatnonzero(pdp.variances > 0)
     theta_hat = np.zeros(config.d, dtype=np.complex128)
     if active.size:
         kernel = gram_kernel(config.d, obs.pattern.indices)
-        # More active bins than pilots also leaves the Gram matrix rank deficient.
-        if noise_var == 0 and np.linalg.matrix_rank(
-            support_gram(kernel, active), hermitian=True
-        ) < active.size:
-            raise np.linalg.LinAlgError("restricted observation operator is rank deficient")
         proj = matched_filter(config, obs.pattern, obs.y)
         ridge = noise_var / pdp.variances[active]
         theta_hat[active] = support_solve(kernel, proj, active, ridge)
@@ -244,10 +226,12 @@ def estimate_reduced_rank_ls(
 ) -> FullGridEstimate:
     """Least squares restricted to the given delay bins.
 
-    Solves with the m x m Gram matrix of the restricted operator.  An empty
-    support returns the all-zero estimate.
+    Solves with the m x m Gram matrix of the restricted operator, and raises
+    ``LinAlgError`` by ``support_solve``'s rank test when the support's
+    columns are dependent, as those of two bins that alias on a uniform
+    pattern are.  An empty support returns the all-zero estimate.
     """
-    _check_obs(config, obs)
+    _check_pattern(config, obs.pattern)
     if support.size and support.indices[-1] >= config.d:
         raise ValueError("support indices must lie in [0, d)")
     if support.size > obs.pattern.n:
@@ -258,10 +242,5 @@ def estimate_reduced_rank_ls(
     if support.size:
         kernel = gram_kernel(config.d, obs.pattern.indices)
         proj = matched_filter(config, obs.pattern, obs.y)
-        try:
-            theta_hat[support.indices] = support_solve(kernel, proj, support.indices, 0.0)
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(
-                f"rank-deficient support {support.indices.tolist()}"
-            ) from exc
+        theta_hat[support.indices] = support_solve(kernel, proj, support.indices, 0.0)
     return FullGridEstimate(channel_freq=np.fft.fft(theta_hat), theta_hat=theta_hat)

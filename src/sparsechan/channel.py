@@ -26,7 +26,6 @@ __all__ = [
     "realize_channel",
     "eta95",
     "delay_spread",
-    "rms_delay_spread",
 ]
 
 # Fraction of a cluster's power kept when its exponential tail is truncated.
@@ -81,13 +80,6 @@ class ImpulseProfile:
                     raise ValueError(f"{path}: line {reader.line_num}: expected delay_ns,power_db")
                 taps.append((float(row["delay_ns"]) * 1e-9, float(row["power_db"])))
         return cls(taps=tuple(taps))
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["delay_ns", "power_db"])
-            for delay_s, power_db in self.taps:
-                writer.writerow([f"{delay_s * 1e9:.6g}", f"{power_db:.6g}"])
 
 
 @dataclass(frozen=True)
@@ -266,9 +258,3 @@ def delay_spread(delays_s: np.ndarray, powers: np.ndarray) -> float:
     mean = float(np.dot(p, d)) / total
     second = float(np.dot(p, d**2)) / total
     return float(math.sqrt(max(second - mean**2, 0.0)))
-
-
-def rms_delay_spread(pdp: PowerDelayProfile) -> float:
-    """RMS delay spread of a gridded profile."""
-    delays = np.arange(pdp.d) * pdp.bin_width_s
-    return delay_spread(delays, pdp.variances)

@@ -110,9 +110,9 @@ def _load_config(path: str | None, overrides: list[str] | None) -> dict[str, Any
     raw: dict[str, str] = {}
     if path is not None:
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 raw = parse_config_text(fh.read())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(path, f"cannot read config file: {exc}") from exc
     for item in overrides or []:
         key, sep, value = item.partition("=")

@@ -87,8 +87,8 @@ class CapacityParams:
     n_pilots: int
 
     def __post_init__(self) -> None:
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
+        if not self.rho > 0:  # also rejects NaN
+            raise ValueError(f"rho must be positive, got {self.rho}")
         if not 0.0 <= self.sigma_e_sq <= 1.0:
             raise ValueError("sigma_e_sq must lie in [0, 1]")
         if self.n_symbols < 1 or not 0 <= self.n_pilots <= self.n_symbols:
@@ -106,8 +106,8 @@ def capacity_lower_bound(params: CapacityParams, theta_norm_sq: np.ndarray) -> f
     norms = np.asarray(theta_norm_sq, dtype=np.float64)
     if norms.ndim != 1 or norms.size == 0:
         raise ValueError("need at least one channel energy sample")
-    if np.any(norms < 0):
-        raise ValueError("channel energies cannot be negative")
+    if not np.all(norms >= 0):  # also rejects NaN
+        raise ValueError("channel energies cannot be negative or NaN")
     effective = (
         params.rho * (1.0 - params.sigma_e_sq) / (1.0 + params.rho * params.sigma_e_sq)
     )

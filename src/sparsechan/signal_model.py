@@ -33,6 +33,17 @@ __all__ = [
 ]
 
 
+# A pivot of a least-squares Gram factor whose square is at most RANK_TOL * N
+# (N = n_pilots, every column's squared norm) marks its bin as dependent on the
+# bins before it.  The pursuit engine and ``support_solve`` both read it.
+RANK_TOL = 1e-12
+
+
+def _check_noise_var(noise_var: float) -> None:
+    if not 0.0 <= noise_var < np.inf:  # also rejects NaN
+        raise ValueError(f"noise variance must be finite and nonnegative, got {noise_var}")
+
+
 def as_rng(seed: int | Sequence[int] | np.random.Generator | None) -> np.random.Generator:
     """Return ``seed`` unchanged if it is already a Generator, else seed a fresh one."""
     if isinstance(seed, np.random.Generator):
@@ -140,8 +151,7 @@ class Observation:
             raise ValueError(
                 f"y has shape {y.shape}, pattern has {self.pattern.n} pilots"
             )
-        if self.noise_var < 0:
-            raise ValueError("noise variance cannot be negative")
+        _check_noise_var(self.noise_var)
         object.__setattr__(self, "y", y)
 
 
@@ -272,12 +282,24 @@ def support_solve(
     ``proj`` holds matched-filter spectra H^H y; leading axes stack sets.
     Ridge 0 gives least squares, ridge sigma^2 / lambda the Wiener solution
     for prior variances lambda.  A Cholesky factorization first makes a
-    system that is not positive definite raise ``LinAlgError``.
+    system that is not positive definite raise ``LinAlgError``.  With ridge 0
+    it also raises when a pivot squared is at most ``RANK_TOL`` * N, the rule
+    by which the pursuits skip a dependent bin: the columns of a support that
+    holds two bins aliased by a uniform pattern are dependent, and their
+    least-squares taps would be an arbitrary split of one tap.
     """
     system = support_gram(kernel, bins)
     diag = np.arange(system.shape[-1])
     system[..., diag, diag] += ridge
-    np.linalg.cholesky(system)
+    if np.any(ridge):
+        np.linalg.cholesky(system)
+    else:
+        try:
+            pivots = np.linalg.cholesky(system)[..., diag, diag].real
+        except np.linalg.LinAlgError:  # a pivot² at or below zero
+            pivots = np.zeros(1)
+        if np.any(pivots**2 <= RANK_TOL * kernel[..., :1].real):
+            raise np.linalg.LinAlgError(f"rank-deficient support {np.asarray(bins).tolist()}")
     return np.linalg.solve(system, proj[..., bins, None])[..., 0]
 
 
@@ -295,8 +317,7 @@ def synthesize_observation(
     returned exactly; the generator is still advanced so call sequences stay
     aligned across noise settings.
     """
-    if noise_var < 0:
-        raise ValueError("noise variance cannot be negative")
+    _check_noise_var(noise_var)
     clean = partial_fourier_apply(config, pattern, theta)
     gen = as_rng(rng)
     scale = np.sqrt(noise_var / 2.0)

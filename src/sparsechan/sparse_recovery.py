@@ -50,8 +50,10 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .signal_model import (
+    RANK_TOL,
     Observation,
     ObservationSet,
+    _check_noise_var,
     _spectrum,
     _stack,
     gram_kernel,
@@ -195,12 +197,12 @@ class SamplePdp:
         v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 1 or v.size == 0:
             raise ValueError("values must be a non-empty 1-d vector")
-        if np.any(v < 0):
-            raise ValueError("sample PDP values cannot be negative")
+        if not np.all(v >= 0):  # also rejects NaN
+            raise ValueError("sample PDP values cannot be negative or NaN")
         if self.n_sets < 1:
             raise ValueError("n_sets must be positive")
-        if self.scale < 0:
-            raise ValueError("scale cannot be negative")
+        if not self.scale >= 0:  # also rejects NaN
+            raise ValueError(f"scale must be nonnegative, got {self.scale}")
         if self.n_pilots < 1:
             raise ValueError("n_pilots must be positive")
         object.__setattr__(self, "values", v)
@@ -227,27 +229,23 @@ class DetectionConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie strictly inside (0, 1), got {self.alpha}")
-        if self.noise_var < 0:
-            raise ValueError("noise variance cannot be negative")
+        _check_noise_var(self.noise_var)
 
 
 @dataclass(frozen=True)
 class OmpConfig:
-    """Knobs of the greedy pursuit.
+    """The greedy pursuit's one knob.
 
     max_iters bounds the number of selection rounds (default: n_pilots / 4,
-    rounded up).  The pursuit stops early once the squared residual norm
-    drops to residual_gamma * n_pilots * noise_var.
+    rounded up).  The pursuit also stops once the squared residual norm
+    drops to n_pilots * noise_var, the noise energy the observation carries.
     """
 
     max_iters: int | None = None
-    residual_gamma: float = 1.0
 
     def __post_init__(self) -> None:
         if self.max_iters is not None and self.max_iters < 1:
             raise ValueError("max_iters must be positive when given")
-        if not self.residual_gamma > 0:  # also rejects NaN
-            raise ValueError(f"residual_gamma must be positive, got {self.residual_gamma}")
 
 
 @dataclass(frozen=True)
@@ -462,8 +460,8 @@ class _StackedSolver:
         else:
             gap = np.full(p.shape, float(n))  # G[k, k] = n
         dependent = []
-        if gap.min() <= 1e-12 * n:
-            keep = gap.min(axis=1) > 1e-12 * n
+        if gap.min() <= RANK_TOL * n:
+            keep = gap.min(axis=1) > RANK_TOL * n
             dependent = np.flatnonzero(~keep).tolist()
             rows, k, p, gap = np.arange(self.m.size)[rows][keep], k[keep], p[keep], gap[keep]
             if m:
@@ -550,16 +548,16 @@ def _pursue(solver: _StackedSolver, cfg: OmpConfig, select) -> None:
     Each round ``select(solver, rows)`` returns the bins to add for each
     pursuing row, strongest first, padded with -1 and none marked in the
     solver's ``taken``; a row given no bin stops.  So does a row whose every
-    set has residual energy at its target residual_gamma * n_pilots *
-    noise_var, a row with a full support, and a row whose round adds
-    nothing; the round cap (default n_pilots / 4, rounded up) stops them
-    all.  Rows advance together but never interact.
+    set has residual energy at its target n_pilots * noise_var, a row with a
+    full support, and a row whose round adds nothing; the round cap (default
+    n_pilots / 4, rounded up) stops them all.  Rows advance together but
+    never interact.
     """
     n = solver.n
     # The relative floor ends noiseless runs once the residual is at the level
     # of accumulated rounding error.
     first = np.array([history[0] for history in solver.history])
-    targets = np.maximum(cfg.residual_gamma * n * solver.noise_vars, 1e-20 * first)
+    targets = np.maximum(n * solver.noise_vars, 1e-20 * first)
     cap = cfg.max_iters if cfg.max_iters is not None else max(1, math.ceil(n / 4))
     rows = np.arange(solver.m.size)
     for _ in range(cap):
@@ -600,8 +598,8 @@ def omp(obs: Observation, cfg: OmpConfig = OmpConfig()) -> SparseEstimate:
 
     Selects the delay bin with the largest residual correlation magnitude,
     re-solves least squares on the grown support, and repeats until the
-    residual energy falls to residual_gamma * n_pilots * noise_var or the
-    iteration cap is reached.  Exact float ties go to the lowest bin index.
+    residual energy falls to n_pilots * noise_var or the iteration cap is
+    reached.  Exact float ties go to the lowest bin index.
     """
     return _omp_rows((obs,), cfg)[0]
 

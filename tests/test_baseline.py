@@ -27,6 +27,7 @@ from sparsechan.signal_model import (
     support_solve,
     synthesize_observation,
 )
+from sparsechan.sparse_recovery import DetectionConfig
 
 
 def _random_channel(rng, variances):
@@ -106,7 +107,8 @@ def test_pilot_sample_covariance_moments():
         synthesize_observation(cfg, pat, _random_channel(rng, var), nv, rng)
         for _ in range(6000)
     ]
-    cov = pilot_sample_covariance(obs, nv).dense
+    factor = pilot_sample_covariance(obs, nv)
+    cov = (factor.vectors * factor.values) @ factor.vectors.conj().T
     assert np.allclose(cov, cov.conj().T)
     assert np.all(np.linalg.eigvalsh(cov) > -1e-10)
     np.testing.assert_allclose(cov, true_cov, atol=0.12)
@@ -251,6 +253,66 @@ def test_reduced_rank_ls_edge_cases():
         estimate_reduced_rank_ls(obs, SupportSet(np.array([0, 4])), cfg)
 
 
+def test_reduced_rank_ls_rejects_aliased_bins_beside_a_third():
+    # Bins 23 and 110 are 3 N apart and share a column on spacing-5 pilots.
+    # Cholesky of their Gram matrix succeeds on a pivot at rounding level, so
+    # only the pivot test stops an arbitrary split of their one tap.
+    cfg = SystemConfig(d=145, n_pilots=29)
+    pat = PilotPattern.uniform(cfg, spacing=5)
+    rng = np.random.default_rng(12)
+    obs = Observation(rng.standard_normal(29) + 1j * rng.standard_normal(29), pat, 0.1)
+    with pytest.raises(np.linalg.LinAlgError, match=r"rank-deficient support \[7, 23, 110\]"):
+        estimate_reduced_rank_ls(obs, SupportSet(np.array([7, 23, 110])), cfg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 30),
+    st.integers(2, 6),
+    st.data(),
+)
+def test_reduced_rank_ls_raises_on_any_aliased_pair(n, spacing, data):
+    # On uniform pilots with d = spacing * N, bins a multiple of N apart share
+    # one column, whatever other bins the support holds.
+    cfg = SystemConfig(d=spacing * n, n_pilots=n)
+    pat = PilotPattern.uniform(cfg, spacing=spacing)
+    k = data.draw(st.integers(0, cfg.d - 1))
+    alias = (k + n * data.draw(st.integers(1, spacing - 1))) % cfg.d
+    rest = [b for b in range(cfg.d) if b not in (k, alias)]
+    others = data.draw(st.lists(st.sampled_from(rest), max_size=n - 2, unique=True))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    obs = Observation(rng.standard_normal(n) + 1j * rng.standard_normal(n), pat, 0.0)
+    with pytest.raises(np.linalg.LinAlgError, match="rank-deficient support"):
+        estimate_reduced_rank_ls(obs, SupportSet(np.array([k, alias, *others])), cfg)
+
+
+def _noise_var_entry_points():
+    cfg = SystemConfig(d=8, n_pilots=4)
+    pat = PilotPattern.uniform(cfg, spacing=2)
+    obs = Observation(np.ones(4), pat, 1.0)
+    cov = PilotCovariance(np.eye(4), np.ones(4))
+    pdp = PowerDelayProfile(variances=np.ones(8), bin_width_s=1e-7)
+    return {
+        "Observation": lambda nv: Observation(np.ones(4), pat, nv),
+        "synthesize_observation": lambda nv: synthesize_observation(
+            cfg, pat, np.zeros(8), nv, 0
+        ),
+        "DetectionConfig": lambda nv: DetectionConfig(alpha=1e-3, noise_var=nv),
+        "pilot_sample_covariance": lambda nv: pilot_sample_covariance([obs], nv),
+        "estimate_li_mmse": lambda nv: estimate_li_mmse(obs, cov, nv, cfg),
+        "estimate_mmse_oracle": lambda nv: estimate_mmse_oracle(obs, pdp, nv, cfg),
+    }
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("entry", sorted(_noise_var_entry_points()))
+def test_every_noise_variance_must_be_finite(entry, bad):
+    call = _noise_var_entry_points()[entry]
+    call(0.5)
+    with pytest.raises(ValueError, match="noise variance must be finite and nonnegative"):
+        call(bad)
+
+
 # ------------------------------------------ eigen-factor and solver identities
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -287,7 +349,7 @@ def _assert_rel_close(got, want, rtol):
 def test_li_mmse_factor_filter_equals_dense_formula(problem, nv):
     cfg, obs, cov, _ = problem
     n = cfg.n_pilots
-    dense = cov.dense
+    dense = (cov.vectors * cov.values) @ cov.vectors.conj().T
     filtered = dense @ np.linalg.solve(dense + nv * np.eye(n), obs.y)
     est = estimate_li_mmse(obs, cov, nv, cfg)
     _assert_rel_close(est.channel_freq, _interp(cfg, obs.pattern, filtered), 1e-10)

@@ -185,6 +185,14 @@ def test_missing_config_file(capsys):
     assert "cannot read config file" in capsys.readouterr().err
 
 
+def test_config_file_that_is_not_utf8_is_a_config_error(capsys, tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"system.d = 600\n\xff\n")
+    assert main(["pdp", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: cannot read config file: "), err
+
+
 # ------------------------------------------------------------------------ pdp
 
 

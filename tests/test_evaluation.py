@@ -45,6 +45,7 @@ def test_capacity_params_validation():
     CapacityParams(**ok)
     for bad in (
         dict(ok, rho=0.0),
+        dict(ok, rho=float("nan")),
         dict(ok, sigma_e_sq=-0.1),
         dict(ok, sigma_e_sq=1.5),
         dict(ok, n_symbols=0),
@@ -53,6 +54,10 @@ def test_capacity_params_validation():
     ):
         with pytest.raises(ValueError):
             CapacityParams(**bad)
+    params = CapacityParams(**ok)
+    for norms in (np.array([-1.0]), np.array([1.0, np.nan])):
+        with pytest.raises(ValueError, match="energies"):
+            capacity_lower_bound(params, norms)
 
 
 def test_capacity_lower_bound_formula():

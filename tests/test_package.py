@@ -30,7 +30,7 @@ def test_package_exports_each_library_name_once():
         for n in importlib.import_module(f"sparsechan.{m}").__all__
     ]
     assert sparsechan.__all__ == names
-    assert len(set(names)) == len(names) == 46
+    assert len(set(names)) == len(names) == 45
     assert not {"gram_kernel", "support_gram", "support_solve"} & set(names)
 
 
