@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .signal_model import SystemConfig, as_rng
+from .signal_model import SystemConfig
 
 __all__ = [
     "ImpulseProfile",
@@ -95,8 +95,8 @@ class PowerDelayProfile:
             raise ValueError("variances must be a non-empty 1-d vector")
         if not np.all(np.isfinite(var) & (var >= 0)):
             raise ValueError("variances must be finite and nonnegative")
-        if self.bin_width_s <= 0:
-            raise ValueError("bin width must be positive")
+        if not 0 < self.bin_width_s < math.inf:  # also rejects NaN
+            raise ValueError(f"bin width must be finite and positive, got {self.bin_width_s}")
         object.__setattr__(self, "variances", var)
 
     @property
@@ -221,7 +221,7 @@ def realize_channel(
 ) -> np.ndarray:
     """Draw one channel: independent circular complex Gaussian taps, bin k
     having variance pdp.variances[k].  Zero-variance bins come out exactly zero."""
-    gen = as_rng(rng)
+    gen = np.random.default_rng(rng)
     scale = np.sqrt(pdp.variances / 2.0)
     return scale * (gen.standard_normal(pdp.d) + 1j * gen.standard_normal(pdp.d))
 
@@ -231,8 +231,8 @@ def eta95(values: np.ndarray) -> int:
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("values must be a non-empty 1-d vector")
-    if np.any(v < 0):
-        raise ValueError("values must be nonnegative")
+    if not np.all(np.isfinite(v) & (v >= 0)):
+        raise ValueError("values must be finite and nonnegative")
     total = v.sum()
     if total <= 0:
         raise ValueError("eta95 is undefined for an all-zero vector")
@@ -250,8 +250,10 @@ def delay_spread(delays_s: np.ndarray, powers: np.ndarray) -> float:
     p = np.asarray(powers, dtype=np.float64)
     if d.shape != p.shape:
         raise ValueError("delays and powers must have matching shapes")
-    if np.any(p < 0):
-        raise ValueError("powers must be nonnegative")
+    if not np.all(np.isfinite(d)):
+        raise ValueError("delays must be finite")
+    if not np.all(np.isfinite(p) & (p >= 0)):
+        raise ValueError("powers must be finite and nonnegative")
     total = p.sum()
     if total <= 0:
         raise ValueError("delay spread is undefined for zero total power")

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from functools import cached_property, partial
+from itertools import product
 from operator import attrgetter
 
 import numpy as np
@@ -53,7 +54,7 @@ from .sparse_recovery import (
     _a2_rows,
     _omp_rows,
     _seeded_rows,
-    detection_threshold,
+    detect_support,
     ex_omp,
     sample_pdp,
 )
@@ -212,17 +213,17 @@ class SweepResult:
         raise KeyError(f"no row for ({estimator!r}, {snr_db})")
 
     def to_csv(self, path) -> None:
-        """Write rows sorted by estimator name then SNR."""
+        """Write rows sorted by estimator name then SNR, one column per ``SweepRow`` field.
+
+        The header is the field names in order; floats are written ``.10g``,
+        every other value with ``str``.
+        """
         ordered = sorted(self.rows, key=lambda r: (r.estimator, r.snr_db))
         with open(path, "w", newline="") as fh:
-            fh.write(
-                "estimator,snr_db,nmse_db,capacity_fraction,n_trials,failures,master_seed\n"
-            )
+            fh.write(",".join(f.name for f in fields(SweepRow)) + "\n")
             for r in ordered:
-                fh.write(
-                    f"{r.estimator},{r.snr_db:.10g},{r.nmse_db:.10g},"
-                    f"{r.capacity_fraction:.10g},{r.n_trials},{r.failures},{r.master_seed}\n"
-                )
+                values = (f"{v:.10g}" if isinstance(v, float) else str(v) for v in astuple(r))
+                fh.write(",".join(values) + "\n")
 
     def summary(self) -> str:
         lines = [
@@ -301,15 +302,15 @@ class _Trial:
 
 
 def _each(transfer: Callable[[_Trial], np.ndarray]) -> Callable[[list[_Trial]], list]:
-    """A one-trial estimator over a block, scoring a ``LinAlgError`` as None for its trial only."""
+    """A one-trial estimator over a block; a ``LinAlgError`` makes its trial's transfer NaN."""
 
-    def run(trials: list[_Trial]) -> list[np.ndarray | None]:
+    def run(trials: list[_Trial]) -> list[np.ndarray]:
         freqs = []
         for trial in trials:
             try:
                 freqs.append(transfer(trial))
             except np.linalg.LinAlgError:
-                freqs.append(None)
+                freqs.append(np.full(trial.system.d, np.nan))
         return freqs
 
     return run
@@ -388,23 +389,41 @@ def _error(freq: np.ndarray, true_freq: np.ndarray, data: np.ndarray) -> float:
     return float(np.mean(np.abs(err) ** 2))
 
 
-def _run_block(config: SweepConfig, snr_idx: int, first: int):
+def _run_block(config: SweepConfig, snr_idx: int, first: int) -> tuple[np.ndarray, np.ndarray]:
     """Synthesize trials first, first + 1, ... of a block and score every estimator on them.
 
-    Each estimator entry runs once over the block's trials.  Returns one
-    ({estimator: mean squared data-subcarrier error, or None on a
-    LinAlgError}, channel tap energy) pair per trial.
+    Each estimator entry runs once over the block's trials.  Returns an
+    (estimators, trials) array of mean squared data-subcarrier errors, NaN
+    where an estimator raised ``LinAlgError``, and the trials' channel tap
+    energies.
     """
     trials = [
         _Trial(config, snr_idx, trial_idx)
         for trial_idx in range(first, min(first + _BLOCK, config.n_trials))
     ]
-    results: list[dict[str, float | None]] = [{} for _ in trials]
-    for name in config.estimators:
-        kind, run = _ESTIMATORS[name]
-        for res, freq, trial in zip(results, run(trials), trials):
-            res[name] = None if freq is None else _error(freq, trial.true_freq, trial.data[kind])
-    return [(res, trial.norm) for res, trial in zip(results, trials)]
+    errors = [
+        [_error(freq, t.true_freq, t.data[kind]) for freq, t in zip(run(trials), trials)]
+        for kind, run in map(_ESTIMATORS.get, config.estimators)
+    ]
+    return np.array(errors), np.array([trial.norm for trial in trials])
+
+
+def _row(
+    config: SweepConfig, name: str, snr: float, errs: np.ndarray, norms: np.ndarray
+) -> SweepRow:
+    """One estimator's row at one SNR point from its trial errors (NaN: failed) and energies."""
+    valid = ~np.isnan(errs)
+    errs, norms = errs[valid], norms[valid]
+    db = fraction = math.nan
+    if errs.size:
+        lin = float(errs.sum()) / float(norms.sum())
+        db = max(10.0 * math.log10(lin) if lin > 0 else -math.inf, NMSE_DB_FLOOR)
+        rho, d, n_pilots = 10.0 ** (snr / 10.0), config.system.d, config.system.n_pilots
+        rate = capacity_lower_bound(CapacityParams(rho, min(lin, 1.0), d, n_pilots), norms)
+        ideal_rate = capacity_lower_bound(CapacityParams(rho, 0.0, d, 0), norms)
+        fraction = rate / ideal_rate if ideal_rate > 0 else 0.0
+    failures = config.n_trials - errs.size
+    return SweepRow(name, snr, db, fraction, config.n_trials, failures, config.master_seed)
 
 
 def run_sweep(
@@ -421,10 +440,13 @@ def run_sweep(
     support, and skip a dependent bin row by row.  With ``n_workers > 1``
     blocks are distributed over at most that many processes, one per block
     at most.  Results are identical for every block size and worker count.
+
+    Blocks fill one (estimators, SNRs, trials) error array and one (SNRs,
+    trials) energy array, from which ``_row`` builds each row; ``keep_trials``
+    keeps views of them as ``trial_errors[(name, snr)]`` and ``trial_norms[snr]``.
     """
     if n_workers < 1:
         raise ValueError(f"n_workers must be at least 1, got {n_workers}")
-    system = config.system
     blocks = [
         (si, first)
         for si in range(len(config.snr_db))
@@ -441,60 +463,16 @@ def run_sweep(
     else:
         outcomes = [_run_block(config, si, first) for si, first in blocks]
 
-    errors = {
-        (name, snr): np.full(config.n_trials, np.nan)
-        for name in config.estimators
-        for snr in config.snr_db
-    }
-    norms = {snr: np.empty(config.n_trials) for snr in config.snr_db}
-    for (si, first), block in zip(blocks, outcomes):
-        snr = config.snr_db[si]
-        for ti, (res, norm) in enumerate(block, first):
-            norms[snr][ti] = norm
-            for name, value in res.items():
-                if value is not None:
-                    errors[(name, snr)][ti] = value
-
-    rows = []
-    for name in config.estimators:
-        for snr in config.snr_db:
-            errs = errors[(name, snr)]
-            valid = ~np.isnan(errs)
-            failures = int(config.n_trials - valid.sum())
-            if valid.any():
-                norm_sum = float(norms[snr][valid].sum())
-                lin = float(errs[valid].sum()) / norm_sum
-                db = max(
-                    10.0 * math.log10(lin) if lin > 0 else -math.inf, NMSE_DB_FLOOR
-                )
-                rho = 10.0 ** (snr / 10.0)
-                params = CapacityParams(
-                    rho=rho,
-                    sigma_e_sq=min(lin, 1.0),
-                    n_symbols=system.d,
-                    n_pilots=system.n_pilots,
-                )
-                rate = capacity_lower_bound(params, norms[snr][valid])
-                ideal_rate = float(np.mean(np.log2(1.0 + rho * norms[snr][valid])))
-                fraction = rate / ideal_rate if ideal_rate > 0 else 0.0
-            else:
-                db = math.nan
-                fraction = math.nan
-            rows.append(
-                SweepRow(
-                    estimator=name,
-                    snr_db=snr,
-                    nmse_db=db,
-                    capacity_fraction=fraction,
-                    n_trials=config.n_trials,
-                    failures=failures,
-                    master_seed=config.master_seed,
-                )
-            )
-    result = SweepResult(rows=rows)
+    shape = (len(config.snr_db), config.n_trials)
+    errors, norms = np.empty((len(config.estimators),) + shape), np.empty(shape)
+    for (si, first), (block_errors, block_norms) in zip(blocks, outcomes):
+        errors[:, si, first : first + block_norms.size] = block_errors
+        norms[si, first : first + block_norms.size] = block_norms
+    keys = list(product(enumerate(config.estimators), enumerate(config.snr_db)))
+    result = SweepResult([_row(config, n, s, errors[e, i], norms[i]) for (e, n), (i, s) in keys])
     if keep_trials:
-        result.trial_errors = errors
-        result.trial_norms = norms
+        result.trial_errors = {(n, s): errors[e, i] for (e, n), (i, s) in keys}
+        result.trial_norms = dict(zip(config.snr_db, norms))
     return result
 
 
@@ -515,7 +493,7 @@ def false_alarm_calibration(
     """
     if not alphas or not n_sets_list:
         raise ValueError("need at least one alpha and one set count")
-    # A repeated alpha would add its crossings to one shared count twice.
+    # A repeated alpha or set count would print a duplicate row.
     for name, values in (("alphas", alphas), ("set counts", n_sets_list)):
         if len(set(values)) != len(values):
             raise ValueError(f"{name} must be distinct")
@@ -525,12 +503,12 @@ def false_alarm_calibration(
         raise ValueError(f"master_seed must be non-negative, got {master_seed}")
     if min(n_sets_list) < 1:
         raise ValueError(f"set counts must be positive, got {min(n_sets_list)}")
-    dets = {alpha: DetectionConfig(alpha=alpha, noise_var=1.0) for alpha in alphas}
+    dets = [DetectionConfig(alpha=alpha, noise_var=1.0) for alpha in alphas]
     rows = []
     zeros = np.zeros(system.d, dtype=np.complex128)
     trials = math.ceil(n_bins / system.d)
     for set_idx, n_sets in enumerate(n_sets_list):
-        counts = {alpha: 0 for alpha in alphas}
+        counts = [0] * len(alphas)
         for t in range(trials):
             rng = np.random.default_rng([master_seed, set_idx, t])
             obs = []
@@ -538,19 +516,16 @@ def false_alarm_calibration(
                 pat = PilotPattern.pseudo_random(system, int(rng.integers(0, 2**63)))
                 obs.append(synthesize_observation(system, pat, zeros, 1.0, rng))
             spdp = sample_pdp(ObservationSet(tuple(obs)))
-            for alpha, det in dets.items():
-                thr = detection_threshold(spdp, det)
-                counts[alpha] += int(np.count_nonzero(spdp.values > thr))
+            counts = [c + detect_support(spdp, det).size for c, det in zip(counts, dets)]
         total = trials * system.d
-        for alpha in alphas:
-            rate = counts[alpha] / total
+        for alpha, count in zip(alphas, counts):
             rows.append(
                 {
                     "alpha": alpha,
                     "n_sets": n_sets,
                     "n_bins": total,
-                    "false_alarms": counts[alpha],
-                    "rate": rate,
+                    "false_alarms": count,
+                    "rate": count / total,
                     "stderr": math.sqrt(alpha * (1.0 - alpha) / total),
                 }
             )

@@ -17,7 +17,6 @@ matrix up in the circulant kernel of H^H H.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -42,13 +41,6 @@ RANK_TOL = 1e-12
 def _check_noise_var(noise_var: float) -> None:
     if not 0.0 <= noise_var < np.inf:  # also rejects NaN
         raise ValueError(f"noise variance must be finite and nonnegative, got {noise_var}")
-
-
-def as_rng(seed: int | Sequence[int] | np.random.Generator | None) -> np.random.Generator:
-    """Return ``seed`` unchanged if it is already a Generator, else seed a fresh one."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 @dataclass(frozen=True)
@@ -319,7 +311,7 @@ def synthesize_observation(
     """
     _check_noise_var(noise_var)
     clean = partial_fourier_apply(config, pattern, theta)
-    gen = as_rng(rng)
+    gen = np.random.default_rng(rng)
     scale = np.sqrt(noise_var / 2.0)
     noise = scale * (
         gen.standard_normal(pattern.n) + 1j * gen.standard_normal(pattern.n)

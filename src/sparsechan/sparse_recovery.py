@@ -305,9 +305,11 @@ def detection_threshold(pdp: SamplePdp, det: DetectionConfig) -> float:
     A noise-plus-leakage bin averaged over n_sets observations is distributed
     as mean_level / (2 n_sets) times a chi-square with 2 n_sets degrees of
     freedom; the threshold is that distribution's (1 - alpha) quantile.  The
-    mean level is the signal-free bin estimate from the data (pdp.scale split
-    and corrected via det.noise_var) unless the PDP is empty, in which case
-    det.noise_var per pilot is used.
+    mean level is the signal-free bin estimate ``_null_level`` makes from
+    pdp.scale and det.noise_var.  On an all-zero PDP that is noise_var / N
+    scaled by (N - 1) / (d - 1), so 7/31 of noise_var / N at d = 32, N = 8;
+    noise_var / N itself is used only where the level is zero, which for
+    noise_var > 0 means N = 1.
     """
     mu = _null_level(pdp.scale, pdp.n_pilots, pdp.values.size, det.noise_var)
     if mu <= 0.0:

@@ -75,6 +75,9 @@ def test_pdp_validation_and_normalization():
     with pytest.raises(ValueError):
         PowerDelayProfile(variances=np.array([1.0]), bin_width_s=0.0)
     for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="bin width must be finite"):
+            PowerDelayProfile(variances=np.ones(4), bin_width_s=bad)
+    for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
             PowerDelayProfile(variances=np.array([1.0, bad]), bin_width_s=1e-7)
     pdp = PowerDelayProfile(variances=np.array([1.0, 3.0]), bin_width_s=1e-7)
@@ -197,6 +200,9 @@ def test_eta95_edges():
         eta95(np.zeros(4))
     with pytest.raises(ValueError):
         eta95(np.array([1.0, -1.0]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            eta95(np.array([1.0, bad, 2.0]))
 
 
 def test_delay_spread():
@@ -211,4 +217,9 @@ def test_delay_spread():
         delay_spread(np.array([0.0]), np.array([-1.0]))
     with pytest.raises(ValueError):
         delay_spread(np.array([0.0]), np.array([0.0]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="powers must be finite"):
+            delay_spread(np.array([0.0, 1e-6]), np.array([1.0, bad]))
+        with pytest.raises(ValueError, match="delays must be finite"):
+            delay_spread(np.array([0.0, bad]), np.array([1.0, 1.0]))
 

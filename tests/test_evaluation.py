@@ -1,6 +1,7 @@
 """Scoring, the capacity bound, and the Monte Carlo sweep harness."""
 
 import concurrent.futures
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from sparsechan.evaluation import (
     NMSE_DB_FLOOR,
     CapacityParams,
     SweepConfig,
+    SweepRow,
     capacity_lower_bound,
     false_alarm_calibration,
     run_sweep,
@@ -237,6 +239,28 @@ def test_run_sweep_starts_one_worker_per_block_at_most(monkeypatch):
             run_sweep(cfg, n_workers=bad)
 
 
+def _check_rows_aggregate_trials(res, config):
+    # Every row is the ratio of sums over its valid trials, and its capacity
+    # fraction is the bound at that error over the bound at zero error with
+    # no pilots, on the same trials.
+    d, n_pilots = config.system.d, config.system.n_pilots
+    for row in res.rows:
+        errs = res.trial_errors[(row.estimator, row.snr_db)]
+        valid = ~np.isnan(errs)
+        assert row.failures == int(np.isnan(errs).sum())
+        if not valid.any():
+            assert math.isnan(row.nmse_db) and math.isnan(row.capacity_fraction)
+            continue
+        norms = res.trial_norms[row.snr_db][valid]
+        lin = errs[valid].sum() / norms.sum()
+        db = max(10 * math.log10(lin) if lin > 0 else -math.inf, NMSE_DB_FLOOR)
+        assert row.nmse_db == pytest.approx(db, rel=1e-12, abs=1e-12)
+        rho = 10 ** (row.snr_db / 10)
+        rate = capacity_lower_bound(CapacityParams(rho, min(lin, 1.0), d, n_pilots), norms)
+        ideal = capacity_lower_bound(CapacityParams(rho, 0.0, d, 0), norms)
+        assert row.capacity_fraction == pytest.approx(rate / ideal, rel=1e-12)
+
+
 def test_run_sweep_counts_deterministic_failures():
     # With four pilots every 32 carriers on d=128, delay bins repeat mod 4;
     # the strongest profile bins {0, 1, 3, 4} put two taps on one column, so
@@ -261,6 +285,7 @@ def test_run_sweep_counts_deterministic_failures():
     good = res.row("dft", 10.0)
     assert good.failures == 0
     assert math.isfinite(good.nmse_db)
+    _check_rows_aggregate_trials(res, cfg)
 
 
 @pytest.mark.parametrize("n_workers", [1, 2])
@@ -300,6 +325,7 @@ def test_run_sweep_scores_a_linalg_error_for_its_trial_only(monkeypatch):
         if key == ("mmse", 20.0):
             want[2] = np.nan
         np.testing.assert_array_equal(errors, want)
+    _check_rows_aggregate_trials(res, cfg)
 
 
 def test_sweep_result_csv_round_trip(tmp_path):
@@ -310,6 +336,7 @@ def test_sweep_result_csv_round_trip(tmp_path):
     assert lines[0] == (
         "estimator,snr_db,nmse_db,capacity_fraction,n_trials,failures,master_seed"
     )
+    assert lines[0].split(",") == [f.name for f in dataclasses.fields(SweepRow)]
     assert len(lines) == 1 + 4
     names = [ln.split(",")[0] for ln in lines[1:]]
     assert names == ["dft", "dft", "li", "li"]
