@@ -153,6 +153,11 @@ class SweepConfig:
             raise ValueError("SNR points must be distinct")
         if not all(abs(s) <= 3000.0 for s in self.snr_db):  # 10 ** 308 overflows
             raise ValueError("SNR points must be finite and within ±3000 dB")
+        for name in ("n_trials", "n_prior_sets", "master_seed"):
+            value = getattr(self, name)
+            if not float(value).is_integer():
+                raise ValueError(f"{name} must be an integer, got {value}")
+            object.__setattr__(self, name, int(value))
         if self.n_trials < 1:
             raise ValueError("n_trials must be positive")
         if self.master_seed < 0:
@@ -503,6 +508,9 @@ def false_alarm_calibration(
         raise ValueError(f"master_seed must be non-negative, got {master_seed}")
     if min(n_sets_list) < 1:
         raise ValueError(f"set counts must be positive, got {min(n_sets_list)}")
+    if not all(float(n).is_integer() for n in n_sets_list):
+        raise ValueError(f"set counts must be integers, got {n_sets_list}")
+    n_sets_list = tuple(map(int, n_sets_list))
     dets = [DetectionConfig(alpha=alpha, noise_var=1.0) for alpha in alphas]
     rows = []
     zeros = np.zeros(system.d, dtype=np.complex128)

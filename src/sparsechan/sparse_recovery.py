@@ -3,13 +3,15 @@
 The estimators share one engine, in the manner of Batch-OMP (Rubinstein,
 Zibulevsky & Elad 2008): least squares for rows of stacked observation sets,
 each row on its own growing support shared by its sets, with Gram entries
-looked up in the circulant kernel of H^H H, one inverse-Cholesky row update
-per bin, and batched FFTs for the residuals and their spectra.  Every
-single-observation pursuit has one call form, a block of rows with one
-observation each (``_omp_rows``, ``_a2_rows``, ``_seeded_rows``): ``omp`` and
-``algorithm_a2`` are a block of one row, ``algorithm_a1`` and
-``algorithm_a3`` one row per observation of their set, and a sweep pursues a
-whole block of trials at once.  ``ex_omp`` runs one row of all its sets.
+looked up in the circulant kernel of H^H H, one inverse Cholesky factor per
+set grown by one row update per bin as the bins go in column by column,
+coefficients formed from it only when asked for, and batched FFTs for the
+residuals and their spectra.  Every single-observation pursuit has one call
+form, a block of rows with one observation each (``_omp_rows``, ``_a2_rows``,
+``_seeded_rows``): ``omp`` and ``algorithm_a2`` are a block of one row,
+``algorithm_a1`` and ``algorithm_a3`` one row per observation of their set,
+and a sweep pursues a whole block of trials at once.  ``ex_omp`` runs one row
+of all its sets.
 Around the engine sit three ways of using side information gathered from
 extra pilot observations:
 
@@ -244,8 +246,10 @@ class OmpConfig:
     max_iters: int | None = None
 
     def __post_init__(self) -> None:
-        if self.max_iters is not None and self.max_iters < 1:
-            raise ValueError("max_iters must be positive when given")
+        if self.max_iters is not None:
+            if not (self.max_iters >= 1 and float(self.max_iters).is_integer()):
+                raise ValueError(f"max_iters must be a positive integer, got {self.max_iters}")
+            object.__setattr__(self, "max_iters", int(self.max_iters))
 
 
 @dataclass(frozen=True)
@@ -328,11 +332,12 @@ class _StackedSolver:
 
     Row r stacks S observation sets that share the support ``sel[r, :m[r]]``:
     the single-observation pursuits run one set per row and one row per
-    observation, ``ex_omp`` one row of all its sets.  Each set keeps its
-    inverse Cholesky factor L^-1 of G = H^H H on its row's support, so
-    c = L^-H L^-1 H^H y.  ``add_bins`` takes sorted row indices and advances
-    together only the rows that hold the same support size; ``spectra``,
-    ``coef`` and ``refresh`` take such rows as a slice or sorted indices.
+    observation, ``ex_omp`` one row of all its sets.  Each set keeps only its
+    inverse Cholesky factor L^-1 of G = H^H H on its row's support, and
+    ``coef`` forms c = L^-H L^-1 H^H y when called.  ``add_bins`` takes sorted
+    row indices and adds their bins column by column, each column advancing
+    together only the rows of one support size; ``spectra``, ``coef`` and
+    ``refresh`` take such rows as a slice or sorted indices.
     Each row's arithmetic is then exactly that of a solver built for it
     alone, whatever rows it is stacked with.  ``history[r]`` holds row r's
     residual energies, first and after each ``add_bins`` that grows it;
@@ -342,7 +347,7 @@ class _StackedSolver:
     """
 
     __slots__ = (
-        "d", "n", "base", "pilots", "y", "noise_vars", "kernel", "proj", "linv", "z", "sel",
+        "d", "n", "base", "pilots", "y", "noise_vars", "kernel", "proj", "linv", "sel",
         "m", "taken", "residual", "residual_sq", "history",
     )
 
@@ -361,7 +366,6 @@ class _StackedSolver:
         # Grown as the supports grow.  Only the leading m x m block of linv
         # is read, and it starts zeroed, so its upper triangle stays zero.
         self.linv = np.empty(shape + (0, 0), dtype=np.complex128)
-        self.z = np.empty(shape + (0,), dtype=np.complex128)
         self.sel = np.empty((shape[0], 0), dtype=np.int64)
         self.m = np.zeros(shape[0], dtype=np.int64)
         self.taken = np.zeros((shape[0], self.d), dtype=bool)
@@ -383,53 +387,32 @@ class _StackedSolver:
     def add_bins(self, rows: np.ndarray, bins: np.ndarray) -> list[tuple[int, int]]:
         """Add each row's bins in order until its support is full, then solve.
 
-        ``bins[i]`` lists the bins for ``rows[i]``, padded with -1.  Rows that
-        hold the same support size advance together.  Returns the (row, bin)
-        pairs skipped as dependent.
+        ``bins[i]`` lists the bins for ``rows[i]``, padded with -1.  The bins
+        go in column by column, and in each column the rows that hold the same
+        support size advance together.  Returns the (row, bin) pairs skipped
+        as dependent.
         """
         at, j = np.nonzero(bins >= 0)
         self.taken[rows[at], bins[at, j]] = True
         before = self.m[rows]
-        skipped = self._extend(rows, bins)
+        skipped = []
+        for j, column in enumerate(bins.T.tolist()):
+            # Positions of the rows with a bin here and room for it, by support size.
+            groups = {}
+            for i, (k, size) in enumerate(zip(column, self.m[rows].tolist())):
+                if k >= 0 and size < self.n:
+                    groups.setdefault(size, []).append(i)
+            if not groups:  # padding and full supports only grow to the right
+                break
+            for at in groups.values():
+                at = slice(None) if len(at) == rows.size else at  # every row: views
+                group, k = rows[at], bins[at, j]
+                skipped += [(int(group[i]), int(k[i])) for i in self._add_bin(_packed(group), k)]
         grown = rows[self.m[rows] > before]
         for at in _by_size(self.m[grown]):
             self.refresh(_packed(grown[at]))
         for row in grown.tolist():
             self.history[row].append(self.residual_sq[row])
-        return skipped
-
-    def _extend(self, rows: np.ndarray, bins: np.ndarray) -> list[tuple[int, int]]:
-        """Grow the supports bin by bin, the rows of each support size together."""
-        skipped = []
-        for at in _by_size(self.m[rows]):
-            group, new = rows[at], bins[at]
-            m = int(self.m[group[0]])
-            self._reserve(m + new.shape[1])
-            # The Gram entries of every new bin against the support it joins
-            # and the bins before it, and its projections, gathered at once;
-            # each step then reads slices.  Padding gathers unused entries.
-            support = np.concatenate((self.sel[group, :m], new), axis=1)
-            lag = (new[:, :, None] - support[:, None, :]) % self.d
-            gram = self.kernel.take(self.base[group, :, :, None] + lag[:, None])
-            proj = self.proj.take(self.base[group] + new[:, None, :])
-            lengths = np.count_nonzero(new >= 0, axis=1)
-            every, packed = int(lengths.min()), _packed(group)
-            for j in range(min(new.shape[1], self.n - m)):
-                step, at_rows = slice(None), packed
-                if j >= every:  # some rows have run out of bins
-                    step = np.flatnonzero(lengths > j)
-                    if not step.size:
-                        break
-                    at_rows = _packed(group[step])
-                dependent = self._add_bin(
-                    at_rows, new[step, j], gram[step, :, j, : m + j], proj[step, :, j], m + j
-                )
-                if dependent:
-                    skipped += [(int(group[step][i]), int(new[step, j][i])) for i in dependent]
-                    # Those rows no longer hold the supports gathered for; go
-                    # on from the supports they hold.
-                    skipped += self._extend(group, new[:, j + 1 :])
-                    break
         return skipped
 
     def _reserve(self, size: int) -> None:
@@ -440,43 +423,37 @@ class _StackedSolver:
         size = min(self.n, max(size, 2 * have))
         linv = np.zeros(self.linv.shape[:2] + (size, size), dtype=np.complex128)
         linv[..., :have, :have] = self.linv
-        z = np.empty(self.z.shape[:2] + (size,), dtype=np.complex128)
-        z[..., :have] = self.z
         sel = np.empty((self.sel.shape[0], size), dtype=np.int64)
         sel[:, :have] = self.sel
-        self.linv, self.z, self.sel = linv, z, sel
+        self.linv, self.sel = linv, sel
 
-    def _add_bin(self, rows, k, gram, p, m: int) -> list[int]:
-        """Add bin ``k[i]`` to the i-th of ``rows``, which all hold m bins.
+    def _add_bin(self, rows, k: np.ndarray) -> list[int]:
+        """Add bin ``k[i]`` to the i-th of ``rows``, which all hold the same support size.
 
-        ``gram`` holds the bins' Gram entries against the supports and ``p``
-        their projections H^H y.  Returns the positions i of the rows left
-        unchanged because their bin is (numerically) dependent on their
-        support in some set.
+        Returns the positions i of the rows left unchanged because their bin
+        is (numerically) dependent on their support in some set.
         """
         n = self.n
-        if m:
-            linv = self.linv[rows, :, :m, :m]
-            w = np.matvec(linv, gram)
-            gap = n - np.vecdot(w, w).real
-        else:
-            gap = np.full(p.shape, float(n))  # G[k, k] = n
+        m = int(self.m[rows][0])
+        self._reserve(m + 1)
+        # w = L^-1 G[S, k] per set, from the bins' Gram entries against the
+        # supports; G[k, k] = n.
+        lag = (k[:, None] - self.sel[rows, :m]) % self.d
+        linv = self.linv[rows, :, :m, :m]
+        w = np.matvec(linv, self.kernel.take(self.base[rows] + lag[:, None]))
+        gap = n - np.vecdot(w, w).real
         dependent = []
         if gap.min() <= RANK_TOL * n:
             keep = gap.min(axis=1) > RANK_TOL * n
             dependent = np.flatnonzero(~keep).tolist()
-            rows, k, p, gap = np.arange(self.m.size)[rows][keep], k[keep], p[keep], gap[keep]
-            if m:
-                linv, w = linv[keep], w[keep]
+            rows, k, gap = np.arange(self.m.size)[rows][keep], k[keep], gap[keep]
+            linv, w = linv[keep], w[keep]
         r = 1.0 / np.sqrt(gap)
-        if m:
-            # With G = L L^H and w = L^-1 G[S, k], the grown factor is
-            # [[L, 0], [w^H, delta]] with delta^2 = gap, and its inverse has
-            # the new row [-w^H L^-1 / delta, 1 / delta].
-            self.linv[rows, :, m, :m] = np.vecmat(w, linv) * -r[..., None]
-            p = p - np.vecdot(w, self.z[rows, :, :m])
+        # With G = L L^H, the grown factor is [[L, 0], [w^H, delta]] with
+        # delta^2 = gap, and its inverse has the new row
+        # [-w^H L^-1 / delta, 1 / delta].
+        self.linv[rows, :, m, :m] = np.vecmat(w, linv) * -r[..., None]
         self.linv[rows, :, m, m] = r
-        self.z[rows, :, m] = p * r
         self.sel[rows, m] = k
         self.m[rows] = m + 1
         return dependent
@@ -497,8 +474,10 @@ class _StackedSolver:
     def coef(self, rows) -> np.ndarray:
         """Least-squares coefficients, in selection order, of rows of one support size."""
         m = int(self.m[rows][0])
-        # c = L^-H z, i.e. conj(z^H L^-1).
-        return np.vecmat(self.z[rows, :, :m], self.linv[rows, :, :m, :m]).conj()
+        linv = self.linv[rows, :, :m, :m]
+        # z = L^-1 H^H y on the support, then c = L^-H z, i.e. conj(z^H L^-1).
+        z = np.matvec(linv, self.proj.take(self.base[rows] + self.sel[rows, None, :m]))
+        return np.vecmat(z, linv).conj()
 
     def estimates(self, row: int, coef: np.ndarray | None = None) -> list[SparseEstimate]:
         """One estimate per set of the row; least squares unless coef is given."""

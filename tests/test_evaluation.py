@@ -105,6 +105,10 @@ def test_sweep_config_validation():
         _smoke_config(estimators=("dft", "dft"))
     with pytest.raises(ValueError):
         _smoke_config(n_prior_sets=0)
+    # a non-integral count or seed would construct and then fail inside run_sweep
+    for name, value in (("n_trials", 2.5), ("n_prior_sets", 2.5), ("master_seed", 1.5)):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value}"):
+            _smoke_config(**{name: value})
     with pytest.raises(ValueError):
         _smoke_config(system=SystemConfig(d=16, n_pilots=16))
     # derived inputs are resolved, and checked, on construction
@@ -403,5 +407,7 @@ def test_false_alarm_calibration_validation(monkeypatch):
     # the combination that uses it.
     with pytest.raises(ValueError, match="set counts must be positive, got 0"):
         false_alarm_calibration(system, alphas=(0.1,), n_sets_list=(1, 0))
+    with pytest.raises(ValueError, match="set counts must be integers"):
+        false_alarm_calibration(system, alphas=(0.1,), n_sets_list=(1, 2.5))
     with pytest.raises(ValueError, match="alpha must lie strictly inside"):
         false_alarm_calibration(system, alphas=(0.1, 1.5), n_sets_list=(1,))

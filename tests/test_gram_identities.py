@@ -200,12 +200,15 @@ def test_bin_dependent_in_one_set_is_skipped_before_any_change():
     # solver exactly as it was.
     config = SystemConfig(d=16, n_pilots=8)
     rng = np.random.default_rng(0)
-    observations = tuple(
-        Observation(rng.standard_normal(8) + 1j * rng.standard_normal(8), pattern, 0.0)
-        for pattern in (
-            PilotPattern.pseudo_random(config, seed=3),
-            PilotPattern.uniform(config, spacing=2),
+
+    def observed(*patterns):
+        return tuple(
+            Observation(rng.standard_normal(8) + 1j * rng.standard_normal(8), pattern, 0.0)
+            for pattern in patterns
         )
+
+    observations = observed(
+        PilotPattern.pseudo_random(config, seed=3), PilotPattern.uniform(config, spacing=2)
     )
     solver = _solved((observations,), np.array([2]))
     assert solver.add_bins(np.arange(1), np.array([[10]])) == [(0, 10)]
@@ -215,3 +218,21 @@ def test_bin_dependent_in_one_set_is_skipped_before_any_change():
     fresh = _solved((observations,), np.array([2, 5]))
     np.testing.assert_array_equal(solver.coef(slice(0, 1)), fresh.coef(slice(0, 1)))
     np.testing.assert_array_equal(solver.residual, fresh.residual)
+
+    # Beside a row that takes bin 10, row 0 falls one bin behind, so the
+    # second column regroups rows of two support sizes; each row must still
+    # be exactly the solver fed its bins alone.
+    independent = observed(*(PilotPattern.pseudo_random(config, seed=s) for s in (4, 5)))
+    rows = (observations, independent)
+    pair = _solved(rows, np.array([2]))
+    assert pair.add_bins(np.arange(2), np.array([[10, 5], [10, 5]])) == [(0, 10)]
+    assert [pair.support(r).tolist() for r in range(2)] == [[2, 5], [2, 10, 5]]
+    for r, row in enumerate(rows):
+        alone = _solved((row,), np.array([2]))
+        alone.add_bins(np.arange(1), np.array([[10, 5]]))
+        np.testing.assert_array_equal(pair.support(r), alone.support(0))
+        np.testing.assert_array_equal(pair.coef(slice(r, r + 1)), alone.coef(slice(0, 1)))
+        np.testing.assert_array_equal(pair.residual[r], alone.residual[0])
+        np.testing.assert_array_equal(pair.history[r], alone.history[0])
+    np.testing.assert_array_equal(pair.coef(slice(0, 1)), fresh.coef(slice(0, 1)))
+    np.testing.assert_array_equal(pair.residual[0], fresh.residual[0])

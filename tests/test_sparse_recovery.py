@@ -106,6 +106,8 @@ def test_config_validation():
         DetectionConfig(alpha=1e-3)
     with pytest.raises(ValueError):
         OmpConfig(max_iters=0)
+    with pytest.raises(ValueError, match="max_iters must be a positive integer, got 2.5"):
+        OmpConfig(max_iters=2.5)
     for values in (np.array([-1.0]), np.array([1.0, np.nan])):
         with pytest.raises(ValueError):
             SamplePdp(values=values, n_sets=1, scale=0.1, n_pilots=4)
