@@ -37,6 +37,7 @@ from .channel import (
 )
 from .evaluation import (
     SweepConfig,
+    _write_csv,
     false_alarm_calibration,
     run_sweep,
 )
@@ -251,13 +252,7 @@ def _run_calib_command(cfg: dict[str, Any], args: argparse.Namespace) -> int:
             f"{row['rate']:>12.6g} {dev:>10.2f}"
         )
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write("alpha,n_sets,n_bins,false_alarms,rate,stderr\n")
-            for row in rows:
-                fh.write(
-                    f"{row['alpha']:g},{row['n_sets']},{row['n_bins']},"
-                    f"{row['false_alarms']},{row['rate']:.10g},{row['stderr']:.10g}\n"
-                )
+        _write_csv(args.out, rows[0].keys(), [row.values() for row in rows])
         print(f"wrote {args.out}")
     return 0
 

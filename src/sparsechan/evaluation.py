@@ -44,6 +44,7 @@ from .signal_model import (
     ObservationSet,
     PilotPattern,
     SystemConfig,
+    _check_count,
     synthesize_observation,
 )
 from .sparse_recovery import (
@@ -54,6 +55,7 @@ from .sparse_recovery import (
     _a2_rows,
     _omp_rows,
     _seeded_rows,
+    _strongest,
     detect_support,
     ex_omp,
     sample_pdp,
@@ -92,8 +94,10 @@ class CapacityParams:
             raise ValueError(f"rho must be positive, got {self.rho}")
         if not 0.0 <= self.sigma_e_sq <= 1.0:
             raise ValueError("sigma_e_sq must lie in [0, 1]")
-        if self.n_symbols < 1 or not 0 <= self.n_pilots <= self.n_symbols:
-            raise ValueError("need 0 <= n_pilots <= n_symbols with n_symbols >= 1")
+        object.__setattr__(self, "n_symbols", _check_count("n_symbols", self.n_symbols, 1))
+        object.__setattr__(self, "n_pilots", _check_count("n_pilots", self.n_pilots, 0))
+        if self.n_pilots > self.n_symbols:
+            raise ValueError(f"n_pilots={self.n_pilots} exceeds n_symbols={self.n_symbols}")
 
 
 def capacity_lower_bound(params: CapacityParams, theta_norm_sq: np.ndarray) -> float:
@@ -153,15 +157,8 @@ class SweepConfig:
             raise ValueError("SNR points must be distinct")
         if not all(abs(s) <= 3000.0 for s in self.snr_db):  # 10 ** 308 overflows
             raise ValueError("SNR points must be finite and within ±3000 dB")
-        for name in ("n_trials", "n_prior_sets", "master_seed"):
-            value = getattr(self, name)
-            if not float(value).is_integer():
-                raise ValueError(f"{name} must be an integer, got {value}")
-            object.__setattr__(self, name, int(value))
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be positive")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be non-negative, got {self.master_seed}")
+        for name, minimum in (("n_trials", 1), ("n_prior_sets", 1), ("master_seed", 0)):
+            object.__setattr__(self, name, _check_count(name, getattr(self, name), minimum))
         if not self.estimators:
             raise ValueError("need at least one estimator")
         unknown = [e for e in self.estimators if e not in ESTIMATOR_NAMES]
@@ -171,8 +168,6 @@ class SweepConfig:
             )
         if len(set(self.estimators)) != len(self.estimators):
             raise ValueError("estimator names must be distinct")
-        if self.n_prior_sets < 1:
-            raise ValueError("n_prior_sets must be positive")
         if self.system.n_pilots >= self.system.d:
             raise ValueError("sweeps need at least one data subcarrier (n_pilots < d)")
         DetectionConfig(alpha=self.alpha, noise_var=0.0)
@@ -181,15 +176,20 @@ class SweepConfig:
             self.profile, system, cluster_rms_s=self.cluster_rms_s, normalize=True
         )
         uni_pattern = PilotPattern.uniform(system, system.d // system.n_pilots)
-        active = np.flatnonzero(pdp.variances > 0)
-        if active.size > system.n_pilots:
-            strongest = np.argsort(pdp.variances[active])[::-1][: system.n_pilots]
-            active = np.sort(active[strongest])
+        active = _strongest(np.flatnonzero(pdp.variances > 0), pdp.variances, system.n_pilots)
         object.__setattr__(self, "snr_db", tuple(float(s) for s in self.snr_db))
         object.__setattr__(self, "estimators", tuple(self.estimators))
         object.__setattr__(self, "pdp", pdp)
         object.__setattr__(self, "uni_pattern", uni_pattern)
         object.__setattr__(self, "rrls_support", active)
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write a header line and one line per row: floats ``.10g``, every other value ``str``."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.10g}" if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
 @dataclass(frozen=True)
@@ -218,17 +218,12 @@ class SweepResult:
         raise KeyError(f"no row for ({estimator!r}, {snr_db})")
 
     def to_csv(self, path) -> None:
-        """Write rows sorted by estimator name then SNR, one column per ``SweepRow`` field.
+        """Write rows sorted by estimator name then SNR through ``_write_csv``.
 
-        The header is the field names in order; floats are written ``.10g``,
-        every other value with ``str``.
+        The header is the ``SweepRow`` field names, one column per field.
         """
         ordered = sorted(self.rows, key=lambda r: (r.estimator, r.snr_db))
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(f.name for f in fields(SweepRow)) + "\n")
-            for r in ordered:
-                values = (f"{v:.10g}" if isinstance(v, float) else str(v) for v in astuple(r))
-                fh.write(",".join(values) + "\n")
+        _write_csv(path, [f.name for f in fields(SweepRow)], map(astuple, ordered))
 
     def summary(self) -> str:
         lines = [
@@ -504,13 +499,8 @@ def false_alarm_calibration(
             raise ValueError(f"{name} must be distinct")
     if n_bins < system.d:
         raise ValueError("n_bins must cover at least one trial")
-    if master_seed < 0:
-        raise ValueError(f"master_seed must be non-negative, got {master_seed}")
-    if min(n_sets_list) < 1:
-        raise ValueError(f"set counts must be positive, got {min(n_sets_list)}")
-    if not all(float(n).is_integer() for n in n_sets_list):
-        raise ValueError(f"set counts must be integers, got {n_sets_list}")
-    n_sets_list = tuple(map(int, n_sets_list))
+    master_seed = _check_count("master_seed", master_seed, 0)
+    n_sets_list = tuple(_check_count("set counts", n, 1) for n in n_sets_list)
     dets = [DetectionConfig(alpha=alpha, noise_var=1.0) for alpha in alphas]
     rows = []
     zeros = np.zeros(system.d, dtype=np.complex128)

@@ -43,6 +43,16 @@ def _check_noise_var(noise_var: float) -> None:
         raise ValueError(f"noise variance must be finite and nonnegative, got {noise_var}")
 
 
+def _check_count(name: str, value, minimum: int) -> int:
+    """``value`` as an int; ``ValueError`` if it is below ``minimum`` (NaN too) or a fraction."""
+    if not value >= minimum:  # also rejects NaN
+        bound = {0: "non-negative", 1: "positive"}.get(minimum, f"at least {minimum}")
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    if not isinstance(value, int) and not float(value).is_integer():  # float(10**400) overflows
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Dimensions of the OFDM grid.
@@ -58,12 +68,10 @@ class SystemConfig:
     subcarrier_spacing_hz: float = 15e3
 
     def __post_init__(self) -> None:
-        if self.d < 2:
-            raise ValueError(f"d must be at least 2, got {self.d}")
-        if not 1 <= self.n_pilots <= self.d:
-            raise ValueError(
-                f"n_pilots must lie in [1, d={self.d}], got {self.n_pilots}"
-            )
+        object.__setattr__(self, "d", _check_count("d", self.d, 2))
+        object.__setattr__(self, "n_pilots", _check_count("n_pilots", self.n_pilots, 1))
+        if self.n_pilots > self.d:
+            raise ValueError(f"n_pilots must lie in [1, d={self.d}], got {self.n_pilots}")
         if not self.subcarrier_spacing_hz > 0:  # also rejects NaN
             raise ValueError(
                 f"subcarrier spacing must be positive, got {self.subcarrier_spacing_hz}"
@@ -111,8 +119,7 @@ class PilotPattern:
     @classmethod
     def uniform(cls, config: SystemConfig, spacing: int) -> "PilotPattern":
         """Evenly spaced pilots 0, spacing, 2*spacing, ... (n_pilots of them)."""
-        if spacing < 1:
-            raise ValueError("spacing must be a positive integer")
+        spacing = _check_count("spacing", spacing, 1)
         last = (config.n_pilots - 1) * spacing
         if last >= config.d:
             raise ValueError(
@@ -124,7 +131,7 @@ class PilotPattern:
     @classmethod
     def pseudo_random(cls, config: SystemConfig, seed: int) -> "PilotPattern":
         """n_pilots distinct subcarriers drawn uniformly without replacement."""
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_check_count("seed", seed, 0))
         idx = rng.choice(config.d, size=config.n_pilots, replace=False)
         return cls(indices=idx, d=config.d, kind="pseudo_random")
 

@@ -55,6 +55,7 @@ from .signal_model import (
     RANK_TOL,
     Observation,
     ObservationSet,
+    _check_count,
     _check_noise_var,
     _spectrum,
     _stack,
@@ -94,9 +95,7 @@ def chi2_inv_cdf(prob: float, dof: int) -> float:
     """
     if not 0.0 < prob < 1.0:
         raise ValueError(f"prob must lie strictly inside (0, 1), got {prob}")
-    if not (dof >= 1 and float(dof).is_integer()):
-        raise ValueError(f"dof must be a positive integer, got {dof}")
-    return _chi2_quantile(float(prob), int(dof))
+    return _chi2_quantile(float(prob), _check_count("dof", dof, 1))
 
 
 _EPS = sys.float_info.epsilon
@@ -201,13 +200,11 @@ class SamplePdp:
             raise ValueError("values must be a non-empty 1-d vector")
         if not np.all(v >= 0):  # also rejects NaN
             raise ValueError("sample PDP values cannot be negative or NaN")
-        if self.n_sets < 1:
-            raise ValueError("n_sets must be positive")
         if not self.scale >= 0:  # also rejects NaN
             raise ValueError(f"scale must be nonnegative, got {self.scale}")
-        if self.n_pilots < 1:
-            raise ValueError("n_pilots must be positive")
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "n_sets", _check_count("n_sets", self.n_sets, 1))
+        object.__setattr__(self, "n_pilots", _check_count("n_pilots", self.n_pilots, 1))
 
 
 @dataclass(frozen=True)
@@ -247,9 +244,7 @@ class OmpConfig:
 
     def __post_init__(self) -> None:
         if self.max_iters is not None:
-            if not (self.max_iters >= 1 and float(self.max_iters).is_integer()):
-                raise ValueError(f"max_iters must be a positive integer, got {self.max_iters}")
-            object.__setattr__(self, "max_iters", int(self.max_iters))
+            object.__setattr__(self, "max_iters", _check_count("max_iters", self.max_iters, 1))
 
 
 @dataclass(frozen=True)
@@ -479,9 +474,15 @@ class _StackedSolver:
         z = np.matvec(linv, self.proj.take(self.base[rows] + self.sel[rows, None, :m]))
         return np.vecmat(z, linv).conj()
 
-    def estimates(self, row: int, coef: np.ndarray | None = None) -> list[SparseEstimate]:
-        """One estimate per set of the row; least squares unless coef is given."""
-        support = self.support(row)
+    def estimates(
+        self, row: int, coef: np.ndarray | None = None, support: np.ndarray | None = None
+    ) -> list[SparseEstimate]:
+        """One estimate per set of the row, least squares unless ``coef`` is given.
+
+        ``coef`` holds per-set taps on the row's support, or on ``support``
+        (bins in selection order) when that is given.
+        """
+        support = self.support(row) if support is None else support
         coef = self.coef(slice(row, row + 1))[0] if coef is None else coef
         theta = np.zeros((coef.shape[0], self.d), dtype=np.complex128)
         theta[:, support] = coef
@@ -497,6 +498,14 @@ class _StackedSolver:
             )
             for s in range(coef.shape[0])
         ]
+
+
+def _strongest(bins: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """The bins sorted and, if there are more than n, cut to the n of largest ``values[bin]``."""
+    bins = np.sort(bins)
+    if bins.size > n:
+        bins = np.sort(bins[np.argsort(values[bins])[::-1][:n]])
+    return bins
 
 
 def _packed(rows: np.ndarray):
@@ -614,9 +623,7 @@ def _seeded_rows(
                 f"detected support of {idx.size} bins exceeds {solver.n} observations; "
                 "keeping the strongest bins"
             )
-            strongest = np.argsort(pdp.values[idx])[::-1][: solver.n]
-            idx = np.sort(idx[strongest])
-        seeds.append(idx)
+        seeds.append(_strongest(idx, pdp.values, solver.n))
     for _, k in solver.add_bins(np.arange(len(seeds)), _padded(seeds)):
         _warn(f"seed bin {k} is linearly dependent on the support; skipped")
     if cfg is not None:
@@ -751,7 +758,8 @@ def ex_omp(
     so bins that carry less power than their least-squares noise are zeroed.
     Otherwise the coefficients are per-set least squares, and several
     noiseless sets finally drop the support bins whose coefficients are at
-    rounding level in every set and re-solve on the rest.
+    rounding level in every set and refit the rest by ``support_solve``, as
+    the Wiener step solves its kept bins.
     ``residual_sq_history`` records the least-squares residuals that drive
     the pursuit, in every case.
 
@@ -782,8 +790,6 @@ def ex_omp(
         # coefficients at rounding level in every set; re-solve without them.
         peak = np.abs(solver.coef(slice(0, 1))[0]).max(axis=0)
         kept = solver.support(0)[peak > 1e-9 * peak.max()]
-        history = solver.history
-        solver = _StackedSolver((sets.observations,))
-        solver.add_bins(np.arange(1), kept[None, :])
-        solver.history = history
+        coef = support_solve(solver.kernel[0], solver.proj[0], kept, 0.0)
+        return solver.estimates(0, coef, kept)
     return solver.estimates(0)

@@ -53,6 +53,7 @@ def test_capacity_params_validation():
         dict(ok, n_symbols=0),
         dict(ok, n_pilots=11),
         dict(ok, n_pilots=-1),
+        dict(ok, n_symbols=2.5),
     ):
         with pytest.raises(ValueError):
             CapacityParams(**bad)
@@ -398,6 +399,8 @@ def test_false_alarm_calibration_validation(monkeypatch):
         false_alarm_calibration(system, alphas=(0.1,), n_sets_list=(1,), n_bins=16)
     with pytest.raises(ValueError, match="master_seed must be non-negative, got -1"):
         false_alarm_calibration(system, alphas=(0.1,), n_sets_list=(1,), master_seed=-1)
+    with pytest.raises(ValueError, match="master_seed must be an integer, got 1.5"):
+        false_alarm_calibration(system, alphas=(0.1,), n_sets_list=(1,), master_seed=1.5)
     # a repeated alpha would share one count, so both of its rows read double rate
     with pytest.raises(ValueError, match="alphas must be distinct"):
         false_alarm_calibration(system, alphas=(0.05, 0.05), n_sets_list=(1,))
@@ -407,7 +410,7 @@ def test_false_alarm_calibration_validation(monkeypatch):
     # the combination that uses it.
     with pytest.raises(ValueError, match="set counts must be positive, got 0"):
         false_alarm_calibration(system, alphas=(0.1,), n_sets_list=(1, 0))
-    with pytest.raises(ValueError, match="set counts must be integers"):
+    with pytest.raises(ValueError, match="set counts must be an integer, got 2.5"):
         false_alarm_calibration(system, alphas=(0.1,), n_sets_list=(1, 2.5))
     with pytest.raises(ValueError, match="alpha must lie strictly inside"):
         false_alarm_calibration(system, alphas=(0.1, 1.5), n_sets_list=(1,))

@@ -26,6 +26,11 @@ def test_system_config_validation():
         SystemConfig(d=8, n_pilots=4, subcarrier_spacing_hz=0.0)
     with pytest.raises(ValueError, match="subcarrier spacing"):
         SystemConfig(d=8, n_pilots=4, subcarrier_spacing_hz=float("nan"))
+    # counts must be whole numbers, and are stored as int
+    with pytest.raises(ValueError, match="d must be an integer, got 24.5"):
+        SystemConfig(d=24.5, n_pilots=6)
+    n_pilots = SystemConfig(24, 6.0).n_pilots
+    assert n_pilots == 6 and type(n_pilots) is int
 
 
 def test_bin_width():
@@ -43,6 +48,9 @@ def test_uniform_pattern():
         PilotPattern.uniform(cfg, spacing=0)
     with pytest.raises(ValueError):
         PilotPattern.uniform(cfg, spacing=5)  # last pilot lands on 25 >= 24
+    # a fractional spacing would place pilots at truncated multiples of it
+    with pytest.raises(ValueError, match="spacing must be an integer, got 4.5"):
+        PilotPattern.uniform(cfg, 4.5)
 
 
 def test_pseudo_random_pattern_reproducible():
@@ -55,6 +63,10 @@ def test_pseudo_random_pattern_reproducible():
     assert a.n == 200
     assert a.indices[0] >= 0 and a.indices[-1] < 600
     assert np.all(np.diff(a.indices) > 0)  # sorted, distinct
+    # rejected by name rather than by numpy's seed check
+    with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
+        PilotPattern.pseudo_random(cfg, 1.5)
+    assert PilotPattern.pseudo_random(cfg, 2**1100).n == 200  # an int past float range
 
 
 def test_pattern_validation():

@@ -1,6 +1,7 @@
 """Detection and the greedy pursuit family, checked against small oracles."""
 
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -106,13 +107,15 @@ def test_config_validation():
         DetectionConfig(alpha=1e-3)
     with pytest.raises(ValueError):
         OmpConfig(max_iters=0)
-    with pytest.raises(ValueError, match="max_iters must be a positive integer, got 2.5"):
+    with pytest.raises(ValueError, match="max_iters must be an integer, got 2.5"):
         OmpConfig(max_iters=2.5)
     for values in (np.array([-1.0]), np.array([1.0, np.nan])):
         with pytest.raises(ValueError):
             SamplePdp(values=values, n_sets=1, scale=0.1, n_pilots=4)
     with pytest.raises(ValueError):
         SamplePdp(values=np.ones(4), n_sets=0, scale=0.1, n_pilots=4)
+    with pytest.raises(ValueError, match="n_sets must be an integer, got 1.5"):
+        SamplePdp(values=np.ones(4), n_sets=1.5, scale=0.1, n_pilots=4)
     for scale in (-0.1, float("nan")):
         with pytest.raises(ValueError, match="scale"):
             SamplePdp(values=np.ones(4), n_sets=1, scale=scale, n_pilots=4)
@@ -159,6 +162,12 @@ def test_detect_support_trivial_and_monotone():
     t_loose = detection_threshold(busy, DetectionConfig(alpha=0.05, noise_var=0.1))
     t_tight = detection_threshold(busy, DetectionConfig(alpha=0.001, noise_var=0.1))
     assert t_tight > t_loose > 0
+    # With one pilot the signal-free level of an all-zero PDP is zero, so the
+    # threshold falls back to the noise floor noise_var / N = 0.5; without it
+    # the threshold would be 0 and every nonzero bin would count as detected.
+    single = SamplePdp(values=np.zeros(8), n_sets=1, scale=0.0, n_pilots=1)
+    threshold = detection_threshold(single, DetectionConfig(alpha=1e-3, noise_var=0.5))
+    assert threshold == pytest.approx(-0.5 * math.log(1e-3), rel=1e-12)  # 3.4539
 
 
 def test_detect_support_strong_taps_always_found():
