@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .signal_model import SystemConfig
+from .signal_model import SystemConfig, _complex_gaussian
 
 __all__ = [
     "ImpulseProfile",
@@ -221,9 +221,7 @@ def realize_channel(
 ) -> np.ndarray:
     """Draw one channel: independent circular complex Gaussian taps, bin k
     having variance pdp.variances[k].  Zero-variance bins come out exactly zero."""
-    gen = np.random.default_rng(rng)
-    scale = np.sqrt(pdp.variances / 2.0)
-    return scale * (gen.standard_normal(pdp.d) + 1j * gen.standard_normal(pdp.d))
+    return _complex_gaussian(pdp.variances, np.random.default_rng(rng).standard_normal((2, pdp.d)))
 
 
 def eta95(values: np.ndarray) -> int:

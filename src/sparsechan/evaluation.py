@@ -39,13 +39,14 @@ from .baseline import (
     estimate_reduced_rank_ls,
     pilot_sample_covariance,
 )
-from .channel import ImpulseProfile, PowerDelayProfile, realize_channel, to_continuous_pdp
+from .channel import ImpulseProfile, PowerDelayProfile, to_continuous_pdp
 from .signal_model import (
+    Observation,
     ObservationSet,
     PilotPattern,
     SystemConfig,
     _check_count,
-    synthesize_observation,
+    _complex_gaussian,
 )
 from .sparse_recovery import (
     DetectionConfig,
@@ -247,42 +248,66 @@ class _Trial:
     """One trial's synthesized inputs, which every estimator entry reads.
 
     Synthesis happens unconditionally and in a fixed order, so the
-    realizations are independent of the estimator list.  The inputs several
-    estimators share are built on first use, at most once per trial; they
-    draw no random numbers, so they are the same whenever a block's entries
-    ask for them.  ``a1`` and ``a3`` use the prior sets only to detect: they
-    estimate the scored observation alone from ``full_pdp``, the sample PDP
-    of the full set.
+    realizations are independent of the estimator list.  With n prior sets,
+    the trial's generator draws, in this order:
+
+    - the channel theta0, the noise of ``uni_obs``, the seed of the
+      pseudo-random pattern, and the noise of ``rand_obs``;
+    - for each pseudo-random prior set: its channel, its pattern seed, its
+      noise;
+    - for each uniform prior set: its channel, its noise.
+
+    The normals go straight into two buffers and one batched FFT transforms
+    every channel, yet ``realize_channel``, ``PilotPattern.pseudo_random``
+    (on ``int(rng.integers(0, 2**63))``) and ``synthesize_observation``,
+    called on the same generator in that order, reproduce the trial bit for
+    bit.
+
+    The inputs several estimators share are built on first use, at most once
+    per trial; they draw no random numbers, so they are the same whenever a
+    block's entries ask for them.  ``a1`` and ``a3`` use the prior sets only
+    to detect: they estimate the scored observation alone from ``full_pdp``,
+    the sample PDP of the full set.
     """
 
     def __init__(self, config: SweepConfig, snr_idx: int, trial_idx: int) -> None:
-        system = config.system
+        system, n = config.system, config.n_prior_sets
         sigma2 = 10.0 ** (-config.snr_db[snr_idx] / 10.0)
         rng = np.random.default_rng([config.master_seed, snr_idx, trial_idx])
         self.config, self.system, self.sigma2 = config, system, sigma2
 
-        theta0 = realize_channel(config.pdp, rng)
-        self.true_freq = np.fft.fft(theta0)
-        self.norm = float(np.vdot(theta0, theta0).real)
-        self.uni_obs = synthesize_observation(system, config.uni_pattern, theta0, sigma2, rng)
-        rand_pattern = PilotPattern.pseudo_random(system, int(rng.integers(0, 2**63)))
-        self.rand_obs = synthesize_observation(system, rand_pattern, theta0, sigma2, rng)
-        self.priors_rand = []
-        for _ in range(config.n_prior_sets):
-            th = realize_channel(config.pdp, rng)
-            pat = PilotPattern.pseudo_random(system, int(rng.integers(0, 2**63)))
-            self.priors_rand.append(synthesize_observation(system, pat, th, sigma2, rng))
-        self.priors_uni = []
-        for _ in range(config.n_prior_sets):
-            th = realize_channel(config.pdp, rng)
-            self.priors_uni.append(
-                synthesize_observation(system, config.uni_pattern, th, sigma2, rng)
-            )
+        # Channel k is theta0 (k = 0), a pseudo-random prior's (1..n) or a
+        # uniform prior's (n+1..2n).  Noise k + 1 is that channel's observation
+        # on a pseudo-random (k <= n) or uniform pattern; noise 0 is uni_obs.
+        g_chan = np.empty((1 + 2 * n, 2, system.d))
+        g_noise = np.empty((2 + 2 * n, 2, system.n_pilots))
+        seeds = []
+        for k in range(2 * n + 1):
+            rng.standard_normal(out=g_chan[k])
+            if k == 0:
+                rng.standard_normal(out=g_noise[0])
+            if k <= n:
+                seeds.append(int(rng.integers(0, 2**63)))
+            rng.standard_normal(out=g_noise[k + 1])
+
+        thetas = _complex_gaussian(config.pdp.variances, g_chan)
+        spectra = np.fft.fft(thetas, axis=1)
+        noise = _complex_gaussian(sigma2, g_noise)
+        rand = [PilotPattern.pseudo_random(system, seed) for seed in seeds]
+        patterns = [config.uni_pattern, *rand, *[config.uni_pattern] * n]
+        obs = [
+            Observation(spectra[max(j - 1, 0), pat.indices] + noise[j], pat, sigma2)
+            for j, pat in enumerate(patterns)
+        ]
+        self.true_freq = spectra[0].copy()
+        self.norm = float(np.vdot(thetas[0], thetas[0]).real)
+        self.uni_obs, self.rand_obs = obs[:2]
+        self.priors_rand, self.priors_uni = obs[2 : n + 2], obs[n + 2 :]
 
         self.det = DetectionConfig(alpha=config.alpha, noise_var=sigma2)
         self.data = {
             "uniform": _data_indices(system.d, config.uni_pattern),
-            "pseudo_random": _data_indices(system.d, rand_pattern),
+            "pseudo_random": _data_indices(system.d, rand[0]),
         }
 
     @cached_property
@@ -489,7 +514,10 @@ def false_alarm_calibration(
     detects against each alpha, and counts threshold crossings until at least
     ``n_bins`` bins have been examined per (alpha, n_sets) combination.
     Returns one dict per combination with the empirical rate and the binomial
-    standard error.
+    standard error.  Each trial's generator draws, per set, a pattern seed
+    and then the set's noise, so ``PilotPattern.pseudo_random`` and
+    ``synthesize_observation`` of an all-zero channel, called in that order,
+    reproduce the trial's observations.
     """
     if not alphas or not n_sets_list:
         raise ValueError("need at least one alpha and one set count")
@@ -497,22 +525,29 @@ def false_alarm_calibration(
     for name, values in (("alphas", alphas), ("set counts", n_sets_list)):
         if len(set(values)) != len(values):
             raise ValueError(f"{name} must be distinct")
-    if n_bins < system.d:
-        raise ValueError("n_bins must cover at least one trial")
+    if not system.d <= n_bins < math.inf:  # also rejects NaN
+        raise ValueError(
+            f"n_bins must cover at least one trial ({system.d} bins) and be finite, got {n_bins}"
+        )
     master_seed = _check_count("master_seed", master_seed, 0)
     n_sets_list = tuple(_check_count("set counts", n, 1) for n in n_sets_list)
     dets = [DetectionConfig(alpha=alpha, noise_var=1.0) for alpha in alphas]
     rows = []
-    zeros = np.zeros(system.d, dtype=np.complex128)
     trials = math.ceil(n_bins / system.d)
     for set_idx, n_sets in enumerate(n_sets_list):
         counts = [0] * len(alphas)
+        g_noise = np.empty((n_sets, 2, system.n_pilots))
         for t in range(trials):
             rng = np.random.default_rng([master_seed, set_idx, t])
-            obs = []
-            for _ in range(n_sets):
-                pat = PilotPattern.pseudo_random(system, int(rng.integers(0, 2**63)))
-                obs.append(synthesize_observation(system, pat, zeros, 1.0, rng))
+            seeds = []
+            for g in g_noise:
+                seeds.append(int(rng.integers(0, 2**63)))
+                rng.standard_normal(out=g)
+            noise = _complex_gaussian(1.0, g_noise)
+            obs = [
+                Observation(y, PilotPattern.pseudo_random(system, seed), 1.0)
+                for y, seed in zip(noise, seeds)
+            ]
             spdp = sample_pdp(ObservationSet(tuple(obs)))
             counts = [c + detect_support(spdp, det).size for c, det in zip(counts, dets)]
         total = trials * system.d

@@ -188,6 +188,17 @@ class ObservationSet:
         return self.observations[0].pattern.n
 
 
+def _complex_gaussian(variance, g: np.ndarray) -> np.ndarray:
+    """Circular complex Gaussian values sqrt(variance / 2) * (g_re + 1j g_im) from normals.
+
+    ``g`` holds standard normals of shape (..., 2, m), real parts first;
+    ``variance`` broadcasts against the (..., m) result.  Every channel and
+    noise draw goes through this one formula, so a batch of rows drawn at
+    once equals the same rows drawn one call at a time, bit for bit.
+    """
+    return np.sqrt(variance / 2.0) * (g[..., 0, :] + 1j * g[..., 1, :])
+
+
 def _check_pattern(config: SystemConfig, pattern: PilotPattern) -> None:
     if pattern.d != config.d:
         raise ValueError(f"pattern built for d={pattern.d}, config has d={config.d}")
@@ -318,9 +329,5 @@ def synthesize_observation(
     """
     _check_noise_var(noise_var)
     clean = partial_fourier_apply(config, pattern, theta)
-    gen = np.random.default_rng(rng)
-    scale = np.sqrt(noise_var / 2.0)
-    noise = scale * (
-        gen.standard_normal(pattern.n) + 1j * gen.standard_normal(pattern.n)
-    )
-    return Observation(y=clean + noise, pattern=pattern, noise_var=float(noise_var))
+    g = np.random.default_rng(rng).standard_normal((2, pattern.n))
+    return Observation(clean + _complex_gaussian(noise_var, g), pattern, float(noise_var))

@@ -3,12 +3,13 @@
 import concurrent.futures
 import dataclasses
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
 from sparsechan import evaluation
-from sparsechan.channel import ImpulseProfile, etu_profile
+from sparsechan.channel import ImpulseProfile, etu_profile, realize_channel
 from sparsechan.evaluation import (
     ESTIMATOR_NAMES,
     NMSE_DB_FLOOR,
@@ -19,8 +20,21 @@ from sparsechan.evaluation import (
     false_alarm_calibration,
     run_sweep,
 )
-from sparsechan.signal_model import SystemConfig
-from sparsechan.sparse_recovery import algorithm_a1, algorithm_a2, algorithm_a3, omp
+from sparsechan.signal_model import (
+    ObservationSet,
+    PilotPattern,
+    SystemConfig,
+    synthesize_observation,
+)
+from sparsechan.sparse_recovery import (
+    DetectionConfig,
+    algorithm_a1,
+    algorithm_a2,
+    algorithm_a3,
+    detect_support,
+    omp,
+    sample_pdp,
+)
 
 ETU = etu_profile()
 
@@ -211,6 +225,48 @@ def test_run_sweep_results_independent_of_block_size_and_workers(monkeypatch):
                 assert blocked.trial_errors[(name, snr)][ti] == np.mean(np.abs(err) ** 2)
 
 
+def _sequential_trial(cfg, snr_idx, trial_idx):
+    """A trial's spectrum, energy and observations from one public call per draw.
+
+    The calls follow the order the ``_Trial`` docstring documents.
+    """
+    system, n = cfg.system, cfg.n_prior_sets
+    sigma2 = 10.0 ** (-cfg.snr_db[snr_idx] / 10.0)
+    rng = np.random.default_rng([cfg.master_seed, snr_idx, trial_idx])
+
+    def pseudo_random():
+        return PilotPattern.pseudo_random(system, int(rng.integers(0, 2**63)))
+
+    theta0 = realize_channel(cfg.pdp, rng)
+    observations = [synthesize_observation(system, cfg.uni_pattern, theta0, sigma2, rng)]
+    pattern = pseudo_random()
+    observations.append(synthesize_observation(system, pattern, theta0, sigma2, rng))
+    for _ in range(n):
+        theta = realize_channel(cfg.pdp, rng)
+        pattern = pseudo_random()
+        observations.append(synthesize_observation(system, pattern, theta, sigma2, rng))
+    for _ in range(n):
+        theta = realize_channel(cfg.pdp, rng)
+        observations.append(synthesize_observation(system, cfg.uni_pattern, theta, sigma2, rng))
+    return np.fft.fft(theta0), float(np.vdot(theta0, theta0).real), observations
+
+
+@pytest.mark.parametrize("n_prior_sets", [1, 3])
+def test_trial_synthesis_follows_the_documented_draw_order(n_prior_sets):
+    cfg = _smoke_config(snr_db=(0.0, 10.0, 20.0), n_prior_sets=n_prior_sets)
+    for snr_idx, trial_idx in product((0, 2), (0, 3)):
+        trial = evaluation._Trial(cfg, snr_idx, trial_idx)
+        true_freq, norm, observations = _sequential_trial(cfg, snr_idx, trial_idx)
+        np.testing.assert_array_equal(trial.true_freq, true_freq)
+        assert trial.norm == norm
+        got = [trial.uni_obs, trial.rand_obs, *trial.priors_rand, *trial.priors_uni]
+        assert len(got) == len(observations) == 2 + 2 * n_prior_sets
+        for mine, want in zip(got, observations):
+            np.testing.assert_array_equal(mine.y, want.y)
+            np.testing.assert_array_equal(mine.pattern.indices, want.pattern.indices)
+            assert mine.noise_var == want.noise_var
+
+
 class _RecordingPool:
     """Stands in for the process pool: records its size, maps in this process."""
 
@@ -385,18 +441,44 @@ def test_false_alarm_calibration_runs_and_counts():
     assert again == rows
 
 
+def test_false_alarm_calibration_follows_the_documented_draw_order():
+    # Per trial and set: a pattern seed, then the set's noise on an all-zero
+    # channel, as the public calls below draw them.
+    system = SystemConfig(d=32, n_pilots=8)
+    alphas, set_counts, n_bins, seed = (0.05, 0.2), (1, 5), 3200, 4
+    rows = false_alarm_calibration(system, alphas, set_counts, n_bins=n_bins, master_seed=seed)
+    zeros = np.zeros(system.d, dtype=np.complex128)
+    dets = [DetectionConfig(alpha=alpha, noise_var=1.0) for alpha in alphas]
+    want = []
+    for set_idx, n_sets in enumerate(set_counts):
+        counts = [0] * len(alphas)
+        for t in range(n_bins // system.d):
+            rng = np.random.default_rng([seed, set_idx, t])
+            obs = []
+            for _ in range(n_sets):
+                pattern = PilotPattern.pseudo_random(system, int(rng.integers(0, 2**63)))
+                obs.append(synthesize_observation(system, pattern, zeros, 1.0, rng))
+            spdp = sample_pdp(ObservationSet(tuple(obs)))
+            counts = [c + detect_support(spdp, det).size for c, det in zip(counts, dets)]
+        want += [(alpha, n_sets, count) for alpha, count in zip(alphas, counts)]
+    assert [(r["alpha"], r["n_sets"], r["false_alarms"]) for r in rows] == want
+
+
 def test_false_alarm_calibration_validation(monkeypatch):
     def no_draws(*args, **kwargs):
-        raise AssertionError("synthesized before the values were checked")
+        raise AssertionError("drew before the values were checked")
 
-    monkeypatch.setattr(evaluation, "synthesize_observation", no_draws)
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
     system = SystemConfig(d=32, n_pilots=8)
     with pytest.raises(ValueError):
         false_alarm_calibration(system, alphas=(), n_sets_list=(1,))
     with pytest.raises(ValueError):
         false_alarm_calibration(system, alphas=(0.1,), n_sets_list=())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n_bins must cover at least one trial"):
         false_alarm_calibration(system, alphas=(0.1,), n_sets_list=(1,), n_bins=16)
+    for n_bins in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"n_bins must .* be finite, got {n_bins}"):
+            false_alarm_calibration(system, alphas=(0.1,), n_sets_list=(1,), n_bins=n_bins)
     with pytest.raises(ValueError, match="master_seed must be non-negative, got -1"):
         false_alarm_calibration(system, alphas=(0.1,), n_sets_list=(1,), master_seed=-1)
     with pytest.raises(ValueError, match="master_seed must be an integer, got 1.5"):
@@ -414,3 +496,8 @@ def test_false_alarm_calibration_validation(monkeypatch):
         false_alarm_calibration(system, alphas=(0.1,), n_sets_list=(1, 2.5))
     with pytest.raises(ValueError, match="alpha must lie strictly inside"):
         false_alarm_calibration(system, alphas=(0.1, 1.5), n_sets_list=(1,))
+    # n_bins is a lower bound on the bins examined, so a fraction rounds up
+    # to whole trials.
+    monkeypatch.undo()
+    (row,) = false_alarm_calibration(system, alphas=(0.1,), n_sets_list=(1,), n_bins=640.5)
+    assert row["n_bins"] == 672

@@ -7,12 +7,15 @@ observation sets, and rows of sets with supports of their own, along leading
 axes.
 Each shortcut, and the sample PDP built from them, is checked here against
 the explicit matrix on random grids, pilot patterns, supports and
-observations.
+observations.  Trial synthesis draws a trial's normals into buffers and
+transforms all its channels in one batched FFT; the two numpy identities
+that keep it bitwise equal to one public call per channel and observation
+are checked last.
 """
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sparsechan.signal_model import (
@@ -236,3 +239,24 @@ def test_bin_dependent_in_one_set_is_skipped_before_any_change():
         np.testing.assert_array_equal(pair.history[r], alone.history[0])
     np.testing.assert_array_equal(pair.coef(slice(0, 1)), fresh.coef(slice(0, 1)))
     np.testing.assert_array_equal(pair.residual[0], fresh.residual[0])
+
+
+@SETTINGS
+@given(k=st.integers(1, 17), m=st.integers(1, 700), seed=st.integers(0, 2**32 - 1))
+def test_normals_drawn_into_a_buffer_equal_consecutive_draws(k, m, seed):
+    buffer = np.empty((k, 2, m))
+    np.random.default_rng(seed).standard_normal(out=buffer)
+    rng = np.random.default_rng(seed)
+    consecutive = [rng.standard_normal(m) for _ in range(2 * k)]
+    np.testing.assert_array_equal(buffer.reshape(2 * k, m), consecutive)
+
+
+@SETTINGS
+@given(k=st.integers(1, 17), d=st.integers(1, 700), seed=st.integers(0, 2**32 - 1))
+@example(k=17, d=600, seed=0)  # a sweep trial's channels at d=600
+def test_batched_fft_rows_equal_single_ffts(k, d, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((k, d)) + 1j * rng.standard_normal((k, d))
+    batched = np.fft.fft(x, axis=1)
+    for row, spectrum in zip(x, batched):
+        np.testing.assert_array_equal(spectrum, np.fft.fft(row))
