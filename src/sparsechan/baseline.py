@@ -22,6 +22,7 @@ from .channel import PowerDelayProfile
 from .signal_model import (
     Observation,
     SystemConfig,
+    _check_indices,
     _check_noise_var,
     _check_pattern,
     gram_kernel,
@@ -52,17 +53,12 @@ class FullGridEstimate:
 
 @dataclass(frozen=True)
 class SupportSet:
-    """Distinct delay-bin indices, kept sorted."""
+    """Whole, distinct, nonnegative delay-bin indices, kept sorted."""
 
     indices: np.ndarray
 
     def __post_init__(self) -> None:
-        idx = np.sort(np.asarray(self.indices, dtype=np.int64).ravel())
-        if idx.size and np.any(np.diff(idx) == 0):
-            raise ValueError("support indices must be distinct")
-        if idx.size and idx[0] < 0:
-            raise ValueError("support indices must be nonnegative")
-        object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "indices", _check_indices("support indices", self.indices, np.inf))
 
     @property
     def size(self) -> int:
@@ -190,6 +186,18 @@ def estimate_li_mmse(
     return estimate_linear_interp(smoothed, config)
 
 
+def _support_estimate(
+    obs: Observation, config: SystemConfig, bins: np.ndarray, ridge
+) -> FullGridEstimate:
+    """Taps ``support_solve`` finds on ``bins`` with ``ridge``, exact zeros elsewhere."""
+    theta_hat = np.zeros(config.d, dtype=np.complex128)
+    if bins.size:
+        kernel = gram_kernel(config.d, obs.pattern.indices)
+        proj = matched_filter(config, obs.pattern, obs.y)
+        theta_hat[bins] = support_solve(kernel, proj, bins, ridge)
+    return FullGridEstimate(channel_freq=np.fft.fft(theta_hat), theta_hat=theta_hat)
+
+
 def estimate_mmse_oracle(
     obs: Observation,
     pdp: PowerDelayProfile,
@@ -210,13 +218,7 @@ def estimate_mmse_oracle(
         raise ValueError(f"profile has {pdp.d} bins, config has d={config.d}")
     _check_noise_var(noise_var)
     active = np.flatnonzero(pdp.variances > 0)
-    theta_hat = np.zeros(config.d, dtype=np.complex128)
-    if active.size:
-        kernel = gram_kernel(config.d, obs.pattern.indices)
-        proj = matched_filter(config, obs.pattern, obs.y)
-        ridge = noise_var / pdp.variances[active]
-        theta_hat[active] = support_solve(kernel, proj, active, ridge)
-    return FullGridEstimate(channel_freq=np.fft.fft(theta_hat), theta_hat=theta_hat)
+    return _support_estimate(obs, config, active, noise_var / pdp.variances[active])
 
 
 def estimate_reduced_rank_ls(
@@ -232,15 +234,9 @@ def estimate_reduced_rank_ls(
     pattern are.  An empty support returns the all-zero estimate.
     """
     _check_pattern(config, obs.pattern)
-    if support.size and support.indices[-1] >= config.d:
-        raise ValueError("support indices must lie in [0, d)")
+    _check_indices("support indices", support.indices, config.d)
     if support.size > obs.pattern.n:
         raise ValueError(
             f"support of size {support.size} exceeds {obs.pattern.n} observations"
         )
-    theta_hat = np.zeros(config.d, dtype=np.complex128)
-    if support.size:
-        kernel = gram_kernel(config.d, obs.pattern.indices)
-        proj = matched_filter(config, obs.pattern, obs.y)
-        theta_hat[support.indices] = support_solve(kernel, proj, support.indices, 0.0)
-    return FullGridEstimate(channel_freq=np.fft.fft(theta_hat), theta_hat=theta_hat)
+    return _support_estimate(obs, config, support.indices, 0.0)

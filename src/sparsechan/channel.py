@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .signal_model import SystemConfig, _complex_gaussian
+from .signal_model import SystemConfig, _check_powers, _complex_gaussian
 
 __all__ = [
     "ImpulseProfile",
@@ -90,11 +90,7 @@ class PowerDelayProfile:
     bin_width_s: float
 
     def __post_init__(self) -> None:
-        var = np.asarray(self.variances, dtype=np.float64)
-        if var.ndim != 1 or var.size == 0:
-            raise ValueError("variances must be a non-empty 1-d vector")
-        if not np.all(np.isfinite(var) & (var >= 0)):
-            raise ValueError("variances must be finite and nonnegative")
+        var = _check_powers("variances", self.variances)
         if not 0 < self.bin_width_s < math.inf:  # also rejects NaN
             raise ValueError(f"bin width must be finite and positive, got {self.bin_width_s}")
         object.__setattr__(self, "variances", var)
@@ -226,11 +222,7 @@ def realize_channel(
 
 def eta95(values: np.ndarray) -> int:
     """Smallest number of bins (taken largest first) holding 95 % of the energy."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("values must be a non-empty 1-d vector")
-    if not np.all(np.isfinite(v) & (v >= 0)):
-        raise ValueError("values must be finite and nonnegative")
+    v = _check_powers("values", values)
     total = v.sum()
     if total <= 0:
         raise ValueError("eta95 is undefined for an all-zero vector")
@@ -245,13 +237,11 @@ def eta95(values: np.ndarray) -> int:
 def delay_spread(delays_s: np.ndarray, powers: np.ndarray) -> float:
     """RMS width of a discrete power distribution over delay."""
     d = np.asarray(delays_s, dtype=np.float64)
-    p = np.asarray(powers, dtype=np.float64)
+    p = _check_powers("powers", powers)
     if d.shape != p.shape:
         raise ValueError("delays and powers must have matching shapes")
     if not np.all(np.isfinite(d)):
         raise ValueError("delays must be finite")
-    if not np.all(np.isfinite(p) & (p >= 0)):
-        raise ValueError("powers must be finite and nonnegative")
     total = p.sum()
     if total <= 0:
         raise ValueError("delay spread is undefined for zero total power")

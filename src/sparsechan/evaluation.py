@@ -46,6 +46,7 @@ from .signal_model import (
     PilotPattern,
     SystemConfig,
     _check_count,
+    _check_powers,
     _complex_gaussian,
 )
 from .sparse_recovery import (
@@ -109,11 +110,7 @@ def capacity_lower_bound(params: CapacityParams, theta_norm_sq: np.ndarray) -> f
     the log term is averaged over the supplied per-realization channel
     energies and scaled by the fraction of symbols left for data.
     """
-    norms = np.asarray(theta_norm_sq, dtype=np.float64)
-    if norms.ndim != 1 or norms.size == 0:
-        raise ValueError("need at least one channel energy sample")
-    if not np.all(norms >= 0):  # also rejects NaN
-        raise ValueError("channel energies cannot be negative or NaN")
+    norms = _check_powers("channel energies", theta_norm_sq)
     effective = (
         params.rho * (1.0 - params.sigma_e_sq) / (1.0 + params.rho * params.sigma_e_sq)
     )
@@ -470,8 +467,7 @@ def run_sweep(
     trials) energy array, from which ``_row`` builds each row; ``keep_trials``
     keeps views of them as ``trial_errors[(name, snr)]`` and ``trial_norms[snr]``.
     """
-    if n_workers < 1:
-        raise ValueError(f"n_workers must be at least 1, got {n_workers}")
+    n_workers = _check_count("n_workers", n_workers, 1)
     blocks = [
         (si, first)
         for si in range(len(config.snr_db))

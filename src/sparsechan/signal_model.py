@@ -43,6 +43,31 @@ def _check_noise_var(noise_var: float) -> None:
         raise ValueError(f"noise variance must be finite and nonnegative, got {noise_var}")
 
 
+def _check_powers(name: str, values) -> np.ndarray:
+    """``values`` as a float vector; ``ValueError`` unless non-empty, 1-d, finite and >= 0."""
+    v = np.asarray(values, dtype=np.float64)
+    if v.ndim != 1 or not v.size or not 0.0 <= v.min() <= v.max() < np.inf:  # NaN too
+        raise ValueError(f"{name} must be finite and nonnegative, in a non-empty 1-d vector")
+    return v
+
+
+def _check_indices(name: str, indices, d) -> np.ndarray:
+    """``indices`` sorted as int64; ``ValueError`` unless 1-d, whole, distinct and in [0, d)."""
+    idx = np.asarray(indices)
+    if idx.ndim != 1:
+        raise ValueError(f"{name} must be a 1-d vector, got shape {idx.shape}")
+    if idx.dtype.kind not in "iu":  # integer arrays, as every pattern constructor gives, are whole
+        idx = idx.astype(np.float64)
+        if not np.all(idx == np.trunc(idx)):  # NaN fails here, an infinity the range test
+            raise ValueError(f"{name} must be whole numbers")
+    idx = np.sort(idx)
+    if idx.size and not (0 <= idx[0] and idx[-1] < d):
+        raise ValueError(f"{name} must lie in [0, {d})")
+    if np.any(idx[1:] == idx[:-1]):
+        raise ValueError(f"{name} must be distinct")
+    return idx.astype(np.int64, copy=False)
+
+
 def _check_count(name: str, value, minimum: int) -> int:
     """``value`` as an int; ``ValueError`` if it is below ``minimum`` (NaN too) or a fraction."""
     if not value >= minimum:  # also rejects NaN
@@ -92,10 +117,10 @@ class SystemConfig:
 class PilotPattern:
     """A set of observed subcarrier indices on a grid of size d.
 
-    Patterns are value objects: indices are stored sorted and must be distinct
-    and in range.  Use the ``uniform`` and ``pseudo_random`` constructors; the
-    latter draws without replacement from a seeded PCG64 generator so a given
-    (d, n, seed) triple always yields the same pattern.
+    Patterns are value objects: indices are stored sorted and must be whole,
+    distinct and in range.  Use the ``uniform`` and ``pseudo_random``
+    constructors; the latter draws without replacement from a seeded PCG64
+    generator so a given (d, n, seed) triple always yields the same pattern.
     """
 
     indices: np.ndarray
@@ -103,13 +128,9 @@ class PilotPattern:
     kind: str = "custom"
 
     def __post_init__(self) -> None:
-        idx = np.sort(np.asarray(self.indices, dtype=np.int64))
-        if idx.ndim != 1 or idx.size == 0:
+        idx = _check_indices("pilot indices", self.indices, self.d)
+        if not idx.size:
             raise ValueError("pattern needs a non-empty 1-d index vector")
-        if idx[0] < 0 or idx[-1] >= self.d:
-            raise ValueError(f"pilot indices must lie in [0, {self.d})")
-        if np.any(np.diff(idx) == 0):
-            raise ValueError("pilot indices must be distinct")
         object.__setattr__(self, "indices", idx)
 
     @property

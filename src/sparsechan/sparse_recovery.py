@@ -31,13 +31,13 @@ that picks each round's bins.
 
 Detection treats each sample-PDP bin as an averaged squared magnitude of
 circular Gaussian noise: bin values are compared against a scaled chi-square
-quantile with two degrees of freedom per averaged set.  One function,
-``detection_threshold``, sets that threshold for every consumer: ``a1``,
-``a2``, ``a3``, each ``ex_omp`` round and the false-alarm calibration.  The
-quantile, ``chi2_inv_cdf``, inverts the regularized incomplete gamma function
-with the ``math`` module alone (series and continued fraction, then Halley
-steps on the tail that holds the answer) and memoizes each ``(prob, dof)``
-pair, so the package needs no scipy.
+quantile with two degrees of freedom per averaged set.  Only
+``detect_support`` compares a sample PDP with ``detection_threshold``, for
+``a1``, ``a2``, ``a3``, each ``ex_omp`` round and the false-alarm calibration.
+The quantile, ``chi2_inv_cdf``, inverts the regularized incomplete gamma
+function with the ``math`` module alone (series and continued fraction, then
+Halley steps on the tail that holds the answer) and memoizes each
+``(prob, dof)`` pair, so the package needs no scipy.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from .signal_model import (
     ObservationSet,
     _check_count,
     _check_noise_var,
+    _check_powers,
     _spectrum,
     _stack,
     gram_kernel,
@@ -195,11 +196,7 @@ class SamplePdp:
     n_pilots: int
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("values must be a non-empty 1-d vector")
-        if not np.all(v >= 0):  # also rejects NaN
-            raise ValueError("sample PDP values cannot be negative or NaN")
+        v = _check_powers("sample PDP values", self.values)
         if not self.scale >= 0:  # also rejects NaN
             raise ValueError(f"scale must be nonnegative, got {self.scale}")
         object.__setattr__(self, "values", v)
@@ -308,7 +305,7 @@ def detection_threshold(pdp: SamplePdp, det: DetectionConfig) -> float:
     pdp.scale and det.noise_var.  On an all-zero PDP that is noise_var / N
     scaled by (N - 1) / (d - 1), so 7/31 of noise_var / N at d = 32, N = 8;
     noise_var / N itself is used only where the level is zero, which for
-    noise_var > 0 means N = 1.
+    noise_var > 0 means N = 1.  With noise_var = 0 the threshold is 0 where N = d.
     """
     mu = _null_level(pdp.scale, pdp.n_pilots, pdp.values.size, det.noise_var)
     if mu <= 0.0:
@@ -318,7 +315,8 @@ def detection_threshold(pdp: SamplePdp, det: DetectionConfig) -> float:
 
 
 def detect_support(pdp: SamplePdp, det: DetectionConfig) -> np.ndarray:
-    """Sorted indices of the sample-PDP bins above the chi-square threshold."""
+    """Sorted indices of the sample-PDP bins above ``detection_threshold``, which
+    only this function reads; a zero threshold keeps every bin above zero."""
     return np.flatnonzero(pdp.values > detection_threshold(pdp, det))
 
 
@@ -651,18 +649,15 @@ def algorithm_a1(
 
 def _a2_rows(observations, prior_pdps, dets, cfg: OmpConfig = OmpConfig()) -> list[SparseEstimate]:
     """``algorithm_a2`` on each (observation, prior, det), all pursued together."""
-    lam_prior = []
-    for obs, prior_pdp, det in zip(observations, prior_pdps, dets):
+    lam_prior = np.empty((len(observations), observations[0].pattern.d))
+    for lam, obs, prior_pdp, det in zip(lam_prior, observations, prior_pdps, dets):
         if prior_pdp.values.size != obs.pattern.d:
             raise ValueError(
                 f"prior has {prior_pdp.values.size} bins, observation grid has {obs.pattern.d}"
             )
-        threshold = detection_threshold(prior_pdp, det)
-        noise_level = _null_level(
-            prior_pdp.scale, prior_pdp.n_pilots, prior_pdp.values.size, det.noise_var
-        )
-        lam_prior.append(np.where(prior_pdp.values > threshold, prior_pdp.values, noise_level))
-    lam_prior = np.array(lam_prior)
+        lam[:] = _null_level(prior_pdp.scale, prior_pdp.n_pilots, obs.pattern.d, det.noise_var)
+        detected = detect_support(prior_pdp, det)
+        lam[detected] = prior_pdp.values[detected]
     solver = _StackedSolver([(obs,) for obs in observations])
     n, d = solver.n, solver.d
 
@@ -745,21 +740,22 @@ def ex_omp(
     """Lockstep pursuit over several observations with one shared support.
 
     Each round averages the squared residual matched-filter spectra of all
-    observations into a combined sample PDP and admits every bin above its
-    ``detection_threshold`` (strongest first), splitting the null level with
-    ``det.noise_var`` as ``detect_support`` does, so round 0 admits what
-    ``detect_support`` finds in the observations.  A round that admits
-    nothing takes the bin with the largest combined value, except after
-    round 0 with several sets, all of them noisy, where it ends the pursuit.
-    The other stop rules are those of every pursuit (see ``_pursue``).
+    observations into a combined sample PDP and admits, strongest first and
+    up to a support of n_pilots bins, the ones ``detect_support`` finds in it
+    that are not yet taken; so round 0 admits what it finds in the
+    observations.  A round that admits nothing takes the bin with the
+    largest combined value, except after round 0 with several sets, all of
+    them noisy, where it ends the pursuit.  The other stop rules are those of
+    every pursuit (see ``_pursue``).
 
     With several noisy sets each set then gets Wiener/MMSE coefficients with
     bin variances estimated across the sets (see ``_wiener_coefficients``),
     so bins that carry less power than their least-squares noise are zeroed.
-    Otherwise the coefficients are per-set least squares, and several
-    noiseless sets finally drop the support bins whose coefficients are at
-    rounding level in every set and refit the rest by ``support_solve``, as
-    the Wiener step solves its kept bins.
+    Otherwise the coefficients are per-set least squares, and a noiseless
+    call finally drops the support bins whose coefficients are at rounding
+    level in every set (with n_pilots = d, every bin above zero is admitted)
+    and refits the rest by ``support_solve``, as the Wiener step solves its
+    kept bins.
     ``residual_sq_history`` records the least-squares residuals that drive
     the pursuit, in every case.
 
@@ -771,12 +767,11 @@ def ex_omp(
 
     def admissions(solver: _StackedSolver, rows) -> np.ndarray:
         pdp = _pdp(solver.spectra(rows)[0], solver.residual_sq[0], solver.n)
-        # A zero null level (noiseless, with n_pilots == d) admits nothing by threshold.
-        threshold = detection_threshold(pdp, det) or math.inf
-        combined = np.where(solver.taken[0], -1.0, pdp.values)
-        above = np.flatnonzero(combined > threshold)
+        above = detect_support(pdp, det)
+        above = above[~solver.taken[0, above]]
         if above.size:
-            return above[np.argsort(combined[above])[::-1]][None, :]
+            return above[np.argsort(pdp.values[above])[::-1]][None, :]
+        combined = np.where(solver.taken[0], -1.0, pdp.values)
         best = int(np.argmax(combined))
         if (shrink and solver.m[0]) or combined[best] <= 0:
             return np.empty((1, 0), dtype=np.int64)
@@ -785,7 +780,7 @@ def ex_omp(
     _pursue(solver, cfg, admissions)
     if shrink and solver.m[0]:
         return solver.estimates(0, _wiener_coefficients(solver, noise_vars))
-    if sets.n_sets > 1 and noise_vars.max() == 0.0 and solver.m[0]:
+    if noise_vars.max() == 0.0 and solver.m[0]:
         # Leakage bins admitted in the same round as the true taps end with
         # coefficients at rounding level in every set; re-solve without them.
         peak = np.abs(solver.coef(slice(0, 1))[0]).max(axis=0)

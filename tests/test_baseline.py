@@ -45,6 +45,12 @@ def test_support_set_validation():
     with pytest.raises(ValueError):
         SupportSet(np.array([-1]))
     assert SupportSet(np.array([], dtype=np.int64)).size == 0
+    # a fraction must not be truncated, nor a matrix flattened
+    with pytest.raises(ValueError, match="support indices must be whole numbers"):
+        SupportSet([2.5])
+    with pytest.raises(ValueError, match="support indices must be a 1-d vector"):
+        SupportSet(np.array([[1, 2], [3, 4]]))
+    assert SupportSet([4.0, 2.0]).indices.tolist() == [2, 4]
 
 
 def test_dft_exact_within_unambiguous_range():

@@ -72,7 +72,7 @@ def test_capacity_params_validation():
         with pytest.raises(ValueError):
             CapacityParams(**bad)
     params = CapacityParams(**ok)
-    for norms in (np.array([-1.0]), np.array([1.0, np.nan])):
+    for norms in (np.array([-1.0]), np.array([1.0, np.nan]), np.array([1.0, np.inf])):
         with pytest.raises(ValueError, match="energies"):
             capacity_lower_bound(params, norms)
 
@@ -295,9 +295,12 @@ def test_run_sweep_starts_one_worker_per_block_at_most(monkeypatch):
     monkeypatch.setattr(evaluation, "_BLOCK", 1)
     assert run_sweep(cfg, n_workers=4).rows == reference.rows
     assert _RecordingPool.sizes == [2, 2, 4]
-    for bad in (0, -3):
-        with pytest.raises(ValueError, match="n_workers must be at least 1"):
+    # NaN must not run on one process, nor 2.5 fail inside concurrent.futures
+    for bad in (0, -3, float("nan")):
+        with pytest.raises(ValueError, match=f"n_workers must be positive, got {bad}"):
             run_sweep(cfg, n_workers=bad)
+    with pytest.raises(ValueError, match="n_workers must be an integer, got 2.5"):
+        run_sweep(cfg, n_workers=2.5)
 
 
 def _check_rows_aggregate_trials(res, config):

@@ -81,6 +81,12 @@ def test_pattern_validation():
     # storage is sorted regardless of construction order
     pat = PilotPattern(indices=np.array([5, 1, 3]), d=8)
     assert np.array_equal(pat.indices, [1, 3, 5])
+    # fractional and NaN indices must not be cast to other pilots
+    for bad in ([0.5, 1.7, 3.2], [0.0, np.nan, 3.0]):
+        with pytest.raises(ValueError, match="pilot indices must be whole numbers"):
+            PilotPattern(indices=np.array(bad), d=8)
+    whole = PilotPattern(indices=np.array([6.0, 0.0, 3.0]), d=8).indices
+    assert whole.dtype == np.int64 and whole.tolist() == [0, 3, 6]
 
 
 def test_observation_validation():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sparsechan.channel import etu_profile, realize_channel, to_continuous_pdp
@@ -17,7 +17,9 @@ from sparsechan.signal_model import (
     ObservationSet,
     PilotPattern,
     SystemConfig,
+    gram_kernel,
     partial_fourier_matrix,
+    support_solve,
     synthesize_observation,
 )
 from sparsechan.sparse_recovery import (
@@ -112,6 +114,8 @@ def test_config_validation():
     for values in (np.array([-1.0]), np.array([1.0, np.nan])):
         with pytest.raises(ValueError):
             SamplePdp(values=values, n_sets=1, scale=0.1, n_pilots=4)
+    with pytest.raises(ValueError, match="sample PDP values must be finite and nonnegative"):
+        SamplePdp(values=np.array([1.0, np.inf]), n_sets=1, scale=0.1, n_pilots=4)
     with pytest.raises(ValueError):
         SamplePdp(values=np.ones(4), n_sets=0, scale=0.1, n_pilots=4)
     with pytest.raises(ValueError, match="n_sets must be an integer, got 1.5"):
@@ -635,6 +639,76 @@ def test_ex_omp_first_round_follows_the_detection_noise_var():
             assert est.selection_order == tuple(strongest_first.tolist())
         sizes.append(detected.size)
     assert sizes[0] > sizes[1] > sizes[2] > 0
+
+
+def _shared_support_sets(d, n, n_sets, noise_var, seed, n_taps):
+    rng = np.random.default_rng(seed)
+    cfg = SystemConfig(d=d, n_pilots=n)
+    support = rng.choice(d, size=n_taps, replace=False)
+    thetas = [_sparse_channel(rng, d, support) for _ in range(n_sets)]
+    obs = tuple(
+        synthesize_observation(
+            cfg, PilotPattern.pseudo_random(cfg, int(rng.integers(2**32))), th, noise_var, rng
+        )
+        for th in thetas
+    )
+    return ObservationSet(obs), np.array(thetas)
+
+
+@st.composite
+def _first_round_draws(draw):
+    d = draw(st.integers(2, 40))
+    return (
+        d,
+        draw(st.integers(1, d)),
+        draw(st.integers(1, 4)),
+        draw(st.sampled_from([0.0, 0.01, 0.3])),
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.integers(1, d)),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(_first_round_draws())
+@example((32, 32, 3, 0.0, 7, 12))  # N = d and no noise: a zero null level
+def test_ex_omp_first_round_is_detect_support(draw):
+    # Round 0 admits what detect_support finds in the observations'
+    # sample PDP, strongest first and cut to N, or the strongest bin when it
+    # finds nothing; the noiseless refit may then drop only tapless bins.
+    d, n, n_sets, noise_var, seed, n_taps = draw
+    sets, thetas = _shared_support_sets(d, n, n_sets, noise_var, seed, n_taps)
+    assume(max(np.vdot(o.y, o.y).real for o in sets.observations) > n * noise_var)
+    det = DetectionConfig(alpha=1e-3, noise_var=noise_var)
+    spdp = sample_pdp(sets)
+    detected = detect_support(spdp, det)
+    expected = detected[np.argsort(spdp.values[detected])[::-1]][:n]
+    if not detected.size:
+        expected = np.array([np.argmax(spdp.values)])
+    for o in sets.observations:  # the engine skips a dependent bin
+        try:
+            support_solve(gram_kernel(d, o.pattern.indices), np.zeros(d), expected, 0.0)
+        except np.linalg.LinAlgError:
+            assume(False)
+    ests = ex_omp(sets, det, OmpConfig(max_iters=1))
+    kept = set(ests[0].support.tolist())
+    dropped = [k for k in expected.tolist() if k not in kept]
+    assert ests[0].selection_order == tuple(k for k in expected.tolist() if k in kept)
+    assert not dropped or noise_var == 0.0
+    assert np.all(thetas[:, dropped] == 0)
+
+
+@pytest.mark.parametrize("n_sets", [1, 3])
+def test_ex_omp_noiseless_full_pattern_recovers_the_exact_support(n_sets):
+    # N = d with no noise leaves a zero null level: round 0 admits every bin
+    # above zero, rounding-level ones included, and the refit drops those.
+    # The 12 taps outnumber the ceil(32 / 4) = 8 rounds of one bin each.
+    sets, thetas = _shared_support_sets(32, 32, n_sets, 0.0, 7, 12)
+    ests = ex_omp(sets, DetectionConfig(alpha=1e-3, noise_var=0.0))
+    support = np.flatnonzero(thetas[0])
+    assert support.size == 12
+    for est, th in zip(ests, thetas):
+        assert est.support.tolist() == support.tolist()
+        np.testing.assert_allclose(est.theta, th, atol=1e-12)
 
 
 @pytest.mark.parametrize("estimator", [algorithm_a1, algorithm_a3])
