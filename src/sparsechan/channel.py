@@ -110,14 +110,6 @@ class PowerDelayProfile:
             raise ValueError("cannot normalize an all-zero profile")
         return PowerDelayProfile(self.variances / total, self.bin_width_s)
 
-    def to_csv(self, path) -> None:
-        """Write one row per bin with header ``bin_index,delay_ns,variance_linear``."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["bin_index", "delay_ns", "variance_linear"])
-            for k, v in enumerate(self.variances):
-                writer.writerow([k, f"{k * self.bin_width_s * 1e9:.6g}", f"{v:.12g}"])
-
 
 def etu_profile() -> ImpulseProfile:
     """The standard 9-tap extended typical urban profile."""

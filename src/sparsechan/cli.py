@@ -30,6 +30,7 @@ from typing import Any
 
 from .channel import (
     ImpulseProfile,
+    PowerDelayProfile,
     delay_spread,
     eta95,
     etu_profile,
@@ -224,9 +225,16 @@ def _run_pdp_command(cfg: dict[str, Any], args: argparse.Namespace) -> int:
     print(f"bin_width_ns: {system.bin_width_s * 1e9:.6g}")
     print(f"eta95_bins: {eta95(continuous.variances)}")
     if args.out:
-        continuous.to_csv(args.out)
+        _write_pdp_csv(args.out, continuous)
         print(f"wrote {args.out}")
     return 0
+
+
+def _write_pdp_csv(path, pdp: PowerDelayProfile) -> None:
+    """Write one row per bin with header ``bin_index,delay_ns,variance_linear``."""
+    width = pdp.bin_width_s
+    rows = [(k, f"{k * width * 1e9:.6g}", f"{v:.12g}") for k, v in enumerate(pdp.variances)]
+    _write_csv(path, ("bin_index", "delay_ns", "variance_linear"), rows)
 
 
 def _run_calib_command(cfg: dict[str, Any], args: argparse.Namespace) -> int:

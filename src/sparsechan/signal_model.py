@@ -61,8 +61,9 @@ def _check_indices(name: str, indices, d) -> np.ndarray:
         if not np.all(idx == np.trunc(idx)):  # NaN fails here, an infinity the range test
             raise ValueError(f"{name} must be whole numbers")
     idx = np.sort(idx)
-    if idx.size and not (0 <= idx[0] and idx[-1] < d):
-        raise ValueError(f"{name} must lie in [0, {d})")
+    bound = min(d, 2**63)  # an unbounded d (np.inf) still stops where int64 ends
+    if idx.size and not (0 <= idx[0] and idx[-1] < bound):
+        raise ValueError(f"{name} must lie in [0, {bound})")
     if np.any(idx[1:] == idx[:-1]):
         raise ValueError(f"{name} must be distinct")
     return idx.astype(np.int64, copy=False)

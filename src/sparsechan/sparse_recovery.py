@@ -35,7 +35,7 @@ quantile with two degrees of freedom per averaged set.  Only
 ``detect_support`` compares a sample PDP with ``detection_threshold``, for
 ``a1``, ``a2``, ``a3``, each ``ex_omp`` round and the false-alarm calibration.
 The quantile, ``chi2_inv_cdf``, inverts the regularized incomplete gamma
-function with the ``math`` module alone (series and continued fraction, then
+function with the ``math`` module alone (series and finite sum, then
 Halley steps on the tail that holds the answer) and memoizes each
 ``(prob, dof)`` pair, so the package needs no scipy.
 """
@@ -46,7 +46,7 @@ import math
 import sys
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 import numpy as np
@@ -100,16 +100,19 @@ def chi2_inv_cdf(prob: float, dof: int) -> float:
 
 
 _EPS = sys.float_info.epsilon
-_TINY = sys.float_info.min / _EPS
 _MAX_HALLEY_STEPS = 64
 
 
 def _regularized_gamma(a: float, x: float) -> tuple[float, float]:
-    """(P(a, x), Q(a, x)) for x > 0, each accurate to a few ulps.
+    """(P(a, x), Q(a, x)) for x > 0 and a chi-square shape a = dof / 2, each
+    accurate to a few ulps.
 
-    The smaller of the two is computed directly, by the power series of P
-    below x = a + 1 and by Lentz's continued fraction for Q above it
-    (Numerical Recipes, section 6.2); the other is its complement.
+    The smaller of the two is computed directly and the other is its
+    complement.  Below x = a + 1 that is P, by its power series (Numerical
+    Recipes, section 6.2).  Above it Q is a finite sum: the recurrence
+    Q(s, x) = Q(s - 1, x) + x^(s-1) e^-x / Gamma(s) (DLMF 8.8.7) steps the
+    shape down from a, whole or half-whole, to Q(1, x) = e^-x or
+    Q(1/2, x) = erfc(sqrt x) (DLMF 8.4.6), with terms shrinking all the way.
     """
     prefactor = math.exp(a * math.log(x) - x - math.lgamma(a))
     if x < a + 1.0:
@@ -121,25 +124,14 @@ def _regularized_gamma(a: float, x: float) -> tuple[float, float]:
             total += term
         p = prefactor * total
         return p, 1.0 - p
-    b = x + 1.0 - a
-    c = 1.0 / _TINY
-    d = 1.0 / b
-    h = d
-    i = 0
-    while True:
-        i += 1
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        d = 1.0 / (d if abs(d) >= _TINY else _TINY)
-        c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) <= _EPS:
-            break
-    q = prefactor * h
+    term = prefactor / x  # x^(s-1) e^-x / Gamma(s) at s = a
+    q = 0.0
+    shape = a
+    while shape > 1.0:
+        q += term
+        shape -= 1.0
+        term *= shape / x
+    q += term if shape == 1.0 else math.erfc(math.sqrt(x))
     return 1.0 - q, q
 
 
@@ -183,25 +175,28 @@ def _chi2_quantile(prob: float, dof: int) -> float:
 class SamplePdp:
     """Averaged squared matched-filter spectrum of one or more observations.
 
-    ``values[k]`` estimates the power in delay bin k; ``scale`` is the mean
-    bin level implied by the observations' total energy, which is what noise
-    and leakage average to, and is the natural unit for detection thresholds.
-    ``n_sets`` is the number of independent averages (it sets the chi-square
-    degrees of freedom, 2 per set).
+    ``values[k]`` estimates the power in delay bin k; ``scale``, their mean,
+    is what noise and leakage average to and is the natural unit for
+    detection thresholds.  By Parseval it equals the observations' mean
+    energy over n_pilots^2.  ``n_sets`` is the number of independent averages
+    (it sets the chi-square degrees of freedom, 2 per set) and ``n_pilots``
+    the pilots per observation, at most the number of bins.
     """
 
     values: np.ndarray
     n_sets: int
-    scale: float
     n_pilots: int
+    scale: float = field(init=False)
 
     def __post_init__(self) -> None:
         v = _check_powers("sample PDP values", self.values)
-        if not self.scale >= 0:  # also rejects NaN
-            raise ValueError(f"scale must be nonnegative, got {self.scale}")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "n_sets", _check_count("n_sets", self.n_sets, 1))
-        object.__setattr__(self, "n_pilots", _check_count("n_pilots", self.n_pilots, 1))
+        n = _check_count("n_pilots", self.n_pilots, 1)
+        if n > v.size:
+            raise ValueError(f"n_pilots = {n} exceeds the {v.size} bins of the sample PDP")
+        object.__setattr__(self, "n_pilots", n)
+        object.__setattr__(self, "scale", float(v.mean()))
 
 
 @dataclass(frozen=True)
@@ -258,11 +253,10 @@ class SparseEstimate:
         return np.fft.fft(self.theta)
 
 
-def _pdp(spectra: np.ndarray, energies: np.ndarray, n_pilots: int) -> SamplePdp:
-    """Sample PDP of stacked matched-filter spectra and their vectors' energies."""
-    nn = n_pilots * n_pilots
-    values = np.mean(np.abs(spectra) ** 2 / nn, axis=0)
-    return SamplePdp(values, spectra.shape[0], float(np.mean(energies)) / nn, n_pilots)
+def _pdp(spectra: np.ndarray, n_pilots: int) -> SamplePdp:
+    """Sample PDP of stacked matched-filter spectra."""
+    values = np.mean(np.abs(spectra) ** 2 / (n_pilots * n_pilots), axis=0)
+    return SamplePdp(values, spectra.shape[0], n_pilots)
 
 
 def sample_pdp(sets: ObservationSet) -> SamplePdp:
@@ -272,26 +266,27 @@ def sample_pdp(sets: ObservationSet) -> SamplePdp:
     power, giving 2 * n_sets chi-square degrees of freedom per noise bin.
     """
     _, index, y = _stack(sets.observations)
-    return _pdp(_spectrum(sets.d, index, y), np.vecdot(y, y).real, sets.n_pilots)
+    return _pdp(_spectrum(sets.d, index, y), sets.n_pilots)
 
 
 def _null_level(scale: float, n_pilots: int, d: int, noise_var: float) -> float:
     """Mean power of a signal-free spectrum bin, from the all-bin mean.
 
-    ``scale`` is the spectrum's mean bin power, ||y||^2 / N^2 per observation,
-    which equals (signal power + noise power) / N.  A signal-free bin sees
+    ``scale`` is the spectrum's mean bin power, a sample PDP's ``scale`` or
+    ||y||^2 / N^2 for one observation (the same by Parseval), which equals
+    (signal power + noise power) / N.  A signal-free bin sees
     only the noise floor noise_var / N plus leakage from the occupied bins,
     and leakage through a random pilot pattern drawn without replacement is
     attenuated by the finite-population factor (d - N)/(d - 1).  Splitting
     the mean with the known noise variance and shrinking only the signal part
     keeps the detection threshold calibrated on strongly clustered channels,
     where the raw mean can overshoot the signal-free level by half.  The
-    signed excess keeps the estimate unbiased on noise-only input; the result
-    is a convex combination of two nonnegative terms, so it stays >= 0.
+    signed excess keeps the estimate unbiased on noise-only input; every
+    caller has 1 <= N <= d, so the factor lies in [0, 1] and the result, a
+    convex combination of two nonnegative terms, stays >= 0.
     """
     noise_floor = noise_var / n_pilots
     factor = (d - n_pilots) / (d - 1) if d > 1 else 1.0
-    factor = min(max(factor, 0.0), 1.0)
     return (scale - noise_floor) * factor + noise_floor
 
 
@@ -302,7 +297,8 @@ def detection_threshold(pdp: SamplePdp, det: DetectionConfig) -> float:
     as mean_level / (2 n_sets) times a chi-square with 2 n_sets degrees of
     freedom; the threshold is that distribution's (1 - alpha) quantile.  The
     mean level is the signal-free bin estimate ``_null_level`` makes from
-    pdp.scale and det.noise_var.  On an all-zero PDP that is noise_var / N
+    pdp.scale, the mean of the PDP's values, and det.noise_var; the PDP holds
+    at least as many bins as pilots.  On an all-zero PDP that is noise_var / N
     scaled by (N - 1) / (d - 1), so 7/31 of noise_var / N at d = 32, N = 8;
     noise_var / N itself is used only where the level is zero, which for
     noise_var > 0 means N = 1.  With noise_var = 0 the threshold is 0 where N = d.
@@ -766,7 +762,7 @@ def ex_omp(
     shrink = sets.n_sets > 1 and noise_vars.min() > 0.0
 
     def admissions(solver: _StackedSolver, rows) -> np.ndarray:
-        pdp = _pdp(solver.spectra(rows)[0], solver.residual_sq[0], solver.n)
+        pdp = _pdp(solver.spectra(rows)[0], solver.n)
         above = detect_support(pdp, det)
         above = above[~solver.taken[0, above]]
         if above.size:

@@ -1,5 +1,7 @@
 """Classical estimators against dense-formula and exactness oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -51,6 +53,12 @@ def test_support_set_validation():
     with pytest.raises(ValueError, match="support indices must be a 1-d vector"):
         SupportSet(np.array([[1, 2], [3, 4]]))
     assert SupportSet([4.0, 2.0]).indices.tolist() == [2, 4]
+    # a whole float past int64 must not wrap to a negative index in the cast
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for big in (1e20, 2.0**63):
+            with pytest.raises(ValueError, match="support indices must lie in"):
+                SupportSet([big])
 
 
 def test_dft_exact_within_unambiguous_range():

@@ -14,6 +14,7 @@ from sparsechan.channel import (
     realize_channel,
     to_continuous_pdp,
 )
+from sparsechan.cli import _write_pdp_csv
 from sparsechan.signal_model import SystemConfig
 
 
@@ -93,11 +94,14 @@ def test_pdp_validation_and_normalization():
 def test_pdp_csv(tmp_path):
     pdp = PowerDelayProfile(variances=np.array([0.5, 0.0, 0.25]), bin_width_s=1e-7)
     path = tmp_path / "pdp.csv"
-    pdp.to_csv(path)
-    lines = path.read_text().strip().splitlines()
+    _write_pdp_csv(path, pdp)
+    data = path.read_bytes()
+    assert b"\r" not in data
+    lines = data.decode().strip().splitlines()
     assert lines[0] == "bin_index,delay_ns,variance_linear"
     assert len(lines) == 4
     assert lines[1].split(",") == ["0", "0", "0.5"]
+    assert lines[2].split(",") == ["1", "100", "0"]
 
 
 def test_cluster_carries_tap_power():

@@ -207,9 +207,14 @@ def test_pdp_reports_default_profile(capsys, tmp_path):
     assert "grid_bins: 600" in text
     assert "bin_width_ns: 111.111" in text
     assert "eta95_bins: 12" in text
-    lines = out.read_text().strip().split("\n")
+    data = out.read_bytes()
+    assert b"\r" not in data  # LF line ends, as every CSV the CLI writes
+    lines = data.decode().split("\n")
     assert lines[0] == "bin_index,delay_ns,variance_linear"
-    assert len(lines) == 1 + 600
+    assert lines[-1] == "" and len(lines) == 1 + 600 + 1
+    rows = [line.split(",") for line in lines[1:-1]]
+    assert rows[0][:2] == ["0", "0"] and rows[1][:2] == ["1", "111.111"]
+    assert all(f"{float(v):.12g}" == v for _, _, v in rows)
 
 
 def test_pdp_loads_profile_csv(capsys, tmp_path):

@@ -183,8 +183,9 @@ def test_stacked_solve_equals_separate_solves(problem):
 @SETTINGS
 @given(problems(max_sets=4))
 def test_sample_pdp_equals_dense_formula(problem):
-    # values = mean_s |H_s^H y_s|^2 / N^2 and scale = mean_s ||y_s||^2 / N^2,
-    # from one batched FFT instead of explicit matrices.
+    # values = mean_s |H_s^H y_s|^2 / N^2 from one batched FFT instead of
+    # explicit matrices, and scale, the mean of the values, = mean_s ||y_s||^2
+    # / N^2 by Parseval (sum_k |H_s^H y_s|^2 = d ||y_s||^2).
     config, observations, _ = problem
     n = config.n_pilots
     pdp = sample_pdp(ObservationSet(observations))

@@ -28,6 +28,7 @@ from sparsechan.sparse_recovery import (
     SamplePdp,
     _a2_rows,
     _omp_rows,
+    _regularized_gamma,
     _seeded_rows,
     algorithm_a1,
     algorithm_a2,
@@ -83,6 +84,18 @@ def test_chi2_inv_cdf_matches_gammaincinv_over_the_full_range():
             assert chi2_inv_cdf(prob, dof) == pytest.approx(want, rel=1e-12), (dof, prob)
 
 
+def test_upper_tail_finite_sum_matches_gammaincc():
+    # x >= a + 1 is the finite-sum branch.  Its error is that of the prefactor
+    # exp(a ln x - x - lgamma a): a few ulps of terms near 3000 at dof 1000,
+    # which reach 1.06e-12 relative at dof 989 on this grid.
+    for dof in range(1, 1001):
+        a = dof / 2
+        xs = a + 1.0 + np.array([0.0, 1e-6, 0.5, 1, 2, 4, 8, 16, 32, 64]) * (math.sqrt(a) + 1.0)
+        want = scipy.special.gammaincc(a, xs)
+        for x, q in zip(xs[want >= 1e-300].tolist(), want[want >= 1e-300].tolist()):
+            assert _regularized_gamma(a, x)[1] == pytest.approx(q, rel=2e-12), (dof, x)
+
+
 def test_chi2_inv_cdf_monotone_and_validated():
     assert chi2_inv_cdf(0.9, 6) < chi2_inv_cdf(0.99, 6) < chi2_inv_cdf(0.999, 6)
     assert chi2_inv_cdf(1e-300, 1) == 0.0  # the true quantile underflows
@@ -113,16 +126,16 @@ def test_config_validation():
         OmpConfig(max_iters=2.5)
     for values in (np.array([-1.0]), np.array([1.0, np.nan])):
         with pytest.raises(ValueError):
-            SamplePdp(values=values, n_sets=1, scale=0.1, n_pilots=4)
+            SamplePdp(values=values, n_sets=1, n_pilots=4)
     with pytest.raises(ValueError, match="sample PDP values must be finite and nonnegative"):
-        SamplePdp(values=np.array([1.0, np.inf]), n_sets=1, scale=0.1, n_pilots=4)
+        SamplePdp(values=np.array([1.0, np.inf]), n_sets=1, n_pilots=4)
     with pytest.raises(ValueError):
-        SamplePdp(values=np.ones(4), n_sets=0, scale=0.1, n_pilots=4)
+        SamplePdp(values=np.ones(4), n_sets=0, n_pilots=4)
     with pytest.raises(ValueError, match="n_sets must be an integer, got 1.5"):
-        SamplePdp(values=np.ones(4), n_sets=1.5, scale=0.1, n_pilots=4)
-    for scale in (-0.1, float("nan")):
-        with pytest.raises(ValueError, match="scale"):
-            SamplePdp(values=np.ones(4), n_sets=1, scale=scale, n_pilots=4)
+        SamplePdp(values=np.ones(4), n_sets=1.5, n_pilots=4)
+    # more pilots than bins would push the leakage factor (d - N)/(d - 1) below 0
+    with pytest.raises(ValueError, match="n_pilots = 8 exceeds the 4 bins"):
+        SamplePdp(np.ones(4), 1, 8)
 
 
 # ----------------------------------------------------------------- sample PDP
@@ -159,17 +172,17 @@ def test_sample_pdp_noise_only_mean():
 
 
 def test_detect_support_trivial_and_monotone():
-    spdp = SamplePdp(values=np.zeros(32), n_sets=2, scale=0.0, n_pilots=8)
+    spdp = SamplePdp(values=np.zeros(32), n_sets=2, n_pilots=8)
     det = DetectionConfig(alpha=1e-3, noise_var=1.0)
     assert detect_support(spdp, det).size == 0
-    busy = SamplePdp(values=np.ones(32) * 0.02, n_sets=2, scale=0.02, n_pilots=8)
+    busy = SamplePdp(values=np.ones(32) * 0.02, n_sets=2, n_pilots=8)
     t_loose = detection_threshold(busy, DetectionConfig(alpha=0.05, noise_var=0.1))
     t_tight = detection_threshold(busy, DetectionConfig(alpha=0.001, noise_var=0.1))
     assert t_tight > t_loose > 0
     # With one pilot the signal-free level of an all-zero PDP is zero, so the
     # threshold falls back to the noise floor noise_var / N = 0.5; without it
     # the threshold would be 0 and every nonzero bin would count as detected.
-    single = SamplePdp(values=np.zeros(8), n_sets=1, scale=0.0, n_pilots=1)
+    single = SamplePdp(values=np.zeros(8), n_sets=1, n_pilots=1)
     threshold = detection_threshold(single, DetectionConfig(alpha=1e-3, noise_var=0.5))
     assert threshold == pytest.approx(-0.5 * math.log(1e-3), rel=1e-12)  # 3.4539
 
@@ -316,7 +329,7 @@ def test_a2_flat_prior_reduces_to_omp():
     pat = PilotPattern.pseudo_random(cfg, seed=9)
     theta = _sparse_channel(rng, 48, (1, 9, 25, 33))
     obs = synthesize_observation(cfg, pat, theta, 0.3, rng)
-    flat = SamplePdp(values=np.full(48, 0.05), n_sets=4, scale=0.05, n_pilots=20)
+    flat = SamplePdp(values=np.full(48, 0.05), n_sets=4, n_pilots=20)
     got = algorithm_a2(obs, flat, DetectionConfig(alpha=1e-3, noise_var=0.3))
     plain = omp(obs)
     assert got.selection_order == plain.selection_order
@@ -336,7 +349,7 @@ def test_a2_strong_prior_bin_selected_first():
     assert omp(obs).selection_order[0] == 2
     values = np.full(16, 1e-3)
     values[10] = 1.0
-    prior = SamplePdp(values=values, n_sets=4, scale=1e-3, n_pilots=8)
+    prior = SamplePdp(values=values, n_sets=4, n_pilots=8)
     est = algorithm_a2(obs, prior, DetectionConfig(alpha=1e-3, noise_var=0.0))
     assert est.selection_order[0] == 10
 
@@ -345,7 +358,7 @@ def test_a2_validation():
     cfg = SystemConfig(d=16, n_pilots=8)
     pat = PilotPattern.pseudo_random(cfg, seed=3)
     obs = Observation(np.zeros(8), pat, 1.0)
-    wrong = SamplePdp(values=np.ones(8), n_sets=1, scale=0.1, n_pilots=8)
+    wrong = SamplePdp(values=np.ones(8), n_sets=1, n_pilots=8)
     with pytest.raises(ValueError):
         algorithm_a2(obs, wrong, DetectionConfig(alpha=1e-3, noise_var=0.0))
 
