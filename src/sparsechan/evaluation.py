@@ -48,6 +48,8 @@ from .signal_model import (
     _check_count,
     _check_powers,
     _complex_gaussian,
+    _pseudo_random_rows,
+    _spectrum,
 )
 from .sparse_recovery import (
     DetectionConfig,
@@ -55,10 +57,12 @@ from .sparse_recovery import (
     SamplePdp,
     SparseEstimate,
     _a2_rows,
+    _above,
     _omp_rows,
+    _pdp,
     _seeded_rows,
     _strongest,
-    detect_support,
+    _threshold,
     ex_omp,
     sample_pdp,
 )
@@ -290,7 +294,8 @@ class _Trial:
         thetas = _complex_gaussian(config.pdp.variances, g_chan)
         spectra = np.fft.fft(thetas, axis=1)
         noise = _complex_gaussian(sigma2, g_noise)
-        rand = [PilotPattern.pseudo_random(system, seed) for seed in seeds]
+        pilots = _pseudo_random_rows(system.d, system.n_pilots, seeds)
+        rand = [PilotPattern(idx, system.d, "pseudo_random") for idx in pilots]
         patterns = [config.uni_pattern, *rand, *[config.uni_pattern] * n]
         obs = [
             Observation(spectra[max(j - 1, 0), pat.indices] + noise[j], pat, sigma2)
@@ -404,6 +409,7 @@ ESTIMATOR_NAMES = tuple(_ESTIMATORS)
 # block pursuits' rounds cost about as much for ten rows as for one, and at
 # ten a 70-trial sweep still splits into seven blocks for a process pool.
 _BLOCK = 10
+_CALIB_SETS = 16  # sets per calibration block of max(1, 16 // n_sets) trials; more save no time
 
 
 def _error(freq: np.ndarray, true_freq: np.ndarray, data: np.ndarray) -> float:
@@ -506,14 +512,15 @@ def false_alarm_calibration(
 ) -> list[dict]:
     """Empirical per-bin false alarm rates of the detector on pure noise.
 
-    Synthesizes noise-only observation sets on pseudo-random patterns,
-    detects against each alpha, and counts threshold crossings until at least
-    ``n_bins`` bins have been examined per (alpha, n_sets) combination.
-    Returns one dict per combination with the empirical rate and the binomial
-    standard error.  Each trial's generator draws, per set, a pattern seed
-    and then the set's noise, so ``PilotPattern.pseudo_random`` and
-    ``synthesize_observation`` of an all-zero channel, called in that order,
-    reproduce the trial's observations.
+    Synthesizes noise-only observation sets on pseudo-random patterns and
+    counts, per (alpha, n_sets), the bins ``detect_support`` finds in each
+    trial's sample PDP until at least ``n_bins`` bins are examined.  Returns
+    one dict per combination with the rate and its binomial standard error.
+    Each trial's generator draws, per set, a pattern seed and then the set's
+    noise, so ``PilotPattern.pseudo_random`` and ``synthesize_observation`` of
+    an all-zero channel, called in that order, reproduce the trial.  Blocks of
+    about ``_CALIB_SETS`` sets share one matched filter and ``_pdp``, and per
+    alpha one ``_threshold`` and ``_above``, with the same counts bit for bit.
     """
     if not alphas or not n_sets_list:
         raise ValueError("need at least one alpha and one set count")
@@ -529,24 +536,26 @@ def false_alarm_calibration(
     n_sets_list = tuple(_check_count("set counts", n, 1) for n in n_sets_list)
     dets = [DetectionConfig(alpha=alpha, noise_var=1.0) for alpha in alphas]
     rows = []
-    trials = math.ceil(n_bins / system.d)
+    d, n = system.d, system.n_pilots
+    trials = math.ceil(n_bins / d)
     for set_idx, n_sets in enumerate(n_sets_list):
         counts = [0] * len(alphas)
-        g_noise = np.empty((n_sets, 2, system.n_pilots))
-        for t in range(trials):
-            rng = np.random.default_rng([master_seed, set_idx, t])
+        per_block = max(1, _CALIB_SETS // n_sets)
+        for first in range(0, trials, per_block):
+            block = range(first, min(first + per_block, trials))
+            g_noise = np.empty((len(block), n_sets, 2, n))
             seeds = []
-            for g in g_noise:
-                seeds.append(int(rng.integers(0, 2**63)))
-                rng.standard_normal(out=g)
-            noise = _complex_gaussian(1.0, g_noise)
-            obs = [
-                Observation(y, PilotPattern.pseudo_random(system, seed), 1.0)
-                for y, seed in zip(noise, seeds)
-            ]
-            spdp = sample_pdp(ObservationSet(tuple(obs)))
-            counts = [c + detect_support(spdp, det).size for c, det in zip(counts, dets)]
-        total = trials * system.d
+            for t, g_trial in zip(block, g_noise):
+                rng = np.random.default_rng([master_seed, set_idx, t])
+                for g in g_trial:
+                    seeds.append(int(rng.integers(0, 2**63)))
+                    rng.standard_normal(out=g)
+            index = np.arange(len(seeds))[:, None] * d + _pseudo_random_rows(d, n, seeds)
+            noise = _complex_gaussian(1.0, g_noise).reshape(-1, n)
+            values = _pdp(_spectrum(d, index.ravel(), noise).reshape(-1, n_sets, d), n)
+            for i, det in enumerate(dets):
+                counts[i] += np.count_nonzero(_above(values, _threshold(values, n_sets, n, det)))
+        total = trials * d
         for alpha, count in zip(alphas, counts):
             rows.append(
                 {

@@ -51,20 +51,21 @@ def _check_powers(name: str, values) -> np.ndarray:
     return v
 
 
-def _check_indices(name: str, indices, d) -> np.ndarray:
-    """``indices`` sorted as int64; ``ValueError`` unless 1-d, whole, distinct and in [0, d)."""
+def _check_indices(name: str, indices, d, ndim: int = 1) -> np.ndarray:
+    """Sorted int64 rows of ``indices``; ValueError unless ndim-d, whole, distinct, in [0, d)."""
     idx = np.asarray(indices)
-    if idx.ndim != 1:
-        raise ValueError(f"{name} must be a 1-d vector, got shape {idx.shape}")
+    if idx.ndim != ndim or idx.dtype.kind == "b":  # a mask would read as indices 0 and 1
+        form = "1-d vector" if ndim == 1 else f"{ndim}-d stack of rows"
+        raise ValueError(f"{name} must be a {form} of numbers, got {idx.dtype} {idx.shape}")
     if idx.dtype.kind not in "iu":  # integer arrays, as every pattern constructor gives, are whole
         idx = idx.astype(np.float64)
         if not np.all(idx == np.trunc(idx)):  # NaN fails here, an infinity the range test
             raise ValueError(f"{name} must be whole numbers")
-    idx = np.sort(idx)
+    idx = np.sort(idx, axis=-1)
     bound = min(d, 2**63)  # an unbounded d (np.inf) still stops where int64 ends
-    if idx.size and not (0 <= idx[0] and idx[-1] < bound):
+    if idx.size and not (0 <= min(idx[..., 0].flat) and max(idx[..., -1].flat) < bound):
         raise ValueError(f"{name} must lie in [0, {bound})")
-    if np.any(idx[1:] == idx[:-1]):
+    if (idx[..., 1:] == idx[..., :-1]).any():
         raise ValueError(f"{name} must be distinct")
     return idx.astype(np.int64, copy=False)
 
@@ -153,9 +154,14 @@ class PilotPattern:
     @classmethod
     def pseudo_random(cls, config: SystemConfig, seed: int) -> "PilotPattern":
         """n_pilots distinct subcarriers drawn uniformly without replacement."""
-        rng = np.random.default_rng(_check_count("seed", seed, 0))
-        idx = rng.choice(config.d, size=config.n_pilots, replace=False)
+        (idx,) = _pseudo_random_rows(config.d, config.n_pilots, [_check_count("seed", seed, 0)])
         return cls(indices=idx, d=config.d, kind="pseudo_random")
+
+
+def _pseudo_random_rows(d: int, n: int, seeds) -> np.ndarray:
+    """``pseudo_random``'s indices for each seed, as rows of one stack that one check covers."""
+    rows = [np.random.default_rng(seed).choice(d, size=n, replace=False) for seed in seeds]
+    return _check_indices("pilot indices", rows, d, ndim=2)
 
 
 @dataclass(frozen=True)
@@ -266,10 +272,10 @@ def _stack(observations: tuple[Observation, ...]) -> tuple[np.ndarray, ...]:
 
 
 def _spectrum(d: int, index: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Matched filter H_s^H r_s of every set's pilot-domain vector, in one batched FFT."""
+    """Matched filter H_s^H r_s of every set's pilot-domain vector: one batched FFT, in place."""
     z = np.zeros((r.shape[0], d), dtype=np.complex128)
     z.ravel()[index] = r.ravel()
-    return d * np.fft.ifft(z, axis=1)
+    return np.multiply(np.fft.ifft(z, axis=1, out=z), d, out=z)
 
 
 def matched_filter(

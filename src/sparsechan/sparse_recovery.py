@@ -31,9 +31,9 @@ that picks each round's bins.
 
 Detection treats each sample-PDP bin as an averaged squared magnitude of
 circular Gaussian noise: bin values are compared against a scaled chi-square
-quantile with two degrees of freedom per averaged set.  Only
-``detect_support`` compares a sample PDP with ``detection_threshold``, for
-``a1``, ``a2``, ``a3``, each ``ex_omp`` round and the false-alarm calibration.
+quantile with two degrees of freedom per averaged set.  Only ``_above``
+compares a sample PDP with the ``_threshold`` level: ``detect_support`` for
+``a1``, ``a2``, ``a3`` and each ``ex_omp`` round, and blocks of calibration trials.
 The quantile, ``chi2_inv_cdf``, inverts the regularized incomplete gamma
 function with the ``math`` module alone (series and finite sum, then
 Halley steps on the tail that holds the answer) and memoizes each
@@ -253,10 +253,9 @@ class SparseEstimate:
         return np.fft.fft(self.theta)
 
 
-def _pdp(spectra: np.ndarray, n_pilots: int) -> SamplePdp:
-    """Sample PDP of stacked matched-filter spectra."""
-    values = np.mean(np.abs(spectra) ** 2 / (n_pilots * n_pilots), axis=0)
-    return SamplePdp(values, spectra.shape[0], n_pilots)
+def _pdp(spectra: np.ndarray, n_pilots: int) -> np.ndarray:
+    """Sample-PDP values of spectra stacked as (..., sets, d): the mean over the sets."""
+    return np.mean(np.abs(spectra) ** 2 / (n_pilots * n_pilots), axis=-2)
 
 
 def sample_pdp(sets: ObservationSet) -> SamplePdp:
@@ -266,7 +265,7 @@ def sample_pdp(sets: ObservationSet) -> SamplePdp:
     power, giving 2 * n_sets chi-square degrees of freedom per noise bin.
     """
     _, index, y = _stack(sets.observations)
-    return _pdp(_spectrum(sets.d, index, y), sets.n_pilots)
+    return SamplePdp(_pdp(_spectrum(sets.d, index, y), sets.n_pilots), sets.n_sets, sets.n_pilots)
 
 
 def _null_level(scale: float, n_pilots: int, d: int, noise_var: float) -> float:
@@ -290,30 +289,36 @@ def _null_level(scale: float, n_pilots: int, d: int, noise_var: float) -> float:
     return (scale - noise_floor) * factor + noise_floor
 
 
-def detection_threshold(pdp: SamplePdp, det: DetectionConfig) -> float:
-    """Per-bin power level that noise alone exceeds with probability alpha.
+def _threshold(values: np.ndarray, n_sets: int, n_pilots: int, det: DetectionConfig):
+    """Per-bin level that noise alone exceeds with probability alpha, per (..., d) row: (..., 1).
 
-    A noise-plus-leakage bin averaged over n_sets observations is distributed
-    as mean_level / (2 n_sets) times a chi-square with 2 n_sets degrees of
-    freedom; the threshold is that distribution's (1 - alpha) quantile.  The
-    mean level is the signal-free bin estimate ``_null_level`` makes from
-    pdp.scale, the mean of the PDP's values, and det.noise_var; the PDP holds
-    at least as many bins as pilots.  On an all-zero PDP that is noise_var / N
-    scaled by (N - 1) / (d - 1), so 7/31 of noise_var / N at d = 32, N = 8;
-    noise_var / N itself is used only where the level is zero, which for
-    noise_var > 0 means N = 1.  With noise_var = 0 the threshold is 0 where N = d.
+    A noise-plus-leakage bin averaged over n_sets observations is distributed as
+    mean_level / (2 n_sets) times a chi-square with 2 n_sets degrees of freedom;
+    the threshold is its (1 - alpha) quantile.  The mean level is the signal-free
+    bin estimate ``_null_level`` makes from the values' mean (a PDP's ``scale``)
+    and det.noise_var.  On an all-zero PDP that is noise_var / N scaled by
+    (N - 1) / (d - 1), so 7/31 of noise_var / N at d = 32, N = 8; noise_var / N
+    itself is used only where the level is zero, which for noise_var > 0 means
+    N = 1.  With noise_var = 0 the threshold is 0 where N = d.
     """
-    mu = _null_level(pdp.scale, pdp.n_pilots, pdp.values.size, det.noise_var)
-    if mu <= 0.0:
-        mu = det.noise_var / pdp.n_pilots
-    quantile = chi2_inv_cdf(1.0 - det.alpha, 2 * pdp.n_sets)
-    return mu / (2.0 * pdp.n_sets) * quantile
+    mu = _null_level(values.mean(axis=-1, keepdims=True), n_pilots, values.shape[-1], det.noise_var)
+    mu = np.where(mu <= 0.0, det.noise_var / n_pilots, mu)
+    return mu / (2.0 * n_sets) * chi2_inv_cdf(1.0 - det.alpha, 2 * n_sets)
+
+
+def _above(values: np.ndarray, threshold) -> np.ndarray:
+    return values > threshold  # the detector's one comparison of a sample PDP with its level
+
+
+def detection_threshold(pdp: SamplePdp, det: DetectionConfig) -> float:
+    """Per-bin power level that noise alone exceeds with probability alpha: ``_threshold``."""
+    return float(_threshold(pdp.values, pdp.n_sets, pdp.n_pilots, det)[0])
 
 
 def detect_support(pdp: SamplePdp, det: DetectionConfig) -> np.ndarray:
-    """Sorted indices of the sample-PDP bins above ``detection_threshold``, which
-    only this function reads; a zero threshold keeps every bin above zero."""
-    return np.flatnonzero(pdp.values > detection_threshold(pdp, det))
+    """Sorted indices of the sample-PDP bins ``_above`` ``detection_threshold``; a zero
+    threshold keeps every bin above zero."""
+    return np.flatnonzero(_above(pdp.values, detection_threshold(pdp, det)))
 
 
 class _StackedSolver:
@@ -515,7 +520,7 @@ def _by_size(sizes: np.ndarray) -> list:
         return [slice(None)] if sizes.size else []
     if sizes.min() == sizes.max():
         return [slice(None)]
-    return [np.flatnonzero(sizes == size) for size in np.unique(sizes)]
+    return [np.flatnonzero(sizes == size) for size in sorted(set(sizes.tolist()))]
 
 
 def _padded(lists) -> np.ndarray:
@@ -762,7 +767,7 @@ def ex_omp(
     shrink = sets.n_sets > 1 and noise_vars.min() > 0.0
 
     def admissions(solver: _StackedSolver, rows) -> np.ndarray:
-        pdp = _pdp(solver.spectra(rows)[0], solver.n)
+        pdp = SamplePdp(_pdp(solver.spectra(rows)[0], solver.n), sets.n_sets, solver.n)
         above = detect_support(pdp, det)
         above = above[~solver.taken[0, above]]
         if above.size:

@@ -53,6 +53,9 @@ def test_support_set_validation():
     with pytest.raises(ValueError, match="support indices must be a 1-d vector"):
         SupportSet(np.array([[1, 2], [3, 4]]))
     assert SupportSet([4.0, 2.0]).indices.tolist() == [2, 4]
+    # nor a boolean mask read as the indices 0 and 1
+    with pytest.raises(ValueError, match="must be a 1-d vector of numbers, got bool"):
+        SupportSet(np.array([False, True]))
     # a whole float past int64 must not wrap to a negative index in the cast
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -446,9 +446,11 @@ def test_false_alarm_calibration_runs_and_counts():
 
 def test_false_alarm_calibration_follows_the_documented_draw_order():
     # Per trial and set: a pattern seed, then the set's noise on an all-zero
-    # channel, as the public calls below draw them.
+    # channel, as the public calls below draw them.  The calibration takes
+    # blocks of 16 // n_sets trials (at least one), and none of those sizes
+    # divides the 101 trials, so every set count ends on a partial block.
     system = SystemConfig(d=32, n_pilots=8)
-    alphas, set_counts, n_bins, seed = (0.05, 0.2), (1, 5), 3200, 4
+    alphas, set_counts, n_bins, seed = (0.05, 0.2), (1, 3, 5, 8, 20), 3232, 4
     rows = false_alarm_calibration(system, alphas, set_counts, n_bins=n_bins, master_seed=seed)
     zeros = np.zeros(system.d, dtype=np.complex128)
     dets = [DetectionConfig(alpha=alpha, noise_var=1.0) for alpha in alphas]

@@ -10,7 +10,8 @@ the explicit matrix on random grids, pilot patterns, supports and
 observations.  Trial synthesis draws a trial's normals into buffers and
 transforms all its channels in one batched FFT; the two numpy identities
 that keep it bitwise equal to one public call per channel and observation
-are checked last.
+are checked last, followed by the block path of the false-alarm
+calibration, which must equal the per-trial public calls bit for bit.
 """
 
 import numpy as np
@@ -23,13 +24,24 @@ from sparsechan.signal_model import (
     ObservationSet,
     PilotPattern,
     SystemConfig,
+    _pseudo_random_rows,
+    _spectrum,
     gram_kernel,
     matched_filter,
     partial_fourier_matrix,
     support_gram,
     support_solve,
 )
-from sparsechan.sparse_recovery import _StackedSolver, sample_pdp
+from sparsechan.sparse_recovery import (
+    DetectionConfig,
+    _above,
+    _pdp,
+    _StackedSolver,
+    _threshold,
+    detect_support,
+    detection_threshold,
+    sample_pdp,
+)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -261,3 +273,60 @@ def test_batched_fft_rows_equal_single_ffts(k, d, seed):
     batched = np.fft.fft(x, axis=1)
     for row, spectrum in zip(x, batched):
         np.testing.assert_array_equal(spectrum, np.fft.fft(row))
+
+
+@st.composite
+def noise_blocks(draw):
+    """Pilot rows and pilot-domain values of a block of trials of several sets each."""
+    d = draw(st.integers(2, 64))
+    n = draw(st.integers(1, d))
+    n_sets, trials = draw(st.integers(1, 8)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    seeds = rng.integers(0, 2**63, trials * n_sets).tolist()
+    y = rng.standard_normal((trials * n_sets, n)) + 1j * rng.standard_normal((trials * n_sets, n))
+    det = DetectionConfig(
+        alpha=draw(st.floats(1e-6, 0.5)), noise_var=draw(st.sampled_from([0.0, 0.3, 1.0]))
+    )
+    return SystemConfig(d=d, n_pilots=n), n_sets, seeds, y, det
+
+
+@SETTINGS
+@given(noise_blocks())
+def test_block_pdp_and_threshold_equal_per_trial_calls(block):
+    # The calibration's block path: one matched filter over every set of the
+    # block, one _pdp over (trials, sets, d), and one _threshold, which takes
+    # each trial's scale as its values' mean, and one _above over the trials.
+    config, n_sets, seeds, y, det = block
+    d, n = config.d, config.n_pilots
+    pilots = _pseudo_random_rows(d, n, seeds)
+    index = (np.arange(len(seeds))[:, None] * d + pilots).ravel()
+    values = _pdp(_spectrum(d, index, y).reshape(-1, n_sets, d), n)
+    scale = values.mean(axis=-1)
+    threshold = _threshold(values, n_sets, n, det)
+    above = _above(values, threshold)
+    for t, rows in enumerate(np.split(np.arange(len(seeds)), values.shape[0])):
+        pdp = sample_pdp(
+            ObservationSet(
+                tuple(
+                    Observation(y[r], PilotPattern.pseudo_random(config, seeds[r]), 1.0)
+                    for r in rows
+                )
+            )
+        )
+        assert np.array_equal(values[t], pdp.values)
+        assert scale[t] == pdp.scale
+        assert threshold[t, 0] == detection_threshold(pdp, det)
+        assert np.array_equal(np.flatnonzero(above[t]), detect_support(pdp, det))
+
+
+@SETTINGS
+@given(m=st.integers(1, 9), d=st.integers(1, 700), seed=st.integers(0, 2**32 - 1))
+@example(m=16, d=600, seed=0)  # a calibration block of 16 sets at d=600
+def test_in_place_spectrum_equals_scaled_inverse_fft(m, d, seed):
+    rng = np.random.default_rng(seed)
+    pilots = _pseudo_random_rows(d, int(rng.integers(1, d + 1)), rng.integers(0, 2**63, m))
+    index = (np.arange(m)[:, None] * d + pilots).ravel()
+    r = rng.standard_normal(pilots.shape) + 1j * rng.standard_normal(pilots.shape)
+    z = np.zeros((m, d), dtype=np.complex128)
+    z.ravel()[index] = r.ravel()
+    assert np.array_equal(_spectrum(d, index, r), d * np.fft.ifft(z, axis=1))

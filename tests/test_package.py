@@ -58,14 +58,20 @@ def _run_fresh(code: str) -> subprocess.CompletedProcess:
 def test_cli_import_loads_neither_scipy_nor_the_process_pool():
     # scipy.special alone costs about 0.3 s of every CLI start, and
     # concurrent.futures.process (multiprocessing) about 30 ms; only
-    # run_sweep with several workers needs the pool.
+    # run_sweep with several workers needs the pool.  numpy.ma (about 1 MB of
+    # peak RSS, pulled in by np.unique) stays unloaded through a
+    # single-process sweep whose a1 rows grow supports of several sizes.
     proc = _run_fresh(
         "import sys, sparsechan.cli; "
         "print(sorted(m for m in sys.modules "
-        "if m.split('.')[0] == 'scipy' or m == 'concurrent.futures.process'))"
+        "if m.split('.')[0] == 'scipy' or m == 'concurrent.futures.process')); "
+        "from sparsechan import SweepConfig, SystemConfig, etu_profile, run_sweep; "
+        "run_sweep(SweepConfig(SystemConfig(d=32, n_pilots=8), etu_profile(), (10.0,), 10, "
+        "('a1',), n_prior_sets=2)); "
+        "print('numpy.ma' in sys.modules)"
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split() == ["[]", "False"]
 
 
 def test_readme_library_example_runs():

@@ -8,6 +8,8 @@ from sparsechan.signal_model import (
     ObservationSet,
     PilotPattern,
     SystemConfig,
+    _check_indices,
+    _pseudo_random_rows,
     matched_filter,
     partial_fourier_apply,
     partial_fourier_matrix,
@@ -87,6 +89,26 @@ def test_pattern_validation():
             PilotPattern(indices=np.array(bad), d=8)
     whole = PilotPattern(indices=np.array([6.0, 0.0, 3.0]), d=8).indices
     assert whole.dtype == np.int64 and whole.tolist() == [0, 3, 6]
+    # a boolean mask must not be read as the indices 0 and 1
+    with pytest.raises(ValueError, match="pilot indices must be a 1-d vector of numbers, got bool"):
+        PilotPattern(indices=np.array([True, False]), d=8)
+
+
+def test_pseudo_random_rows_are_patterns_checked_as_one_stack():
+    cfg = SystemConfig(d=600, n_pilots=200)
+    rows = _pseudo_random_rows(cfg.d, cfg.n_pilots, [3, 42, 7])
+    assert rows.dtype == np.int64 and rows.shape == (3, 200)
+    for row, seed in zip(rows, (3, 42, 7)):
+        np.testing.assert_array_equal(row, PilotPattern.pseudo_random(cfg, seed).indices)
+    # the stack's check covers every row, the last one included
+    for bad, message in (
+        ([[0, 1], [2, 2]], "distinct"),
+        ([[0, 1], [2, 8]], r"lie in \[0, 8\)"),
+        ([[True, False], [False, True]], "2-d stack of rows of numbers, got bool"),
+        ([0, 1], "must be a 2-d stack of rows"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            _check_indices("pilot indices", np.array(bad), 8, ndim=2)
 
 
 def test_observation_validation():
