@@ -25,8 +25,8 @@ from .signal_model import (
     _check_indices,
     _check_noise_var,
     _check_pattern,
+    _spectra,
     gram_kernel,
-    matched_filter,
     support_solve,
 )
 
@@ -65,6 +65,20 @@ class SupportSet:
         return int(self.indices.size)
 
 
+def _estimate(theta: np.ndarray) -> FullGridEstimate:
+    """The estimate of one row of taps, (1, d), with the transfer function the sweep computes."""
+    return FullGridEstimate(channel_freq=np.fft.fft(theta)[0], theta_hat=theta[0])
+
+
+def _dft_taps(d: int, pilots: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``estimate_dft``'s taps for each row of y: (rows, d)."""
+    n = y.shape[-1]
+    taps = _spectra(d, pilots, y) / n
+    theta = np.zeros_like(taps)
+    theta[:, :n] = taps[:, :n]
+    return theta
+
+
 def estimate_dft(obs: Observation, config: SystemConfig) -> FullGridEstimate:
     """Matched filter scaled by 1/n_pilots, truncated to the first n_pilots bins.
 
@@ -75,10 +89,14 @@ def estimate_dft(obs: Observation, config: SystemConfig) -> FullGridEstimate:
     on the data subcarriers passes straight through.
     """
     _check_pattern(config, obs.pattern)
-    taps = matched_filter(config, obs.pattern, obs.y) / obs.pattern.n
-    theta_hat = np.zeros(config.d, dtype=np.complex128)
-    theta_hat[: obs.pattern.n] = taps[: obs.pattern.n]
-    return FullGridEstimate(channel_freq=np.fft.fft(theta_hat), theta_hat=theta_hat)
+    return _estimate(_dft_taps(config.d, obs.pattern.indices, obs.y[None]))
+
+
+def _interp_rows(d: int, pilots: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Each row of pilot values interpolated linearly onto all d subcarriers: (rows, d)."""
+    grid = np.arange(d, dtype=np.float64)
+    at = pilots.astype(np.float64)
+    return np.array([np.interp(grid, at, r.real) + 1j * np.interp(grid, at, r.imag) for r in y])
 
 
 def estimate_linear_interp(obs: Observation, config: SystemConfig) -> FullGridEstimate:
@@ -90,12 +108,15 @@ def estimate_linear_interp(obs: Observation, config: SystemConfig) -> FullGridEs
     _check_pattern(config, obs.pattern)
     if obs.pattern.kind != "uniform":
         raise ValueError("linear interpolation requires a uniform pilot pattern")
-    grid = np.arange(config.d, dtype=np.float64)
-    pilots = obs.pattern.indices.astype(np.float64)
-    freq = np.interp(grid, pilots, obs.y.real) + 1j * np.interp(
-        grid, pilots, obs.y.imag
-    )
+    freq = _interp_rows(config.d, obs.pattern.indices, obs.y[None])[0]
     return FullGridEstimate(channel_freq=freq)
+
+
+def _check_orthonormal(vectors: np.ndarray) -> None:
+    """``ValueError`` unless every (stacked) n x k factor has orthonormal columns."""
+    gram = vectors.conj().swapaxes(-1, -2) @ vectors
+    if not np.allclose(gram, np.eye(vectors.shape[-1]), atol=1e-8):
+        raise ValueError("eigenvectors must be orthonormal columns")
 
 
 @dataclass(frozen=True)
@@ -118,10 +139,17 @@ class PilotCovariance:
             raise ValueError(
                 f"need n x k vectors and k values, got {vectors.shape} and {values.shape}"
             )
-        if not np.allclose(vectors.conj().T @ vectors, np.eye(values.size), atol=1e-8):
-            raise ValueError("eigenvectors must be orthonormal columns")
+        _check_orthonormal(vectors)
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "values", values)
+
+
+def _covariance_factor(sets: np.ndarray, noise_var: float) -> tuple[np.ndarray, np.ndarray]:
+    """``pilot_sample_covariance``'s factor of each (..., k, n) stack of k pilot vectors."""
+    # Eigenvectors of the sample covariance are the left singular vectors of
+    # the n x k stack, so flooring can work on the thin factorization directly.
+    u, s, _ = np.linalg.svd(sets.swapaxes(-1, -2), full_matrices=False)
+    return u, np.maximum(s**2 / sets.shape[-2] - noise_var, 0.0)
 
 
 def pilot_sample_covariance(observations, noise_var: float) -> PilotCovariance:
@@ -141,11 +169,32 @@ def pilot_sample_covariance(observations, noise_var: float) -> PilotCovariance:
         if not np.array_equal(o.pattern.indices, first.indices):
             raise ValueError("all observations must share one pilot pattern")
     _check_noise_var(noise_var)
-    stacked = np.column_stack([o.y for o in obs])
-    # Eigenvectors of the sample covariance are the left singular vectors of
-    # the stack, so flooring can work on the thin factorization directly.
-    u, s, _ = np.linalg.svd(stacked, full_matrices=False)
-    return PilotCovariance(u, np.maximum(s**2 / len(obs) - noise_var, 0.0))
+    return PilotCovariance(*_covariance_factor(np.array([o.y for o in obs]), noise_var))
+
+
+def _wiener_rows(
+    vectors: np.ndarray, values: np.ndarray, y: np.ndarray, noise_var: float
+) -> np.ndarray:
+    """C (C + noise_var I)^{-1} y for each row of y, from C's (stacked) factor U diag(λ) U^H."""
+    if noise_var == 0:
+        return y
+    # The eigenvalues of C + noise_var I outside the factor's span are
+    # noise_var itself, so only the factor's own can fail to be positive.
+    shifted = values + noise_var
+    if not np.all(shifted > 0):
+        raise np.linalg.LinAlgError("pilot covariance plus noise term is not positive definite")
+    coef = values / shifted * (vectors.conj().swapaxes(-1, -2) @ y[..., None])[..., 0]
+    return (vectors @ coef[..., None])[..., 0]
+
+
+def _li_mmse_rows(
+    d: int, pilots: np.ndarray, y: np.ndarray, priors: np.ndarray, noise_var: float
+) -> np.ndarray:
+    """``estimate_li_mmse``'s transfer function for each row of y, (rows, d), filtered with the
+    ``pilot_sample_covariance`` of its (k, n) row of prior pilot vectors in ``priors``."""
+    vectors, values = _covariance_factor(priors, noise_var)
+    _check_orthonormal(vectors)
+    return _interp_rows(d, pilots, _wiener_rows(vectors, values, y, noise_var))
 
 
 def estimate_li_mmse(
@@ -171,31 +220,29 @@ def estimate_li_mmse(
         raise ValueError(
             f"sample covariance must act on {n} pilots, got {vectors.shape[0]}"
         )
-    if noise_var == 0:
-        filtered = obs.y
-    else:
-        # The eigenvalues of C + noise_var I outside the factor's span are
-        # noise_var itself, so only the factor's own can fail to be positive.
-        shifted = values + noise_var
-        if not np.all(shifted > 0):
-            raise np.linalg.LinAlgError(
-                "pilot covariance plus noise term is not positive definite"
-            )
-        filtered = vectors @ (values / shifted * (vectors.conj().T @ obs.y))
-    smoothed = Observation(y=filtered, pattern=obs.pattern, noise_var=obs.noise_var)
+    filtered = _wiener_rows(vectors[None], values[None], obs.y[None], noise_var)
+    smoothed = Observation(y=filtered[0], pattern=obs.pattern, noise_var=obs.noise_var)
     return estimate_linear_interp(smoothed, config)
 
 
-def _support_estimate(
-    obs: Observation, config: SystemConfig, bins: np.ndarray, ridge
-) -> FullGridEstimate:
-    """Taps ``support_solve`` finds on ``bins`` with ``ridge``, exact zeros elsewhere."""
-    theta_hat = np.zeros(config.d, dtype=np.complex128)
+def _support_taps(
+    d: int, pilots: np.ndarray, y: np.ndarray, bins: np.ndarray, ridge
+) -> np.ndarray:
+    """Taps ``support_solve`` finds on ``bins`` with ``ridge`` for each row of y, exact zeros
+    elsewhere: (rows, d).  One (N,) row of ``pilots`` serves every row with one Gram factor."""
+    theta = np.zeros(y.shape[:-1] + (d,), dtype=np.complex128)
     if bins.size:
-        kernel = gram_kernel(config.d, obs.pattern.indices)
-        proj = matched_filter(config, obs.pattern, obs.y)
-        theta_hat[bins] = support_solve(kernel, proj, bins, ridge)
-    return FullGridEstimate(channel_freq=np.fft.fft(theta_hat), theta_hat=theta_hat)
+        proj = _spectra(d, pilots, y)
+        theta[:, bins] = support_solve(gram_kernel(d, pilots), proj, bins, ridge)
+    return theta
+
+
+def _mmse_taps(
+    d: int, pilots: np.ndarray, y: np.ndarray, pdp: PowerDelayProfile, noise_var: float
+) -> np.ndarray:
+    """``estimate_mmse_oracle``'s taps for each row of y: (rows, d)."""
+    active = np.flatnonzero(pdp.variances > 0)
+    return _support_taps(d, pilots, y, active, noise_var / pdp.variances[active])
 
 
 def estimate_mmse_oracle(
@@ -217,8 +264,7 @@ def estimate_mmse_oracle(
     if pdp.d != config.d:
         raise ValueError(f"profile has {pdp.d} bins, config has d={config.d}")
     _check_noise_var(noise_var)
-    active = np.flatnonzero(pdp.variances > 0)
-    return _support_estimate(obs, config, active, noise_var / pdp.variances[active])
+    return _estimate(_mmse_taps(config.d, obs.pattern.indices, obs.y[None], pdp, noise_var))
 
 
 def estimate_reduced_rank_ls(
@@ -239,4 +285,5 @@ def estimate_reduced_rank_ls(
         raise ValueError(
             f"support of size {support.size} exceeds {obs.pattern.n} observations"
         )
-    return _support_estimate(obs, config, support.indices, 0.0)
+    taps = _support_taps(config.d, obs.pattern.indices, obs.y[None], support.indices, 0.0)
+    return _estimate(taps)

@@ -7,7 +7,7 @@ pseudo-random pattern (scored by the MMSE bound and the greedy recovery
 family), plus a
 block of independent prior observation sets used by the estimators that
 consume side information.  All randomness for a trial derives from
-(master_seed, snr_index, trial_index), and every trial synthesizes the full
+(master_seed, snr_index, trial_index), and every trial draws the full
 complement of data in a fixed order, so results are reproducible and do not
 depend on which estimators are selected.
 
@@ -27,17 +27,16 @@ from dataclasses import astuple, dataclass, field, fields
 from functools import cached_property, partial
 from itertools import product
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
 from .baseline import (
-    SupportSet,
-    estimate_dft,
-    estimate_li_mmse,
+    _dft_taps,
+    _li_mmse_rows,
+    _mmse_taps,
+    _support_taps,
     estimate_linear_interp,
-    estimate_mmse_oracle,
-    estimate_reduced_rank_ls,
-    pilot_sample_covariance,
 )
 from .channel import ImpulseProfile, PowerDelayProfile, to_continuous_pdp
 from .signal_model import (
@@ -49,7 +48,7 @@ from .signal_model import (
     _check_powers,
     _complex_gaussian,
     _pseudo_random_rows,
-    _spectrum,
+    _spectra,
 )
 from .sparse_recovery import (
     DetectionConfig,
@@ -134,9 +133,11 @@ class SweepConfig:
     Construction checks every value and resolves the inputs all trials share,
     so a bad value raises ``ValueError`` here rather than mid-sweep: ``pdp``
     is the profile on the delay grid, normalized to unit power;
-    ``uni_pattern`` the uniform pilot pattern, spaced d // n_pilots;
-    ``rrls_support`` the profile's active bins, cut to the n_pilots
-    strongest.
+    ``uni_pattern`` the uniform pilot pattern, spaced d // n_pilots, and
+    ``uni_data`` its data subcarriers; ``rrls_support`` the profile's active
+    bins, cut to the n_pilots strongest; ``prior_kinds`` the pattern kinds of
+    the prior sets that the selected estimators read, which are the only
+    prior sets a trial builds.
     """
 
     system: SystemConfig
@@ -150,7 +151,9 @@ class SweepConfig:
     cluster_rms_s: float = 1e-7
     pdp: PowerDelayProfile = field(init=False, repr=False, compare=False)
     uni_pattern: PilotPattern = field(init=False, repr=False, compare=False)
+    uni_data: np.ndarray = field(init=False, repr=False, compare=False)
     rrls_support: np.ndarray = field(init=False, repr=False, compare=False)
+    prior_kinds: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.snr_db:
@@ -183,7 +186,10 @@ class SweepConfig:
         object.__setattr__(self, "estimators", tuple(self.estimators))
         object.__setattr__(self, "pdp", pdp)
         object.__setattr__(self, "uni_pattern", uni_pattern)
+        object.__setattr__(self, "uni_data", _data_indices(system.d, uni_pattern))
         object.__setattr__(self, "rrls_support", active)
+        kinds = {_ESTIMATORS[name].priors for name in self.estimators} - {None}
+        object.__setattr__(self, "prior_kinds", frozenset(kinds))
 
 
 def _write_csv(path, header, rows) -> None:
@@ -248,7 +254,7 @@ def _data_indices(d: int, pattern: PilotPattern) -> np.ndarray:
 class _Trial:
     """One trial's synthesized inputs, which every estimator entry reads.
 
-    Synthesis happens unconditionally and in a fixed order, so the
+    The draws happen unconditionally and in a fixed order, so the
     realizations are independent of the estimator list.  With n prior sets,
     the trial's generator draws, in this order:
 
@@ -259,16 +265,21 @@ class _Trial:
     - for each uniform prior set: its channel, its noise.
 
     The normals go straight into two buffers and one batched FFT transforms
-    every channel, yet ``realize_channel``, ``PilotPattern.pseudo_random``
+    the channels, yet ``realize_channel``, ``PilotPattern.pseudo_random``
     (on ``int(rng.integers(0, 2**63))``) and ``synthesize_observation``,
     called on the same generator in that order, reproduce the trial bit for
     bit.
 
-    The inputs several estimators share are built on first use, at most once
-    per trial; they draw no random numbers, so they are the same whenever a
-    block's entries ask for them.  ``a1`` and ``a3`` use the prior sets only
-    to detect: they estimate the scored observation alone from ``full_pdp``,
-    the sample PDP of the full set.
+    Of the prior sets, a trial builds only the kinds in the config's
+    ``prior_kinds``, those a selected estimator reads; the others are drawn
+    and dropped, so skipping them moves no value.  The pseudo-random ones,
+    with their patterns, are ``priors_rand`` (else None); the uniform ones'
+    pilot values are the rows of ``priors_uni_y`` (else None).  The inputs
+    several estimators share are built on first use, at most once per trial;
+    they draw no random numbers, so they are the same whenever a block's
+    entries ask for them.  ``a1`` and ``a3`` use the prior sets only to
+    detect: they estimate the scored observation alone from ``full_pdp``, the
+    sample PDP of the full set.
     """
 
     def __init__(self, config: SweepConfig, snr_idx: int, trial_idx: int) -> None:
@@ -291,25 +302,34 @@ class _Trial:
                 seeds.append(int(rng.integers(0, 2**63)))
             rng.standard_normal(out=g_noise[k + 1])
 
-        thetas = _complex_gaussian(config.pdp.variances, g_chan)
+        # Only theta0 and the channels of the prior sets that are built are
+        # transformed and observed.
+        rand = "pseudo_random" in config.prior_kinds
+        uni = "uniform" in config.prior_kinds
+        chans = [0, *range(1, n + 1)] if rand else [0]
+        if uni:
+            chans += range(n + 1, 2 * n + 1)
+        thetas = _complex_gaussian(config.pdp.variances, g_chan[chans])
         spectra = np.fft.fft(thetas, axis=1)
         noise = _complex_gaussian(sigma2, g_noise)
-        pilots = _pseudo_random_rows(system.d, system.n_pilots, seeds)
-        rand = [PilotPattern(idx, system.d, "pseudo_random") for idx in pilots]
-        patterns = [config.uni_pattern, *rand, *[config.uni_pattern] * n]
+        pilots = _pseudo_random_rows(system.d, system.n_pilots, seeds if rand else seeds[:1])
+        patterns = [PilotPattern(idx, system.d, "pseudo_random") for idx in pilots]
         obs = [
-            Observation(spectra[max(j - 1, 0), pat.indices] + noise[j], pat, sigma2)
-            for j, pat in enumerate(patterns)
+            Observation(spectra[k, pat.indices] + noise[k + 1], pat, sigma2)
+            for k, pat in enumerate(patterns)
         ]
+        uni_pilots = config.uni_pattern.indices
         self.true_freq = spectra[0].copy()
         self.norm = float(np.vdot(thetas[0], thetas[0]).real)
-        self.uni_obs, self.rand_obs = obs[:2]
-        self.priors_rand, self.priors_uni = obs[2 : n + 2], obs[n + 2 :]
+        self.uni_obs = Observation(spectra[0, uni_pilots] + noise[0], config.uni_pattern, sigma2)
+        self.rand_obs = obs[0]
+        self.priors_rand = obs[1:] if rand else None
+        self.priors_uni_y = spectra[-n:, uni_pilots] + noise[n + 2 :] if uni else None
 
         self.det = DetectionConfig(alpha=config.alpha, noise_var=sigma2)
         self.data = {
-            "uniform": _data_indices(system.d, config.uni_pattern),
-            "pseudo_random": _data_indices(system.d, rand[0]),
+            "uniform": config.uni_data,
+            "pseudo_random": _data_indices(system.d, patterns[0]),
         }
 
     @cached_property
@@ -343,63 +363,113 @@ def _each(transfer: Callable[[_Trial], np.ndarray]) -> Callable[[list[_Trial]], 
     return run
 
 
+def _rows(transfer: Callable[[list[_Trial]], np.ndarray]) -> Callable[[list[_Trial]], list]:
+    """A block estimator, one pass over the block; if it raises ``LinAlgError``, one per trial.
+
+    ``transfer`` gives each trial's row bit for bit as it does for that trial
+    alone, so the rerun keeps every other trial's row and makes only the
+    failing trial's NaN, as ``_each`` does.
+    """
+    each = _each(lambda trial: transfer([trial])[0])
+
+    def run(trials: list[_Trial]):
+        try:
+            return transfer(trials)
+        except np.linalg.LinAlgError:
+            return each(trials)
+
+    return run
+
+
 def _reads(trials: list[_Trial], *names: str):
     """The named inputs of a block's trials, one tuple per name."""
     return zip(*map(attrgetter(*names), trials))
+
+
+def _uniform(trials: list[_Trial]) -> tuple:
+    """d, the uniform pilots, and the (trials, N) pilot values of the trials' ``uni_obs``."""
+    t = trials[0]
+    return t.system.d, t.config.uni_pattern.indices, np.array([t.uni_obs.y for t in trials])
+
+
+def _pseudo_random(trials: list[_Trial]) -> tuple:
+    """d, and the (trials, N) pilots and pilot values of the trials' ``rand_obs``."""
+    obs = [t.rand_obs for t in trials]
+    pilots = np.array([o.pattern.indices for o in obs])
+    return trials[0].system.d, pilots, np.array([o.y for o in obs])
 
 
 def _freqs(estimates: list[SparseEstimate]) -> list[np.ndarray]:
     return [est.channel_freq() for est in estimates]
 
 
-# Each estimator's pattern kind (its error is measured on the data subcarriers
-# of that trial pattern) and its transfer functions on a block of trials.  The
-# pursuits without a shared support run on the whole block at once, so their
-# rounds are paid once per block rather than once per trial; the other
-# estimators run once per trial.  The lambdas look the estimator functions up
+class _Entry(NamedTuple):
+    """How the sweep runs one estimator.
+
+    ``kind`` is the pattern whose data subcarriers its error is measured on,
+    ``run`` maps a block's trials to their transfer functions, and ``priors``
+    is the kind of the prior sets it reads, if any.
+    """
+
+    kind: str
+    run: Callable[[list[_Trial]], list | np.ndarray]
+    priors: str | None = None
+
+
+# The classical baselines but ``li`` and the pursuits without a shared support
+# run on the whole block at once, so their per-call costs are paid once per
+# block rather than once per trial; ``li``, ``exomp`` and ``ideal`` run once
+# per trial.  The block baselines call the row code of the public estimators,
+# which those call with one row.  The lambdas look the estimator functions up
 # when called, so a replaced module attribute takes effect.
-_ESTIMATORS: dict[str, tuple[str, Callable[[list[_Trial]], list]]] = {
-    "dft": ("uniform", _each(lambda t: estimate_dft(t.uni_obs, t.system).channel_freq)),
-    "li": ("uniform", _each(lambda t: estimate_linear_interp(t.uni_obs, t.system).channel_freq)),
-    "li-mmse": (
-        "uniform",
-        _each(
-            lambda t: estimate_li_mmse(
-                t.uni_obs, pilot_sample_covariance(t.priors_uni, t.sigma2), t.sigma2, t.system
-            ).channel_freq
-        ),
+_ESTIMATORS: dict[str, _Entry] = {
+    "dft": _Entry("uniform", _rows(lambda ts: np.fft.fft(_dft_taps(*_uniform(ts))))),
+    "li": _Entry(
+        "uniform", _each(lambda t: estimate_linear_interp(t.uni_obs, t.system).channel_freq)
     ),
-    "mmse": (
+    "li-mmse": _Entry(
+        "uniform",
+        _rows(
+            lambda ts: _li_mmse_rows(
+                *_uniform(ts), np.array([t.priors_uni_y for t in ts]), ts[0].sigma2
+            )
+        ),
+        "uniform",
+    ),
+    "mmse": _Entry(
         "pseudo_random",
-        _each(
-            lambda t: estimate_mmse_oracle(
-                t.rand_obs, t.config.pdp, t.sigma2, t.system
-            ).channel_freq
+        _rows(
+            lambda ts: np.fft.fft(_mmse_taps(*_pseudo_random(ts), ts[0].config.pdp, ts[0].sigma2))
         ),
     ),
-    "rrls": (
+    "rrls": _Entry(
         "uniform",
-        _each(
-            lambda t: estimate_reduced_rank_ls(
-                t.uni_obs, SupportSet(t.config.rrls_support), t.system
-            ).channel_freq
+        _rows(
+            lambda ts: np.fft.fft(_support_taps(*_uniform(ts), ts[0].config.rrls_support, 0.0))
         ),
     ),
-    "omp": ("pseudo_random", lambda ts: _freqs(_omp_rows([t.rand_obs for t in ts]))),
-    "a1": (
+    "omp": _Entry("pseudo_random", lambda ts: _freqs(_omp_rows([t.rand_obs for t in ts]))),
+    "a1": _Entry(
         "pseudo_random",
         lambda ts: _freqs(_seeded_rows(*_reads(ts, "rand_obs", "full_pdp", "det"))),
+        "pseudo_random",
     ),
-    "a2": (
+    "a2": _Entry(
         "pseudo_random",
         lambda ts: _freqs(_a2_rows(*_reads(ts, "rand_obs", "prior_pdp", "det"))),
+        "pseudo_random",
     ),
-    "a3": (
+    "a3": _Entry(
         "pseudo_random",
         lambda ts: _freqs(_seeded_rows(*_reads(ts, "rand_obs", "full_pdp", "det"), OmpConfig())),
+        "pseudo_random",
     ),
-    "exomp": ("pseudo_random", _each(lambda t: ex_omp(t.full_set, t.det)[0].channel_freq())),
-    "ideal": ("uniform", _each(lambda t: t.true_freq)),
+    "exomp": _Entry(
+        "pseudo_random",
+        _each(lambda t: ex_omp(t.full_set, t.det)[0].channel_freq()),
+        "pseudo_random",
+    ),
+    "ideal": _Entry("uniform", _each(lambda t: t.true_freq)),
 }
 
 ESTIMATOR_NAMES = tuple(_ESTIMATORS)
@@ -412,26 +482,29 @@ _BLOCK = 10
 _CALIB_SETS = 16  # sets per calibration block of max(1, 16 // n_sets) trials; more save no time
 
 
-def _error(freq: np.ndarray, true_freq: np.ndarray, data: np.ndarray) -> float:
-    err = freq[data] - true_freq[data]
-    return float(np.mean(np.abs(err) ** 2))
+def _errors(freqs: np.ndarray, true_freq: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """Mean squared error of each row of ``freqs`` on its row of ``data`` subcarriers."""
+    err = np.take_along_axis(freqs, data, 1) - np.take_along_axis(true_freq, data, 1)
+    return np.mean(np.abs(err) ** 2, axis=1)
 
 
 def _run_block(config: SweepConfig, snr_idx: int, first: int) -> tuple[np.ndarray, np.ndarray]:
     """Synthesize trials first, first + 1, ... of a block and score every estimator on them.
 
-    Each estimator entry runs once over the block's trials.  Returns an
-    (estimators, trials) array of mean squared data-subcarrier errors, NaN
-    where an estimator raised ``LinAlgError``, and the trials' channel tap
-    energies.
+    Each estimator entry runs once over the block's trials, and its errors
+    are scored in one array operation.  Returns an (estimators, trials)
+    array of mean squared data-subcarrier errors, NaN where an estimator
+    raised ``LinAlgError``, and the trials' channel tap energies.
     """
     trials = [
         _Trial(config, snr_idx, trial_idx)
         for trial_idx in range(first, min(first + _BLOCK, config.n_trials))
     ]
+    true_freq = np.array([t.true_freq for t in trials])
+    data = {kind: np.array([t.data[kind] for t in trials]) for kind in trials[0].data}
     errors = [
-        [_error(freq, t.true_freq, t.data[kind]) for freq, t in zip(run(trials), trials)]
-        for kind, run in map(_ESTIMATORS.get, config.estimators)
+        _errors(np.asarray(run(trials)), true_freq, data[kind])
+        for kind, run, _ in map(_ESTIMATORS.get, config.estimators)
     ]
     return np.array(errors), np.array([trial.norm for trial in trials])
 
@@ -463,11 +536,16 @@ def run_sweep(
     squared data-subcarrier errors divided by the sum of the same trials'
     channel energies; trials where an estimator raised ``LinAlgError`` are
     excluded from that estimator's aggregate and counted in the row's failure
-    column, and other exceptions propagate.  The pursuits run over blocks of
-    up to ``_BLOCK`` consecutive trials of one SNR point, each row on its own
-    support, and skip a dependent bin row by row.  With ``n_workers > 1``
-    blocks are distributed over at most that many processes, one per block
-    at most.  Results are identical for every block size and worker count.
+    column, and other exceptions propagate.  Trials run in blocks of up to
+    ``_BLOCK`` consecutive trials of one SNR point.  The pursuits run once per
+    block, each row on its own support, skipping a dependent bin row by row.
+    ``dft``, ``mmse``, ``rrls`` and ``li-mmse`` also run once per block, and
+    a block of theirs that raises ``LinAlgError`` reruns one trial at a time.
+    Trials build only the prior sets that the selected estimators read
+    (``SweepConfig.prior_kinds``).
+    With ``n_workers > 1`` blocks are distributed over at most that many
+    processes, one per block at most.  Results are identical for every block
+    size, worker count and estimator selection.
 
     Blocks fill one (estimators, SNRs, trials) error array and one (SNRs,
     trials) energy array, from which ``_row`` builds each row; ``keep_trials``
@@ -550,9 +628,9 @@ def false_alarm_calibration(
                 for g in g_trial:
                     seeds.append(int(rng.integers(0, 2**63)))
                     rng.standard_normal(out=g)
-            index = np.arange(len(seeds))[:, None] * d + _pseudo_random_rows(d, n, seeds)
             noise = _complex_gaussian(1.0, g_noise).reshape(-1, n)
-            values = _pdp(_spectrum(d, index.ravel(), noise).reshape(-1, n_sets, d), n)
+            spectra = _spectra(d, _pseudo_random_rows(d, n, seeds), noise)
+            values = _pdp(spectra.reshape(-1, n_sets, d), n)
             for i, det in enumerate(dets):
                 counts[i] += np.count_nonzero(_above(values, _threshold(values, n_sets, n, det)))
         total = trials * d

@@ -278,6 +278,11 @@ def _spectrum(d: int, index: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.multiply(np.fft.ifft(z, axis=1, out=z), d, out=z)
 
 
+def _spectra(d: int, pilots: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``_spectrum`` of each row of r on its row of ``pilots``; one (N,) row serves every row."""
+    return _spectrum(d, (np.arange(r.shape[0])[:, None] * d + pilots).ravel(), r)
+
+
 def matched_filter(
     config: SystemConfig, pattern: PilotPattern, y: np.ndarray
 ) -> np.ndarray:

@@ -8,7 +8,16 @@ from itertools import product
 import numpy as np
 import pytest
 
-from sparsechan import evaluation
+from sparsechan import baseline, evaluation
+from sparsechan.baseline import (
+    SupportSet,
+    estimate_dft,
+    estimate_li_mmse,
+    estimate_linear_interp,
+    estimate_mmse_oracle,
+    estimate_reduced_rank_ls,
+    pilot_sample_covariance,
+)
 from sparsechan.channel import ImpulseProfile, etu_profile, realize_channel
 from sparsechan.evaluation import (
     ESTIMATOR_NAMES,
@@ -21,6 +30,7 @@ from sparsechan.evaluation import (
     run_sweep,
 )
 from sparsechan.signal_model import (
+    Observation,
     ObservationSet,
     PilotPattern,
     SystemConfig,
@@ -198,9 +208,16 @@ def test_run_sweep_parallel_matches_sequential():
     assert seq.rows == par.rows
 
 
+def _priors_uni(trial):
+    """A trial's uniform prior sets as observations."""
+    pattern = trial.config.uni_pattern
+    return [Observation(y, pattern, trial.sigma2) for y in trial.priors_uni_y]
+
+
 def test_run_sweep_results_independent_of_block_size_and_workers(monkeypatch):
     # 7 trials split into blocks of 1 and into one ragged block of the default
-    # size; every trial error must also be the public per-trial call's.
+    # size; every trial error must also be the public per-trial call's, bit
+    # for bit, for the baselines run once per block as for the pursuits.
     cfg = _smoke_config(n_trials=7)
     blocked = run_sweep(cfg, keep_trials=True)
     par = run_sweep(cfg, n_workers=3)  # one process per block: two
@@ -211,18 +228,62 @@ def test_run_sweep_results_independent_of_block_size_and_workers(monkeypatch):
     for key, errors in blocked.trial_errors.items():
         np.testing.assert_array_equal(single.trial_errors[key], errors)
     public = {
-        "omp": lambda t: omp(t.rand_obs),
-        "a1": lambda t: algorithm_a1(t.full_set, t.det)[0],
-        "a2": lambda t: algorithm_a2(t.rand_obs, t.prior_pdp, t.det),
-        "a3": lambda t: algorithm_a3(t.full_set, t.det)[0],
+        "dft": ("uniform", lambda t: estimate_dft(t.uni_obs, t.system).channel_freq),
+        "li": ("uniform", lambda t: estimate_linear_interp(t.uni_obs, t.system).channel_freq),
+        "li-mmse": (
+            "uniform",
+            lambda t: estimate_li_mmse(
+                t.uni_obs, pilot_sample_covariance(_priors_uni(t), t.sigma2), t.sigma2, t.system
+            ).channel_freq,
+        ),
+        "mmse": (
+            "pseudo_random",
+            lambda t: estimate_mmse_oracle(t.rand_obs, cfg.pdp, t.sigma2, t.system).channel_freq,
+        ),
+        "rrls": (
+            "uniform",
+            lambda t: estimate_reduced_rank_ls(
+                t.uni_obs, SupportSet(cfg.rrls_support), t.system
+            ).channel_freq,
+        ),
+        "omp": ("pseudo_random", lambda t: omp(t.rand_obs).channel_freq()),
+        "a1": ("pseudo_random", lambda t: algorithm_a1(t.full_set, t.det)[0].channel_freq()),
+        "a2": (
+            "pseudo_random",
+            lambda t: algorithm_a2(t.rand_obs, t.prior_pdp, t.det).channel_freq(),
+        ),
+        "a3": ("pseudo_random", lambda t: algorithm_a3(t.full_set, t.det)[0].channel_freq()),
     }
     for si, snr in enumerate(cfg.snr_db):
         for ti in range(cfg.n_trials):
             trial = evaluation._Trial(cfg, si, ti)
-            data = trial.data["pseudo_random"]
-            for name, estimate in public.items():
-                err = estimate(trial).channel_freq()[data] - trial.true_freq[data]
+            for name, (kind, estimate) in public.items():
+                data = trial.data[kind]
+                err = estimate(trial)[data] - trial.true_freq[data]
                 assert blocked.trial_errors[(name, snr)][ti] == np.mean(np.abs(err) ** 2)
+
+
+@pytest.mark.parametrize(
+    "estimators, patterns_per_trial",
+    [(("dft", "li", "li-mmse", "mmse", "rrls"), 1), (("dft", "exomp"), 1 + 3)],
+)
+def test_run_sweep_builds_only_the_prior_sets_its_estimators_read(
+    monkeypatch, estimators, patterns_per_trial
+):
+    # Every trial still draws every pattern seed, but only the scored
+    # pseudo-random pattern is built unless an estimator reads the prior sets
+    # (3 in the smoke config); the selection test shows the skip moves no value.
+    seeds = []
+    rows = evaluation._pseudo_random_rows
+
+    def counting(d, n, trial_seeds):
+        seeds.extend(trial_seeds)
+        return rows(d, n, trial_seeds)
+
+    monkeypatch.setattr(evaluation, "_pseudo_random_rows", counting)
+    cfg = _smoke_config(estimators=estimators)
+    run_sweep(cfg)
+    assert len(seeds) == patterns_per_trial * cfg.n_trials * len(cfg.snr_db)
 
 
 def _sequential_trial(cfg, snr_idx, trial_idx):
@@ -259,7 +320,7 @@ def test_trial_synthesis_follows_the_documented_draw_order(n_prior_sets):
         true_freq, norm, observations = _sequential_trial(cfg, snr_idx, trial_idx)
         np.testing.assert_array_equal(trial.true_freq, true_freq)
         assert trial.norm == norm
-        got = [trial.uni_obs, trial.rand_obs, *trial.priors_rand, *trial.priors_uni]
+        got = [trial.uni_obs, trial.rand_obs, *trial.priors_rand, *_priors_uni(trial)]
         assert len(got) == len(observations) == 2 + 2 * n_prior_sets
         for mine, want in zip(got, observations):
             np.testing.assert_array_equal(mine.y, want.y)
@@ -355,33 +416,40 @@ def test_run_sweep_counts_deterministic_failures():
 @pytest.mark.parametrize("n_workers", [1, 2])
 def test_run_sweep_raises_programming_errors(monkeypatch, n_workers):
     # Only numeric LinAlgErrors count as estimator failures; a bug in an
-    # estimator, one run per trial or one run on the whole block, must stop
-    # the sweep, in the workers as well.
+    # estimator, one run per trial or one run on the whole block (a pursuit's
+    # or a baseline's), must stop the sweep, in the workers as well.
     def broken(*args, **kwargs):
         raise TypeError("broken estimator")
 
-    for name, function in (("dft", "estimate_dft"), ("omp", "_omp_rows")):
+    for name, function in (
+        ("li", "estimate_linear_interp"),
+        ("dft", "_dft_taps"),
+        ("omp", "_omp_rows"),
+    ):
         with monkeypatch.context() as patch:
             patch.setattr(evaluation, function, broken)
-            cfg = _smoke_config(estimators=("li", name), n_trials=2)
+            cfg = _smoke_config(estimators=("ideal", name), n_trials=2)
             with pytest.raises(TypeError, match="broken estimator"):
                 run_sweep(cfg, n_workers=n_workers)
 
 
 def test_run_sweep_scores_a_linalg_error_for_its_trial_only(monkeypatch):
     # One trial of a block fails; the others in the block, and every other
-    # estimator on the failing trial, keep their unpatched errors.
+    # estimator on the failing trial, keep their unpatched errors.  The patch
+    # is on the row code under both the mmse block entry and
+    # estimate_mmse_oracle: the block fails as a whole, and the rerun one
+    # trial at a time fails that trial alone.
     cfg = _smoke_config(n_trials=4)
     reference = run_sweep(cfg, keep_trials=True)
-    oracle = evaluation.estimate_mmse_oracle
+    support_taps = baseline._support_taps
     target = evaluation._Trial(cfg, 1, 2).rand_obs
 
-    def failing_once(obs, *args):
-        if np.array_equal(obs.y, target.y):
+    def failing_once(d, pilots, y, *args):
+        if any(np.array_equal(row, target.y) for row in y):
             raise np.linalg.LinAlgError("singular")
-        return oracle(obs, *args)
+        return support_taps(d, pilots, y, *args)
 
-    monkeypatch.setattr(evaluation, "estimate_mmse_oracle", failing_once)
+    monkeypatch.setattr(baseline, "_support_taps", failing_once)
     res = run_sweep(cfg, keep_trials=True)
     assert res.row("mmse", 20.0).failures == 1
     for key, errors in res.trial_errors.items():

@@ -11,7 +11,9 @@ observations.  Trial synthesis draws a trial's normals into buffers and
 transforms all its channels in one batched FFT; the two numpy identities
 that keep it bitwise equal to one public call per channel and observation
 are checked last, followed by the block path of the false-alarm
-calibration, which must equal the per-trial public calls bit for bit.
+calibration, which must equal the per-trial public calls bit for bit, and the
+stacked support solve of the baselines run once per block, which must equal
+its per-row solves bit for bit.
 """
 
 import numpy as np
@@ -25,6 +27,7 @@ from sparsechan.signal_model import (
     PilotPattern,
     SystemConfig,
     _pseudo_random_rows,
+    _spectra,
     _spectrum,
     gram_kernel,
     matched_filter,
@@ -330,3 +333,52 @@ def test_in_place_spectrum_equals_scaled_inverse_fft(m, d, seed):
     z = np.zeros((m, d), dtype=np.complex128)
     z.ravel()[index] = r.ravel()
     assert np.array_equal(_spectrum(d, index, r), d * np.fft.ifft(z, axis=1))
+
+
+@st.composite
+def support_stacks(draw):
+    """Rows of pilots and pilot values on one grid, one support and one ridge >= 0.
+
+    A row may be uniformly spaced with the support holding two bins it aliases,
+    which makes that row's least-squares system rank deficient.
+    """
+    d = draw(st.integers(2, 64))
+    n = draw(st.integers(1, d))
+    rows = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pilots = _pseudo_random_rows(d, n, rng.integers(0, 2**63, rows).tolist())
+    m = draw(st.integers(1, min(d, n + 1)))
+    bins = draw(st.lists(st.integers(0, d - 1), min_size=m, max_size=m, unique=True))
+    spacing = d // n
+    if spacing > 1 and d % spacing == 0 and draw(st.booleans()):
+        pilots[draw(st.integers(0, rows - 1))] = np.arange(n) * spacing
+        alias = (bins[0] + d // spacing) % d
+        bins = bins if alias in bins else bins + [alias]
+    ridge = draw(st.sampled_from([0.0, "positive"]))
+    if ridge:
+        ridge = rng.uniform(0.01, 2.0, len(bins)) * n
+    y = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+    return d, pilots, y, np.array(bins), ridge
+
+
+@SETTINGS
+@given(support_stacks())
+@example((16, np.array([[1, 4, 5, 7, 9, 11, 12, 14], np.arange(8) * 2]), np.ones((2, 8)) * 1j,
+          np.array([2, 10]), 0.0))  # bins 2 and 10 alias on the second row's spacing 2
+def test_stacked_support_solve_equals_per_row_solves(stack):
+    # The baselines solve a block's rows in one call; it must raise where any
+    # row's own solve raises, and otherwise give every row's solve bit for bit.
+    d, pilots, y, bins, ridge = stack
+    kernel, proj = gram_kernel(d, pilots), _spectra(d, pilots, y)
+    per_row = []
+    for r in range(len(y)):
+        try:
+            per_row.append(support_solve(kernel[r], proj[r], bins, ridge))
+        except np.linalg.LinAlgError:
+            per_row.append(None)
+    if any(row is None for row in per_row):
+        with pytest.raises(np.linalg.LinAlgError):
+            support_solve(kernel, proj, bins, ridge)
+        return
+    for got, want in zip(support_solve(kernel, proj, bins, ridge), per_row):
+        assert np.array_equal(got, want)
