@@ -24,24 +24,15 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import astuple, dataclass, field, fields
-from functools import cached_property, partial
+from functools import partial
 from itertools import product
-from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
 
-from .baseline import (
-    _dft_taps,
-    _li_mmse_rows,
-    _mmse_taps,
-    _support_taps,
-    estimate_linear_interp,
-)
+from .baseline import _dft_taps, _interp_rows, _li_mmse_rows, _mmse_taps, _support_taps
 from .channel import ImpulseProfile, PowerDelayProfile, to_continuous_pdp
 from .signal_model import (
-    Observation,
-    ObservationSet,
     PilotPattern,
     SystemConfig,
     _check_count,
@@ -53,17 +44,15 @@ from .signal_model import (
 from .sparse_recovery import (
     DetectionConfig,
     OmpConfig,
-    SamplePdp,
     SparseEstimate,
     _a2_rows,
     _above,
+    _ex_omp_row,
     _omp_rows,
     _pdp,
     _seeded_rows,
     _strongest,
     _threshold,
-    ex_omp,
-    sample_pdp,
 )
 
 __all__ = [
@@ -186,7 +175,7 @@ class SweepConfig:
         object.__setattr__(self, "estimators", tuple(self.estimators))
         object.__setattr__(self, "pdp", pdp)
         object.__setattr__(self, "uni_pattern", uni_pattern)
-        object.__setattr__(self, "uni_data", _data_indices(system.d, uni_pattern))
+        object.__setattr__(self, "uni_data", _data_indices(system.d, uni_pattern.indices))
         object.__setattr__(self, "rrls_support", active)
         kinds = {_ESTIMATORS[name].priors for name in self.estimators} - {None}
         object.__setattr__(self, "prior_kinds", frozenset(kinds))
@@ -245,21 +234,21 @@ class SweepResult:
         return "\n".join(lines)
 
 
-def _data_indices(d: int, pattern: PilotPattern) -> np.ndarray:
+def _data_indices(d: int, pilots: np.ndarray) -> np.ndarray:
     mask = np.ones(d, dtype=bool)
-    mask[pattern.indices] = False
+    mask[pilots] = False
     return np.flatnonzero(mask)
 
 
 class _Trial:
-    """One trial's synthesized inputs, which every estimator entry reads.
+    """One trial's synthesized inputs, as the arrays that every estimator entry stacks.
 
     The draws happen unconditionally and in a fixed order, so the
     realizations are independent of the estimator list.  With n prior sets,
     the trial's generator draws, in this order:
 
-    - the channel theta0, the noise of ``uni_obs``, the seed of the
-      pseudo-random pattern, and the noise of ``rand_obs``;
+    - the channel theta0, the noise of the uniform observation, the seed of
+      the scored pseudo-random pattern, and the noise of its observation;
     - for each pseudo-random prior set: its channel, its pattern seed, its
       noise;
     - for each uniform prior set: its channel, its noise.
@@ -270,29 +259,31 @@ class _Trial:
     called on the same generator in that order, reproduce the trial bit for
     bit.
 
-    Of the prior sets, a trial builds only the kinds in the config's
+    A trial keeps arrays: ``uni_y``, the uniform set's pilot values;
+    ``pilots`` and ``y``, the pseudo-random sets' pilot rows (one checked
+    ``_pseudo_random_rows`` stack) and values, scored set first;
+    ``true_freq``, ``norm``, and ``data``, each pattern kind's data
+    subcarriers.  It builds only the prior sets of the config's
     ``prior_kinds``, those a selected estimator reads; the others are drawn
-    and dropped, so skipping them moves no value.  The pseudo-random ones,
-    with their patterns, are ``priors_rand`` (else None); the uniform ones'
-    pilot values are the rows of ``priors_uni_y`` (else None).  The inputs
-    several estimators share are built on first use, at most once per trial;
-    they draw no random numbers, so they are the same whenever a block's
-    entries ask for them.  ``a1`` and ``a3`` use the prior sets only to
-    detect: they estimate the scored observation alone from ``full_pdp``, the
-    sample PDP of the full set.
+    and dropped, which moves no value.  The pseudo-random ones add n rows to
+    ``pilots`` and ``y`` and give ``full_values`` and ``prior_values``, the
+    sample PDPs of all these sets and of the priors, from one ``_spectra``
+    call; the uniform ones' values are the rows of ``priors_uni_y``.  What a
+    trial does not build is None.
     """
 
     def __init__(self, config: SweepConfig, snr_idx: int, trial_idx: int) -> None:
         system, n = config.system, config.n_prior_sets
+        d, n_pilots = system.d, system.n_pilots
         sigma2 = 10.0 ** (-config.snr_db[snr_idx] / 10.0)
         rng = np.random.default_rng([config.master_seed, snr_idx, trial_idx])
         self.config, self.system, self.sigma2 = config, system, sigma2
 
         # Channel k is theta0 (k = 0), a pseudo-random prior's (1..n) or a
         # uniform prior's (n+1..2n).  Noise k + 1 is that channel's observation
-        # on a pseudo-random (k <= n) or uniform pattern; noise 0 is uni_obs.
-        g_chan = np.empty((1 + 2 * n, 2, system.d))
-        g_noise = np.empty((2 + 2 * n, 2, system.n_pilots))
+        # on a pseudo-random (k <= n) or uniform pattern; noise 0 is uni_y's.
+        g_chan = np.empty((1 + 2 * n, 2, d))
+        g_noise = np.empty((2 + 2 * n, 2, n_pilots))
         seeds = []
         for k in range(2 * n + 1):
             rng.standard_normal(out=g_chan[k])
@@ -312,40 +303,20 @@ class _Trial:
         thetas = _complex_gaussian(config.pdp.variances, g_chan[chans])
         spectra = np.fft.fft(thetas, axis=1)
         noise = _complex_gaussian(sigma2, g_noise)
-        pilots = _pseudo_random_rows(system.d, system.n_pilots, seeds if rand else seeds[:1])
-        patterns = [PilotPattern(idx, system.d, "pseudo_random") for idx in pilots]
-        obs = [
-            Observation(spectra[k, pat.indices] + noise[k + 1], pat, sigma2)
-            for k, pat in enumerate(patterns)
-        ]
+        self.pilots = pilots = _pseudo_random_rows(d, n_pilots, seeds if rand else seeds[:1])
+        rows = len(pilots)
         uni_pilots = config.uni_pattern.indices
         self.true_freq = spectra[0].copy()
         self.norm = float(np.vdot(thetas[0], thetas[0]).real)
-        self.uni_obs = Observation(spectra[0, uni_pilots] + noise[0], config.uni_pattern, sigma2)
-        self.rand_obs = obs[0]
-        self.priors_rand = obs[1:] if rand else None
+        self.uni_y = spectra[0, uni_pilots] + noise[0]
+        self.y = np.take_along_axis(spectra[:rows], pilots, 1) + noise[1 : rows + 1]
         self.priors_uni_y = spectra[-n:, uni_pilots] + noise[n + 2 :] if uni else None
+        matched = _spectra(d, pilots, self.y) if rand else None
+        self.full_values = _pdp(matched, n_pilots) if rand else None
+        self.prior_values = _pdp(matched[1:], n_pilots) if rand else None
 
         self.det = DetectionConfig(alpha=config.alpha, noise_var=sigma2)
-        self.data = {
-            "uniform": config.uni_data,
-            "pseudo_random": _data_indices(system.d, patterns[0]),
-        }
-
-    @cached_property
-    def full_set(self) -> ObservationSet:
-        """The scored pseudo-random observation followed by the prior sets."""
-        return ObservationSet(tuple([self.rand_obs] + self.priors_rand))
-
-    @cached_property
-    def full_pdp(self) -> SamplePdp:
-        """Sample PDP of the full set, from which a1 and a3 detect."""
-        return sample_pdp(self.full_set)
-
-    @cached_property
-    def prior_pdp(self) -> SamplePdp:
-        """Sample PDP of the pseudo-random prior sets."""
-        return sample_pdp(ObservationSet(tuple(self.priors_rand)))
+        self.data = {"uniform": config.uni_data, "pseudo_random": _data_indices(d, pilots[0])}
 
 
 def _each(transfer: Callable[[_Trial], np.ndarray]) -> Callable[[list[_Trial]], list]:
@@ -381,22 +352,36 @@ def _rows(transfer: Callable[[list[_Trial]], np.ndarray]) -> Callable[[list[_Tri
     return run
 
 
-def _reads(trials: list[_Trial], *names: str):
-    """The named inputs of a block's trials, one tuple per name."""
-    return zip(*map(attrgetter(*names), trials))
-
-
 def _uniform(trials: list[_Trial]) -> tuple:
-    """d, the uniform pilots, and the (trials, N) pilot values of the trials' ``uni_obs``."""
+    """d, the uniform pilots, and the (trials, N) pilot values of the trials' uniform sets."""
     t = trials[0]
-    return t.system.d, t.config.uni_pattern.indices, np.array([t.uni_obs.y for t in trials])
+    return t.system.d, t.config.uni_pattern.indices, np.array([t.uni_y for t in trials])
 
 
 def _pseudo_random(trials: list[_Trial]) -> tuple:
-    """d, and the (trials, N) pilots and pilot values of the trials' ``rand_obs``."""
-    obs = [t.rand_obs for t in trials]
-    pilots = np.array([o.pattern.indices for o in obs])
-    return trials[0].system.d, pilots, np.array([o.y for o in obs])
+    """d, and the (trials, N) pilots and pilot values of the trials' scored sets."""
+    pilots = np.array([t.pilots[0] for t in trials])
+    return trials[0].system.d, pilots, np.array([t.y[0] for t in trials])
+
+
+def _scored(trials: list[_Trial]) -> tuple:
+    """d, and the trials' scored sets as rows of one set, with their noise variances."""
+    d, pilots, y = _pseudo_random(trials)
+    return d, pilots[:, None], y[:, None], np.full((len(trials), 1), trials[0].sigma2)
+
+
+def _detection(trials: list[_Trial], full: bool) -> tuple:
+    """What a1 and a3 (``full``) or a2 detect in: the (trials, d) sample-PDP values of all the
+    pseudo-random sets or of the prior ones, their set and pilot counts, and the dets."""
+    t = trials[0]
+    values = np.array([t.full_values if full else t.prior_values for t in trials])
+    return values, t.config.n_prior_sets + full, t.system.n_pilots, [t.det for t in trials]
+
+
+def _ex_omp(t: _Trial) -> np.ndarray:
+    """``ex_omp``'s transfer function for the trial's scored set, pursued with its prior sets."""
+    noise_vars = np.full((1, len(t.y)), t.sigma2)
+    return _ex_omp_row(t.system.d, t.pilots[None], t.y[None], noise_vars, t.det)[0].channel_freq()
 
 
 def _freqs(estimates: list[SparseEstimate]) -> list[np.ndarray]:
@@ -416,17 +401,14 @@ class _Entry(NamedTuple):
     priors: str | None = None
 
 
-# The classical baselines but ``li`` and the pursuits without a shared support
-# run on the whole block at once, so their per-call costs are paid once per
-# block rather than once per trial; ``li``, ``exomp`` and ``ideal`` run once
-# per trial.  The block baselines call the row code of the public estimators,
-# which those call with one row.  The lambdas look the estimator functions up
-# when called, so a replaced module attribute takes effect.
+# Every entry but ``exomp`` and ``ideal`` runs once on the whole block, so its
+# per-call costs are paid once per block rather than once per trial.  Each
+# reads the trials' arrays and calls the row code that the public estimators
+# call with their inputs stacked.  The lambdas look the row functions up when
+# called, so a replaced module attribute takes effect.
 _ESTIMATORS: dict[str, _Entry] = {
     "dft": _Entry("uniform", _rows(lambda ts: np.fft.fft(_dft_taps(*_uniform(ts))))),
-    "li": _Entry(
-        "uniform", _each(lambda t: estimate_linear_interp(t.uni_obs, t.system).channel_freq)
-    ),
+    "li": _Entry("uniform", _rows(lambda ts: _interp_rows(*_uniform(ts)))),
     "li-mmse": _Entry(
         "uniform",
         _rows(
@@ -448,27 +430,23 @@ _ESTIMATORS: dict[str, _Entry] = {
             lambda ts: np.fft.fft(_support_taps(*_uniform(ts), ts[0].config.rrls_support, 0.0))
         ),
     ),
-    "omp": _Entry("pseudo_random", lambda ts: _freqs(_omp_rows([t.rand_obs for t in ts]))),
+    "omp": _Entry("pseudo_random", lambda ts: _freqs(_omp_rows(*_scored(ts)))),
     "a1": _Entry(
         "pseudo_random",
-        lambda ts: _freqs(_seeded_rows(*_reads(ts, "rand_obs", "full_pdp", "det"))),
+        lambda ts: _freqs(_seeded_rows(*_scored(ts), *_detection(ts, True))),
         "pseudo_random",
     ),
     "a2": _Entry(
         "pseudo_random",
-        lambda ts: _freqs(_a2_rows(*_reads(ts, "rand_obs", "prior_pdp", "det"))),
+        lambda ts: _freqs(_a2_rows(*_scored(ts), *_detection(ts, False))),
         "pseudo_random",
     ),
     "a3": _Entry(
         "pseudo_random",
-        lambda ts: _freqs(_seeded_rows(*_reads(ts, "rand_obs", "full_pdp", "det"), OmpConfig())),
+        lambda ts: _freqs(_seeded_rows(*_scored(ts), *_detection(ts, True), OmpConfig())),
         "pseudo_random",
     ),
-    "exomp": _Entry(
-        "pseudo_random",
-        _each(lambda t: ex_omp(t.full_set, t.det)[0].channel_freq()),
-        "pseudo_random",
-    ),
+    "exomp": _Entry("pseudo_random", _each(_ex_omp), "pseudo_random"),
     "ideal": _Entry("uniform", _each(lambda t: t.true_freq)),
 }
 
@@ -537,10 +515,11 @@ def run_sweep(
     channel energies; trials where an estimator raised ``LinAlgError`` are
     excluded from that estimator's aggregate and counted in the row's failure
     column, and other exceptions propagate.  Trials run in blocks of up to
-    ``_BLOCK`` consecutive trials of one SNR point.  The pursuits run once per
-    block, each row on its own support, skipping a dependent bin row by row.
-    ``dft``, ``mmse``, ``rrls`` and ``li-mmse`` also run once per block, and
-    a block of theirs that raises ``LinAlgError`` reruns one trial at a time.
+    ``_BLOCK`` consecutive trials of one SNR point.  ``omp``, ``a1``, ``a2``
+    and ``a3`` run once per block, each row on its own support, skipping a
+    dependent bin row by row.  ``dft``, ``li``, ``mmse``, ``rrls`` and
+    ``li-mmse`` also run once per block, and a block of theirs that raises
+    ``LinAlgError`` reruns one trial at a time.
     Trials build only the prior sets that the selected estimators read
     (``SweepConfig.prior_kinds``).
     With ``n_workers > 1`` blocks are distributed over at most that many

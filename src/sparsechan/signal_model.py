@@ -264,23 +264,22 @@ def partial_fourier_matrix(
     return np.exp(phase * np.outer(pattern.indices, bins))
 
 
-def _stack(observations: tuple[Observation, ...]) -> tuple[np.ndarray, ...]:
-    """Pilot index rows, their flat positions in an (n_sets, d) array, and the y rows."""
-    pilots = np.array([o.pattern.indices for o in observations])
-    index = np.arange(len(observations))[:, None] * observations[0].pattern.d + pilots
-    return pilots, index.ravel(), np.array([o.y for o in observations])
-
-
-def _spectrum(d: int, index: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Matched filter H_s^H r_s of every set's pilot-domain vector: one batched FFT, in place."""
-    z = np.zeros((r.shape[0], d), dtype=np.complex128)
-    z.ravel()[index] = r.ravel()
-    return np.multiply(np.fft.ifft(z, axis=1, out=z), d, out=z)
+def _stack(observations, rows: int) -> tuple:
+    """d, and the observations as ``rows`` rows of equally many sets, in order: (rows, sets, N)
+    pilot indices and values and (rows, sets) noise variances."""
+    shape = (rows, len(observations) // rows)
+    pilots = np.array([o.pattern.indices for o in observations]).reshape(shape + (-1,))
+    y = np.array([o.y for o in observations]).reshape(shape + (-1,))
+    noise_vars = np.array([o.noise_var for o in observations]).reshape(shape)
+    return observations[0].pattern.d, pilots, y, noise_vars
 
 
 def _spectra(d: int, pilots: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """``_spectrum`` of each row of r on its row of ``pilots``; one (N,) row serves every row."""
-    return _spectrum(d, (np.arange(r.shape[0])[:, None] * d + pilots).ravel(), r)
+    """Matched filter H_s^H r_s of each row of r on its row of ``pilots`` (one (N,) row serves
+    every row): one batched FFT, in place."""
+    z = np.zeros((r.shape[0], d), dtype=np.complex128)
+    z.ravel()[(np.arange(r.shape[0])[:, None] * d + pilots).ravel()] = r.ravel()
+    return np.multiply(np.fft.ifft(z, axis=1, out=z), d, out=z)
 
 
 def matched_filter(
@@ -296,7 +295,7 @@ def matched_filter(
     y = np.asarray(y, dtype=np.complex128)
     if y.shape != (pattern.n,):
         raise ValueError(f"y must have shape ({pattern.n},), got {y.shape}")
-    return _spectrum(config.d, pattern.indices, y[None, :])[0]
+    return _spectra(config.d, pattern.indices, y[None, :])[0]
 
 
 def gram_kernel(d: int, pilots: np.ndarray) -> np.ndarray:

@@ -6,12 +6,12 @@ each row on its own growing support shared by its sets, with Gram entries
 looked up in the circulant kernel of H^H H, one inverse Cholesky factor per
 set grown by one row update per bin as the bins go in column by column,
 coefficients formed from it only when asked for, and batched FFTs for the
-residuals and their spectra.  Every single-observation pursuit has one call
-form, a block of rows with one observation each (``_omp_rows``, ``_a2_rows``,
-``_seeded_rows``): ``omp`` and ``algorithm_a2`` are a block of one row,
-``algorithm_a1`` and ``algorithm_a3`` one row per observation of their set,
-and a sweep pursues a whole block of trials at once.  ``ex_omp`` runs one row
-of all its sets.
+residuals and their spectra.  The engine and every row function take one
+input format: d, (rows, sets, N) pilot indices and values, (rows, sets) noise
+variances and, to detect, (rows, d) sample-PDP values.  ``omp`` and
+``algorithm_a2`` are one row of one set, ``algorithm_a1`` and ``algorithm_a3``
+one row per observation, ``ex_omp`` one row of all its sets, each stacked once
+by ``_stack``, and a sweep pursues a block of trials' arrays at once.
 Around the engine sit three ways of using side information gathered from
 extra pilot observations:
 
@@ -45,7 +45,6 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
@@ -58,7 +57,7 @@ from .signal_model import (
     _check_count,
     _check_noise_var,
     _check_powers,
-    _spectrum,
+    _spectra,
     _stack,
     gram_kernel,
     support_solve,
@@ -264,8 +263,8 @@ def sample_pdp(sets: ObservationSet) -> SamplePdp:
     The sets are independent, so they are averaged incoherently, power by
     power, giving 2 * n_sets chi-square degrees of freedom per noise bin.
     """
-    _, index, y = _stack(sets.observations)
-    return SamplePdp(_pdp(_spectrum(sets.d, index, y), sets.n_pilots), sets.n_sets, sets.n_pilots)
+    d, pilots, y, _ = _stack(sets.observations, 1)
+    return SamplePdp(_pdp(_spectra(d, pilots[0], y[0]), sets.n_pilots), sets.n_sets, sets.n_pilots)
 
 
 def _null_level(scale: float, n_pilots: int, d: int, noise_var: float) -> float:
@@ -310,6 +309,11 @@ def _above(values: np.ndarray, threshold) -> np.ndarray:
     return values > threshold  # the detector's one comparison of a sample PDP with its level
 
 
+def _detect(values: np.ndarray, n_sets: int, n_pilots: int, det: DetectionConfig) -> np.ndarray:
+    """Sorted indices of the bins of one row of sample-PDP values ``_above`` its ``_threshold``."""
+    return np.flatnonzero(_above(values, _threshold(values, n_sets, n_pilots, det)))
+
+
 def detection_threshold(pdp: SamplePdp, det: DetectionConfig) -> float:
     """Per-bin power level that noise alone exceeds with probability alpha: ``_threshold``."""
     return float(_threshold(pdp.values, pdp.n_sets, pdp.n_pilots, det)[0])
@@ -318,20 +322,21 @@ def detection_threshold(pdp: SamplePdp, det: DetectionConfig) -> float:
 def detect_support(pdp: SamplePdp, det: DetectionConfig) -> np.ndarray:
     """Sorted indices of the sample-PDP bins ``_above`` ``detection_threshold``; a zero
     threshold keeps every bin above zero."""
-    return np.flatnonzero(_above(pdp.values, detection_threshold(pdp, det)))
+    return _detect(pdp.values, pdp.n_sets, pdp.n_pilots, det)
 
 
 class _StackedSolver:
     """Incremental least squares of stacked observation sets, one growing support per row.
 
-    Row r stacks S observation sets that share the support ``sel[r, :m[r]]``:
-    the single-observation pursuits run one set per row and one row per
-    observation, ``ex_omp`` one row of all its sets.  Each set keeps only its
-    inverse Cholesky factor L^-1 of G = H^H H on its row's support, and
-    ``coef`` forms c = L^-H L^-1 H^H y when called.  ``add_bins`` takes sorted
-    row indices and adds their bins column by column, each column advancing
-    together only the rows of one support size; ``spectra``, ``coef`` and
-    ``refresh`` take such rows as a slice or sorted indices.
+    Built from d, (rows, sets, N) pilot indices and values and (rows, sets)
+    noise variances.  Row r stacks S observation sets that share the support
+    ``sel[r, :m[r]]``: the single-observation pursuits run one set per row
+    and one row per observation, ``ex_omp`` one row of all its sets.  Each
+    set keeps only its inverse Cholesky factor L^-1 of G = H^H H on its row's
+    support, and ``coef`` forms c = L^-H L^-1 H^H y when called.  ``add_bins``
+    takes sorted row indices and adds their bins column by column, each
+    column advancing together only the rows of one support size; ``spectra``,
+    ``coef`` and ``refresh`` take such rows as a slice or sorted indices.
     Each row's arithmetic is then exactly that of a solver built for it
     alone, whatever rows it is stacked with.  ``history[r]`` holds row r's
     residual energies, first and after each ``add_bins`` that grows it;
@@ -345,26 +350,22 @@ class _StackedSolver:
         "m", "taken", "residual", "residual_sq", "history",
     )
 
-    def __init__(self, rows: Sequence[tuple[Observation, ...]]) -> None:
-        shape = (len(rows), len(rows[0]))
-        self.d = rows[0][0].pattern.d
-        self.n = n = rows[0][0].pattern.n
-        pilots, index, y = _stack(tuple(o for row in rows for o in row))
+    def __init__(self, d: int, pilots: np.ndarray, y: np.ndarray, noise_vars: np.ndarray) -> None:
+        shape, n = y.shape[:2], y.shape[2]
+        self.d, self.n = d, n
         # Flat offset of each (row, set) in a (rows, sets, d) array.
-        self.base = (np.arange(shape[0] * shape[1]) * self.d).reshape(shape + (1,))
-        self.pilots = pilots.reshape(shape + (n,))
-        self.y = y.reshape(shape + (n,))
-        self.noise_vars = np.array([[o.noise_var for o in row] for row in rows])
-        self.kernel = gram_kernel(self.d, pilots).reshape(shape + (self.d,))
-        self.proj = _spectrum(self.d, index, y).reshape(shape + (self.d,))
+        self.base = (np.arange(shape[0] * shape[1]) * d).reshape(shape + (1,))
+        self.pilots, self.y, self.noise_vars = pilots, y, noise_vars
+        self.kernel = gram_kernel(d, pilots)
+        self.proj = _spectra(d, pilots.reshape(-1, n), y.reshape(-1, n)).reshape(shape + (d,))
         # Grown as the supports grow.  Only the leading m x m block of linv
         # is read, and it starts zeroed, so its upper triangle stays zero.
         self.linv = np.empty(shape + (0, 0), dtype=np.complex128)
         self.sel = np.empty((shape[0], 0), dtype=np.int64)
         self.m = np.zeros(shape[0], dtype=np.int64)
-        self.taken = np.zeros((shape[0], self.d), dtype=bool)
-        self.residual = self.y.copy()
-        self.residual_sq = np.vecdot(self.y, self.y).real
+        self.taken = np.zeros((shape[0], d), dtype=bool)
+        self.residual = y.copy()
+        self.residual_sq = np.vecdot(y, y).real
         self.history = [[energy] for energy in self.residual_sq]
 
     def support(self, row: int) -> np.ndarray:
@@ -374,9 +375,8 @@ class _StackedSolver:
     def spectra(self, rows) -> np.ndarray:
         """Matched-filter spectra of the rows' residuals, one (sets, d) block per row."""
         residual = self.residual[rows]
-        index = (self.base[: residual.shape[0]] + self.pilots[rows]).ravel()
-        flat = residual.reshape(-1, self.n)
-        return _spectrum(self.d, index, flat).reshape(residual.shape[:2] + (self.d,))
+        flat = _spectra(self.d, self.pilots[rows].reshape(-1, self.n), residual.reshape(-1, self.n))
+        return flat.reshape(residual.shape[:2] + (self.d,))
 
     def add_bins(self, rows: np.ndarray, bins: np.ndarray) -> list[tuple[int, int]]:
         """Add each row's bins in order until its support is full, then solve.
@@ -575,11 +575,11 @@ def _largest_correlation(solver: _StackedSolver, rows, weights=None) -> np.ndarr
     return np.where(stop, -1, best)[:, None]
 
 
-def _omp_rows(observations, cfg: OmpConfig = OmpConfig()) -> list[SparseEstimate]:
-    """``omp`` on each observation, all pursued together; observations share d and N."""
-    solver = _StackedSolver([(obs,) for obs in observations])
+def _omp_rows(d: int, pilots, y, noise_vars, cfg: OmpConfig = OmpConfig()) -> list[SparseEstimate]:
+    """``omp`` on each row of one set, all pursued together."""
+    solver = _StackedSolver(d, pilots, y, noise_vars)
     _pursue(solver, cfg, _largest_correlation)
-    return [solver.estimates(row)[0] for row in range(len(observations))]
+    return [solver.estimates(row)[0] for row in range(y.shape[0])]
 
 
 def omp(obs: Observation, cfg: OmpConfig = OmpConfig()) -> SparseEstimate:
@@ -590,7 +590,7 @@ def omp(obs: Observation, cfg: OmpConfig = OmpConfig()) -> SparseEstimate:
     residual energy falls to n_pilots * noise_var or the iteration cap is
     reached.  Exact float ties go to the lowest bin index.
     """
-    return _omp_rows((obs,), cfg)[0]
+    return _omp_rows(*_stack((obs,), 1), cfg)[0]
 
 
 def _warn(message: str) -> None:
@@ -602,27 +602,29 @@ def _warn(message: str) -> None:
 
 
 def _seeded_rows(
-    observations, pdps, dets, cfg: OmpConfig | None = None
+    d: int, pilots, y, noise_vars, values, n_sets, n_pilots, dets, cfg: OmpConfig | None = None
 ) -> list[SparseEstimate]:
-    """Each observation's estimate seeded with the bins its ``det`` detects in its ``pdp``.
+    """Each row of one set seeded with the bins its ``det`` detects in its row of ``values``.
 
-    All rows are solved together.  The detected bins are least-squares
-    fitted; without ``cfg`` that is the estimate (``algorithm_a1``), with it
-    plain pursuit continues from there (``algorithm_a3``).  Warns for each
-    row whose detection it trims to the strongest n_pilots bins, for each
-    seed bin a row skips as dependent on the bins before it, and, without
-    ``cfg``, for each row that detected nothing.
+    ``values`` are sample PDPs of ``n_sets`` sets of ``n_pilots`` pilots.  All
+    rows are solved together.  The detected bins are least-squares fitted;
+    without ``cfg`` that is the estimate (``algorithm_a1``), with it plain
+    pursuit continues from there (``algorithm_a3``).  Warns for each row whose
+    detection it trims to the strongest N bins, for each seed bin a row skips
+    as dependent on the bins before it, and, without ``cfg``, for each row
+    that detected nothing.
     """
-    solver = _StackedSolver([(obs,) for obs in observations])
+    solver = _StackedSolver(d, pilots, y, noise_vars)
+    n = solver.n
     seeds = []
-    for pdp, det in zip(pdps, dets):
-        idx = detect_support(pdp, det)
-        if idx.size > solver.n:
+    for row, det in zip(values, dets):
+        idx = _detect(row, n_sets, n_pilots, det)
+        if idx.size > n:
             _warn(
-                f"detected support of {idx.size} bins exceeds {solver.n} observations; "
+                f"detected support of {idx.size} bins exceeds {n} observations; "
                 "keeping the strongest bins"
             )
-        seeds.append(_strongest(idx, pdp.values, solver.n))
+        seeds.append(_strongest(idx, row, n))
     for _, k in solver.add_bins(np.arange(len(seeds)), _padded(seeds)):
         _warn(f"seed bin {k} is linearly dependent on the support; skipped")
     if cfg is not None:
@@ -631,6 +633,13 @@ def _seeded_rows(
         for _ in range(int(np.count_nonzero(solver.m == 0))):
             _warn("no delay bin cleared the detection threshold; returning zero estimates")
     return [solver.estimates(row)[0] for row in range(len(seeds))]
+
+
+def _seeded(sets: ObservationSet, det: DetectionConfig, cfg: OmpConfig | None):
+    """``_seeded_rows`` on one row per observation of the set, all detecting in its sample PDP."""
+    n = sets.n_sets
+    values = np.broadcast_to(sample_pdp(sets).values, (n, sets.d))
+    return _seeded_rows(*_stack(sets.observations, n), values, n, sets.n_pilots, (det,) * n, cfg)
 
 
 def algorithm_a1(
@@ -644,23 +653,21 @@ def algorithm_a1(
     If nothing clears the threshold a warning is issued and all-zero
     estimates are returned.
     """
-    n = sets.n_sets
-    return _seeded_rows(sets.observations, (sample_pdp(sets),) * n, (det,) * n)
+    return _seeded(sets, det, None)
 
 
-def _a2_rows(observations, prior_pdps, dets, cfg: OmpConfig = OmpConfig()) -> list[SparseEstimate]:
-    """``algorithm_a2`` on each (observation, prior, det), all pursued together."""
-    lam_prior = np.empty((len(observations), observations[0].pattern.d))
-    for lam, obs, prior_pdp, det in zip(lam_prior, observations, prior_pdps, dets):
-        if prior_pdp.values.size != obs.pattern.d:
-            raise ValueError(
-                f"prior has {prior_pdp.values.size} bins, observation grid has {obs.pattern.d}"
-            )
-        lam[:] = _null_level(prior_pdp.scale, prior_pdp.n_pilots, obs.pattern.d, det.noise_var)
-        detected = detect_support(prior_pdp, det)
-        lam[detected] = prior_pdp.values[detected]
-    solver = _StackedSolver([(obs,) for obs in observations])
-    n, d = solver.n, solver.d
+def _a2_rows(
+    d: int, pilots, y, noise_vars, values, n_sets, n_pilots, dets, cfg: OmpConfig = OmpConfig()
+) -> list[SparseEstimate]:
+    """``algorithm_a2`` on each row of one set, all pursued together; ``dets[r]`` detects in
+    row r's prior, the sample PDP ``values[r]`` of ``n_sets`` sets of ``n_pilots`` pilots."""
+    lam_prior = np.empty(values.shape)
+    for lam, row, det in zip(lam_prior, values, dets):
+        lam[:] = _null_level(float(row.mean()), n_pilots, d, det.noise_var)
+        detected = _detect(row, n_sets, n_pilots, det)
+        lam[detected] = row[detected]
+    solver = _StackedSolver(d, pilots, y, noise_vars)
+    n = solver.n
 
     def weights(rows, residual_sq: np.ndarray) -> np.ndarray:
         lam_res = _null_level(residual_sq / (n * n), n, d, solver.noise_vars[rows, 0])[:, None]
@@ -669,7 +676,7 @@ def _a2_rows(observations, prior_pdps, dets, cfg: OmpConfig = OmpConfig()) -> li
         return np.where(denom > 0.0, lam / np.where(denom > 0.0, denom, 1.0), 1.0)
 
     _pursue(solver, cfg, partial(_largest_correlation, weights=weights))
-    return [solver.estimates(row)[0] for row in range(len(observations))]
+    return [solver.estimates(row)[0] for row in range(y.shape[0])]
 
 
 def algorithm_a2(
@@ -689,7 +696,11 @@ def algorithm_a2(
     weighting carries no information and the score falls back to the plain
     correlation.
     """
-    return _a2_rows((obs,), (prior_pdp,), (det,), cfg)[0]
+    d, size = obs.pattern.d, prior_pdp.values.size
+    if size != d:
+        raise ValueError(f"prior has {size} bins, observation grid has {d}")
+    prior = (prior_pdp.values[None], prior_pdp.n_sets, prior_pdp.n_pilots)
+    return _a2_rows(*_stack((obs,), 1), *prior, (det,), cfg)[0]
 
 
 def algorithm_a3(
@@ -705,11 +716,10 @@ def algorithm_a3(
     the bins before it in an observation is skipped there, with a warning.
     An empty detection degenerates to plain pursuit on each observation.
     """
-    n = sets.n_sets
-    return _seeded_rows(sets.observations, (sample_pdp(sets),) * n, (det,) * n, cfg)
+    return _seeded(sets, det, cfg)
 
 
-def _wiener_coefficients(solver: _StackedSolver, noise_vars: np.ndarray) -> np.ndarray:
+def _wiener_coefficients(solver: _StackedSolver) -> np.ndarray:
     """Per-set MMSE coefficients on the shared support of row 0, in selection order.
 
     Each bin's variance is estimated across the sets as the least-squares
@@ -719,7 +729,7 @@ def _wiener_coefficients(solver: _StackedSolver, noise_vars: np.ndarray) -> np.n
     Wiener system (G_s + sigma_s^2 diag(1/lambda)) theta = H_s^H y_s, the one
     ``estimate_mmse_oracle`` solves with the true variances.
     """
-    m = int(solver.m[0])
+    m, noise_vars = int(solver.m[0]), solver.noise_vars[0]
     linv = solver.linv[0, :, :m, :m]
     inv_diag = np.sum(linv.real**2 + linv.imag**2, axis=1)
     least_squares = solver.coef(slice(0, 1))[0]
@@ -731,6 +741,39 @@ def _wiener_coefficients(solver: _StackedSolver, noise_vars: np.ndarray) -> np.n
         bins = solver.support(0)[keep]
         coef[:, keep] = support_solve(solver.kernel[0], solver.proj[0], bins, ridge)
     return coef
+
+
+def _ex_omp_row(
+    d: int, pilots, y, noise_vars, det: DetectionConfig, cfg: OmpConfig = OmpConfig()
+) -> list[SparseEstimate]:
+    """``ex_omp`` on one row of stacked sets: (1, sets, N) pilots and values, (1, sets) noise."""
+    solver = _StackedSolver(d, pilots, y, noise_vars)
+    n_sets, n = y.shape[1:]
+    shrink = n_sets > 1 and noise_vars.min() > 0.0
+
+    def admissions(solver: _StackedSolver, rows) -> np.ndarray:
+        values = _check_powers("sample PDP values", _pdp(solver.spectra(rows)[0], n))
+        above = _detect(values, n_sets, n, det)
+        above = above[~solver.taken[0, above]]
+        if above.size:
+            return above[np.argsort(values[above])[::-1]][None, :]
+        combined = np.where(solver.taken[0], -1.0, values)
+        best = int(np.argmax(combined))
+        if (shrink and solver.m[0]) or combined[best] <= 0:
+            return np.empty((1, 0), dtype=np.int64)
+        return np.array([[best]])
+
+    _pursue(solver, cfg, admissions)
+    if shrink and solver.m[0]:
+        return solver.estimates(0, _wiener_coefficients(solver))
+    if noise_vars.max() == 0.0 and solver.m[0]:
+        # Leakage bins admitted in the same round as the true taps end with
+        # coefficients at rounding level in every set; re-solve without them.
+        peak = np.abs(solver.coef(slice(0, 1))[0]).max(axis=0)
+        kept = solver.support(0)[peak > 1e-9 * peak.max()]
+        coef = support_solve(solver.kernel[0], solver.proj[0], kept, 0.0)
+        return solver.estimates(0, coef, kept)
+    return solver.estimates(0)
 
 
 def ex_omp(
@@ -760,32 +803,8 @@ def ex_omp(
     ``residual_sq_history`` records the least-squares residuals that drive
     the pursuit, in every case.
 
-    Returns one estimate per observation, all sharing the same support.
+    The sets are stacked once for ``_ex_omp_row``, the form that the sweep
+    calls on a trial's arrays.  Returns one estimate per observation, all
+    sharing the same support.
     """
-    solver = _StackedSolver((sets.observations,))
-    noise_vars = solver.noise_vars[0]
-    shrink = sets.n_sets > 1 and noise_vars.min() > 0.0
-
-    def admissions(solver: _StackedSolver, rows) -> np.ndarray:
-        pdp = SamplePdp(_pdp(solver.spectra(rows)[0], solver.n), sets.n_sets, solver.n)
-        above = detect_support(pdp, det)
-        above = above[~solver.taken[0, above]]
-        if above.size:
-            return above[np.argsort(pdp.values[above])[::-1]][None, :]
-        combined = np.where(solver.taken[0], -1.0, pdp.values)
-        best = int(np.argmax(combined))
-        if (shrink and solver.m[0]) or combined[best] <= 0:
-            return np.empty((1, 0), dtype=np.int64)
-        return np.array([[best]])
-
-    _pursue(solver, cfg, admissions)
-    if shrink and solver.m[0]:
-        return solver.estimates(0, _wiener_coefficients(solver, noise_vars))
-    if noise_vars.max() == 0.0 and solver.m[0]:
-        # Leakage bins admitted in the same round as the true taps end with
-        # coefficients at rounding level in every set; re-solve without them.
-        peak = np.abs(solver.coef(slice(0, 1))[0]).max(axis=0)
-        kept = solver.support(0)[peak > 1e-9 * peak.max()]
-        coef = support_solve(solver.kernel[0], solver.proj[0], kept, 0.0)
-        return solver.estimates(0, coef, kept)
-    return solver.estimates(0)
+    return _ex_omp_row(*_stack(sets.observations, 1), det, cfg)

@@ -38,6 +38,7 @@ from sparsechan.signal_model import (
 )
 from sparsechan.sparse_recovery import (
     DetectionConfig,
+    SamplePdp,
     algorithm_a1,
     algorithm_a2,
     algorithm_a3,
@@ -208,10 +209,24 @@ def test_run_sweep_parallel_matches_sequential():
     assert seq.rows == par.rows
 
 
+def _uni_obs(trial):
+    """A trial's uniform observation."""
+    return Observation(trial.uni_y, trial.config.uni_pattern, trial.sigma2)
+
+
 def _priors_uni(trial):
     """A trial's uniform prior sets as observations."""
     pattern = trial.config.uni_pattern
     return [Observation(y, pattern, trial.sigma2) for y in trial.priors_uni_y]
+
+
+def _rand_sets(trial):
+    """A trial's pseudo-random sets as observations, the scored one first."""
+    d = trial.system.d
+    return tuple(
+        Observation(y, PilotPattern(pilots, d, "pseudo_random"), trial.sigma2)
+        for pilots, y in zip(trial.pilots, trial.y)
+    )
 
 
 def test_run_sweep_results_independent_of_block_size_and_workers(monkeypatch):
@@ -228,31 +243,41 @@ def test_run_sweep_results_independent_of_block_size_and_workers(monkeypatch):
     for key, errors in blocked.trial_errors.items():
         np.testing.assert_array_equal(single.trial_errors[key], errors)
     public = {
-        "dft": ("uniform", lambda t: estimate_dft(t.uni_obs, t.system).channel_freq),
-        "li": ("uniform", lambda t: estimate_linear_interp(t.uni_obs, t.system).channel_freq),
+        "dft": ("uniform", lambda t: estimate_dft(_uni_obs(t), t.system).channel_freq),
+        "li": ("uniform", lambda t: estimate_linear_interp(_uni_obs(t), t.system).channel_freq),
         "li-mmse": (
             "uniform",
             lambda t: estimate_li_mmse(
-                t.uni_obs, pilot_sample_covariance(_priors_uni(t), t.sigma2), t.sigma2, t.system
+                _uni_obs(t), pilot_sample_covariance(_priors_uni(t), t.sigma2), t.sigma2, t.system
             ).channel_freq,
         ),
         "mmse": (
             "pseudo_random",
-            lambda t: estimate_mmse_oracle(t.rand_obs, cfg.pdp, t.sigma2, t.system).channel_freq,
+            lambda t: estimate_mmse_oracle(
+                _rand_sets(t)[0], cfg.pdp, t.sigma2, t.system
+            ).channel_freq,
         ),
         "rrls": (
             "uniform",
             lambda t: estimate_reduced_rank_ls(
-                t.uni_obs, SupportSet(cfg.rrls_support), t.system
+                _uni_obs(t), SupportSet(cfg.rrls_support), t.system
             ).channel_freq,
         ),
-        "omp": ("pseudo_random", lambda t: omp(t.rand_obs).channel_freq()),
-        "a1": ("pseudo_random", lambda t: algorithm_a1(t.full_set, t.det)[0].channel_freq()),
+        "omp": ("pseudo_random", lambda t: omp(_rand_sets(t)[0]).channel_freq()),
+        "a1": (
+            "pseudo_random",
+            lambda t: algorithm_a1(ObservationSet(_rand_sets(t)), t.det)[0].channel_freq(),
+        ),
         "a2": (
             "pseudo_random",
-            lambda t: algorithm_a2(t.rand_obs, t.prior_pdp, t.det).channel_freq(),
+            lambda t: algorithm_a2(
+                _rand_sets(t)[0], sample_pdp(ObservationSet(_rand_sets(t)[1:])), t.det
+            ).channel_freq(),
         ),
-        "a3": ("pseudo_random", lambda t: algorithm_a3(t.full_set, t.det)[0].channel_freq()),
+        "a3": (
+            "pseudo_random",
+            lambda t: algorithm_a3(ObservationSet(_rand_sets(t)), t.det)[0].channel_freq(),
+        ),
     }
     for si, snr in enumerate(cfg.snr_db):
         for ti in range(cfg.n_trials):
@@ -284,6 +309,23 @@ def test_run_sweep_builds_only_the_prior_sets_its_estimators_read(
     cfg = _smoke_config(estimators=estimators)
     run_sweep(cfg)
     assert len(seeds) == patterns_per_trial * cfg.n_trials * len(cfg.snr_db)
+
+
+def test_run_sweep_builds_no_pattern_observation_or_pdp_objects(monkeypatch):
+    # A trial is arrays, which every estimator entry stacks and reads: once
+    # the config holds its uniform pattern, a sweep of every estimator
+    # constructs no pilot pattern, observation, observation set or sample PDP.
+    cfg = _smoke_config()
+    built = []
+    for cls in (PilotPattern, Observation, ObservationSet, SamplePdp):
+
+        def counting(self, post_init=cls.__post_init__):
+            built.append(type(self).__name__)
+            post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    run_sweep(cfg)
+    assert built == []
 
 
 def _sequential_trial(cfg, snr_idx, trial_idx):
@@ -320,12 +362,22 @@ def test_trial_synthesis_follows_the_documented_draw_order(n_prior_sets):
         true_freq, norm, observations = _sequential_trial(cfg, snr_idx, trial_idx)
         np.testing.assert_array_equal(trial.true_freq, true_freq)
         assert trial.norm == norm
-        got = [trial.uni_obs, trial.rand_obs, *trial.priors_rand, *_priors_uni(trial)]
+        uni = cfg.uni_pattern.indices
+        got = [
+            (uni, trial.uni_y),
+            *zip(trial.pilots, trial.y),
+            *((uni, y) for y in trial.priors_uni_y),
+        ]
         assert len(got) == len(observations) == 2 + 2 * n_prior_sets
-        for mine, want in zip(got, observations):
-            np.testing.assert_array_equal(mine.y, want.y)
-            np.testing.assert_array_equal(mine.pattern.indices, want.pattern.indices)
-            assert mine.noise_var == want.noise_var
+        for (pilots, y), want in zip(got, observations):
+            np.testing.assert_array_equal(y, want.y)
+            np.testing.assert_array_equal(pilots, want.pattern.indices)
+            assert trial.sigma2 == want.noise_var
+        # The sample PDPs of all pseudo-random sets and of the prior ones.
+        rand = observations[1 : 2 + n_prior_sets]
+        full, prior = sample_pdp(ObservationSet(rand)), sample_pdp(ObservationSet(rand[1:]))
+        np.testing.assert_array_equal(trial.full_values, full.values)
+        np.testing.assert_array_equal(trial.prior_values, prior.values)
 
 
 class _RecordingPool:
@@ -416,13 +468,14 @@ def test_run_sweep_counts_deterministic_failures():
 @pytest.mark.parametrize("n_workers", [1, 2])
 def test_run_sweep_raises_programming_errors(monkeypatch, n_workers):
     # Only numeric LinAlgErrors count as estimator failures; a bug in an
-    # estimator, one run per trial or one run on the whole block (a pursuit's
-    # or a baseline's), must stop the sweep, in the workers as well.
+    # estimator, one run per trial (exomp's) or one run on the whole block (a
+    # pursuit's or a baseline's), must stop the sweep, in the workers as well.
     def broken(*args, **kwargs):
         raise TypeError("broken estimator")
 
     for name, function in (
-        ("li", "estimate_linear_interp"),
+        ("exomp", "_ex_omp_row"),
+        ("li", "_interp_rows"),
         ("dft", "_dft_taps"),
         ("omp", "_omp_rows"),
     ):
@@ -442,10 +495,10 @@ def test_run_sweep_scores_a_linalg_error_for_its_trial_only(monkeypatch):
     cfg = _smoke_config(n_trials=4)
     reference = run_sweep(cfg, keep_trials=True)
     support_taps = baseline._support_taps
-    target = evaluation._Trial(cfg, 1, 2).rand_obs
+    target = evaluation._Trial(cfg, 1, 2).y[0]
 
     def failing_once(d, pilots, y, *args):
-        if any(np.array_equal(row, target.y) for row in y):
+        if any(np.array_equal(row, target) for row in y):
             raise np.linalg.LinAlgError("singular")
         return support_taps(d, pilots, y, *args)
 

@@ -28,7 +28,7 @@ from sparsechan.signal_model import (
     SystemConfig,
     _pseudo_random_rows,
     _spectra,
-    _spectrum,
+    _stack,
     gram_kernel,
     matched_filter,
     partial_fourier_matrix,
@@ -80,8 +80,8 @@ def _well_posed(config, observations, support):
 
 
 def _solved(rows, support):
-    """A solver holding ``support`` in every row of observation sets."""
-    solver = _StackedSolver(rows)
+    """A solver holding ``support`` in every row of observation sets, stacked as arrays."""
+    solver = _StackedSolver(*_stack([o for row in rows for o in row], len(rows)))
     solver.add_bins(np.arange(len(rows)), np.tile(support, (len(rows), 1)))
     return solver
 
@@ -302,8 +302,7 @@ def test_block_pdp_and_threshold_equal_per_trial_calls(block):
     config, n_sets, seeds, y, det = block
     d, n = config.d, config.n_pilots
     pilots = _pseudo_random_rows(d, n, seeds)
-    index = (np.arange(len(seeds))[:, None] * d + pilots).ravel()
-    values = _pdp(_spectrum(d, index, y).reshape(-1, n_sets, d), n)
+    values = _pdp(_spectra(d, pilots, y).reshape(-1, n_sets, d), n)
     scale = values.mean(axis=-1)
     threshold = _threshold(values, n_sets, n, det)
     above = _above(values, threshold)
@@ -332,7 +331,7 @@ def test_in_place_spectrum_equals_scaled_inverse_fft(m, d, seed):
     r = rng.standard_normal(pilots.shape) + 1j * rng.standard_normal(pilots.shape)
     z = np.zeros((m, d), dtype=np.complex128)
     z.ravel()[index] = r.ravel()
-    assert np.array_equal(_spectrum(d, index, r), d * np.fft.ifft(z, axis=1))
+    assert np.array_equal(_spectra(d, pilots, r), d * np.fft.ifft(z, axis=1))
 
 
 @st.composite

@@ -17,6 +17,7 @@ from sparsechan.signal_model import (
     ObservationSet,
     PilotPattern,
     SystemConfig,
+    _stack,
     gram_kernel,
     partial_fourier_matrix,
     support_solve,
@@ -598,7 +599,8 @@ def test_oversized_detection_is_capped_with_warning():
     for o in obs:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            est = _seeded_rows((o,), (pdp,), (det,))[0]
+            rows = (*_stack((o,), 1), pdp.values[None], pdp.n_sets, pdp.n_pilots, (det,))
+            est = _seeded_rows(*rows)[0]
         assert [str(w.message) for w in caught if "strongest" in str(w.message)] == [
             f"detected support of {detected} bins exceeds 8 observations; "
             "keeping the strongest bins"
@@ -778,7 +780,8 @@ def test_detected_dependent_bins_are_skipped_with_a_warning(cfg):
     for obs in sets.observations:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            est = _seeded_rows((obs,), (pdp,), (det,), cfg)[0]
+            rows = (*_stack((obs,), 1), pdp.values[None], pdp.n_sets, pdp.n_pilots, (det,))
+            est = _seeded_rows(*rows, cfg)[0]
         assert _skip_messages(caught) == [
             "seed bin 10 is linearly dependent on the support; skipped",
             "seed bin 13 is linearly dependent on the support; skipped",
@@ -864,29 +867,32 @@ def test_each_row_of_a_block_pursuit_equals_its_one_row_pursuit(block):
     full = [ObservationSet((o,) + p) for o, p in zip(observations, priors)]
     full_pdps = [sample_pdp(f) for f in full]
     prior_pdps = [sample_pdp(ObservationSet(p)) for p in priors]
+    stacked = _stack(observations, len(observations))  # one set per row
+    full_values = np.array([pdp.values for pdp in full_pdps])
+    prior_values = np.array([pdp.values for pdp in prior_pdps])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         got = {
-            "omp": _omp_rows(observations, cfg),
-            "a1": _seeded_rows(observations, full_pdps, dets),
-            "a2": _a2_rows(observations, prior_pdps, dets, cfg),
-            "a3": _seeded_rows(observations, full_pdps, dets, cfg),
+            "omp": _omp_rows(*stacked, cfg),
+            "a1": _seeded_rows(*stacked, full_values, 3, n, dets),
+            "a2": _a2_rows(*stacked, prior_values, 2, n, dets, cfg),
+            "a3": _seeded_rows(*stacked, full_values, 3, n, dets, cfg),
         }
         for i, (kind, obs, det) in enumerate(zip(kinds, observations, dets)):
+            a1, a3 = algorithm_a1(full[i], det), algorithm_a3(full[i], det, cfg)
             want = {
                 "omp": omp(obs, cfg),
-                "a1": _seeded_rows((obs,), (full_pdps[i],), (det,))[0],
+                "a1": a1[0],
                 "a2": algorithm_a2(obs, prior_pdps[i], det, cfg),
-                "a3": _seeded_rows((obs,), (full_pdps[i],), (det,), cfg)[0],
+                "a3": a3[0],
             }
             for name, est in want.items():
                 _assert_same(got[name][i], est)
             # The set forms are a block of one row per observation of the set.
-            for o, a1, a3 in zip(
-                full[i].observations, algorithm_a1(full[i], det), algorithm_a3(full[i], det, cfg)
-            ):
-                _assert_same(a1, _seeded_rows((o,), (full_pdps[i],), (det,))[0])
-                _assert_same(a3, _seeded_rows((o,), (full_pdps[i],), (det,), cfg)[0])
+            for o, set_a1, set_a3 in zip(full[i].observations, a1, a3):
+                one = (*_stack((o,), 1), full_values[i : i + 1], 3, n, (det,))
+                _assert_same(set_a1, _seeded_rows(*one)[0])
+                _assert_same(set_a3, _seeded_rows(*one, cfg)[0])
             if kind == "noise":
                 assert len(got["omp"][i].residual_sq_history) == 1
                 assert len(got["a2"][i].residual_sq_history) == 1
