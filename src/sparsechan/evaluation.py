@@ -4,12 +4,12 @@ The sweep runner scores every requested estimator on the same synthesized
 channels.  Per trial it draws one primary channel and observes it through
 both a uniform pilot pattern (scored by the interpolation baselines) and a
 pseudo-random pattern (scored by the MMSE bound and the greedy recovery
-family), plus a
-block of independent prior observation sets used by the estimators that
-consume side information.  All randomness for a trial derives from
+family), plus independent prior observation sets used by the estimators
+that consume side information.  All randomness for a trial derives from
 (master_seed, snr_index, trial_index), and every trial draws the full
 complement of data in a fixed order, so results are reproducible and do not
-depend on which estimators are selected.
+depend on which estimators are selected.  Blocks of consecutive trials are
+synthesized into stacked arrays, of which every estimator reads slices.
 
 NMSE is measured on the data subcarriers only (the complement of the pilot
 pattern each estimator actually used) and aggregated across trials as the
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
+from contextlib import suppress
 from dataclasses import astuple, dataclass, field, fields
 from functools import partial
 from itertools import product
@@ -235,17 +236,19 @@ class SweepResult:
 
 
 def _data_indices(d: int, pilots: np.ndarray) -> np.ndarray:
-    mask = np.ones(d, dtype=bool)
-    mask[pilots] = False
-    return np.flatnonzero(mask)
+    """The subcarriers of each row of ``pilots`` that are not pilots, in order: (..., d - N)."""
+    mask = np.ones(pilots.shape[:-1] + (d,), dtype=bool)
+    np.put_along_axis(mask, pilots, False, axis=-1)
+    return np.nonzero(mask)[-1].reshape(pilots.shape[:-1] + (-1,))
 
 
-class _Trial:
-    """One trial's synthesized inputs, as the arrays that every estimator entry stacks.
+class _Block:
+    """Trials of one SNR point, synthesized into arrays whose leading axis is the trial.
 
     The draws happen unconditionally and in a fixed order, so the
-    realizations are independent of the estimator list.  With n prior sets,
-    the trial's generator draws, in this order:
+    realizations are independent of the estimator list and of the block a
+    trial falls in.  Each trial t has its own generator, seeded with
+    (master_seed, snr_idx, t); with n prior sets it draws, in this order:
 
     - the channel theta0, the noise of the uniform observation, the seed of
       the scored pseudo-random pattern, and the noise of its observation;
@@ -254,200 +257,194 @@ class _Trial:
     - for each uniform prior set: its channel, its noise.
 
     The normals go straight into two buffers and one batched FFT transforms
-    the channels, yet ``realize_channel``, ``PilotPattern.pseudo_random``
-    (on ``int(rng.integers(0, 2**63))``) and ``synthesize_observation``,
-    called on the same generator in that order, reproduce the trial bit for
-    bit.
+    the trial's channels, yet ``realize_channel``,
+    ``PilotPattern.pseudo_random`` (on ``int(rng.integers(0, 2**63))``) and
+    ``synthesize_observation``, called on the same generator in that order,
+    reproduce the trial bit for bit.
 
-    A trial keeps arrays: ``uni_y``, the uniform set's pilot values;
-    ``pilots`` and ``y``, the pseudo-random sets' pilot rows (one checked
-    ``_pseudo_random_rows`` stack) and values, scored set first;
-    ``true_freq``, ``norm``, and ``data``, each pattern kind's data
-    subcarriers.  It builds only the prior sets of the config's
-    ``prior_kinds``, those a selected estimator reads; the others are drawn
-    and dropped, which moves no value.  The pseudo-random ones add n rows to
-    ``pilots`` and ``y`` and give ``full_values`` and ``prior_values``, the
-    sample PDPs of all these sets and of the priors, from one ``_spectra``
-    call; the uniform ones' values are the rows of ``priors_uni_y``.  What a
-    trial does not build is None.
+    The T trials' rows go into arrays allocated once: ``pilots`` and ``y``,
+    (T, sets, N), the pseudo-random sets' pilot rows (a checked
+    ``_pseudo_random_rows`` stack) and values, scored set first, with
+    ``noise_vars``, (T, sets); ``uni_y``, (T, N), the uniform set's values;
+    ``true_freq``, (T, d); ``norm``, (T,); and ``rand_data``, (T, d - N),
+    the scored pattern's data subcarriers.  Only the prior sets of the
+    config's ``prior_kinds``, those a selected estimator reads, are built;
+    the others are drawn and dropped, which moves no value.  The
+    pseudo-random ones add n sets to ``pilots``, ``y`` and ``noise_vars`` and
+    give ``full_values`` and ``prior_values``, (T, d), the sample PDPs of all
+    these sets and of the priors, from one ``_spectra`` call a trial; the
+    uniform ones' values are ``priors_uni_y``, (T, n, N).  What is not built
+    is None.  ``sigma2`` and ``det`` serve the whole block.
     """
 
-    def __init__(self, config: SweepConfig, snr_idx: int, trial_idx: int) -> None:
-        system, n = config.system, config.n_prior_sets
+    def __init__(self, config: SweepConfig, snr_idx: int, trials: range) -> None:
+        system, n, size = config.system, config.n_prior_sets, len(trials)
         d, n_pilots = system.d, system.n_pilots
         sigma2 = 10.0 ** (-config.snr_db[snr_idx] / 10.0)
-        rng = np.random.default_rng([config.master_seed, snr_idx, trial_idx])
-        self.config, self.system, self.sigma2 = config, system, sigma2
-
+        rand = "pseudo_random" in config.prior_kinds
+        uni = "uniform" in config.prior_kinds
+        sets = 1 + n if rand else 1
+        self.config, self.d, self.sigma2 = config, d, sigma2
+        self.det = DetectionConfig(alpha=config.alpha, noise_var=sigma2)
+        self.pilots = np.empty((size, sets, n_pilots), dtype=np.int64)
+        self.y = np.empty((size, sets, n_pilots), dtype=np.complex128)
+        self.noise_vars = np.full((size, sets), sigma2)
+        self.uni_y = np.empty((size, n_pilots), dtype=np.complex128)
+        self.priors_uni_y = np.empty((size, n, n_pilots), dtype=np.complex128) if uni else None
+        self.full_values = np.empty((size, d)) if rand else None
+        self.prior_values = np.empty((size, d)) if rand else None
+        self.true_freq = np.empty((size, d), dtype=np.complex128)
+        self.norm = np.empty(size)
+        uni_pilots = config.uni_pattern.indices
         # Channel k is theta0 (k = 0), a pseudo-random prior's (1..n) or a
         # uniform prior's (n+1..2n).  Noise k + 1 is that channel's observation
         # on a pseudo-random (k <= n) or uniform pattern; noise 0 is uni_y's.
-        g_chan = np.empty((1 + 2 * n, 2, d))
-        g_noise = np.empty((2 + 2 * n, 2, n_pilots))
-        seeds = []
-        for k in range(2 * n + 1):
-            rng.standard_normal(out=g_chan[k])
-            if k == 0:
-                rng.standard_normal(out=g_noise[0])
-            if k <= n:
-                seeds.append(int(rng.integers(0, 2**63)))
-            rng.standard_normal(out=g_noise[k + 1])
-
         # Only theta0 and the channels of the prior sets that are built are
         # transformed and observed.
-        rand = "pseudo_random" in config.prior_kinds
-        uni = "uniform" in config.prior_kinds
         chans = [0, *range(1, n + 1)] if rand else [0]
         if uni:
             chans += range(n + 1, 2 * n + 1)
-        thetas = _complex_gaussian(config.pdp.variances, g_chan[chans])
-        spectra = np.fft.fft(thetas, axis=1)
-        noise = _complex_gaussian(sigma2, g_noise)
-        self.pilots = pilots = _pseudo_random_rows(d, n_pilots, seeds if rand else seeds[:1])
-        rows = len(pilots)
-        uni_pilots = config.uni_pattern.indices
-        self.true_freq = spectra[0].copy()
-        self.norm = float(np.vdot(thetas[0], thetas[0]).real)
-        self.uni_y = spectra[0, uni_pilots] + noise[0]
-        self.y = np.take_along_axis(spectra[:rows], pilots, 1) + noise[1 : rows + 1]
-        self.priors_uni_y = spectra[-n:, uni_pilots] + noise[n + 2 :] if uni else None
-        matched = _spectra(d, pilots, self.y) if rand else None
-        self.full_values = _pdp(matched, n_pilots) if rand else None
-        self.prior_values = _pdp(matched[1:], n_pilots) if rand else None
+        g_chan = np.empty((1 + 2 * n, 2, d))
+        g_noise = np.empty((2 + 2 * n, 2, n_pilots))
 
-        self.det = DetectionConfig(alpha=config.alpha, noise_var=sigma2)
-        self.data = {"uniform": config.uni_data, "pseudo_random": _data_indices(d, pilots[0])}
+        for t, trial_idx in enumerate(trials):
+            rng = np.random.default_rng([config.master_seed, snr_idx, trial_idx])
+            seeds = []
+            for k in range(2 * n + 1):
+                rng.standard_normal(out=g_chan[k])
+                if k == 0:
+                    rng.standard_normal(out=g_noise[0])
+                if k <= n:
+                    seeds.append(int(rng.integers(0, 2**63)))
+                rng.standard_normal(out=g_noise[k + 1])
+
+            thetas = _complex_gaussian(config.pdp.variances, g_chan[chans])
+            spectra = np.fft.fft(thetas, axis=1)
+            noise = _complex_gaussian(sigma2, g_noise)
+            pilots = self.pilots[t] = _pseudo_random_rows(d, n_pilots, seeds[:sets])
+            y = self.y[t] = np.take_along_axis(spectra[:sets], pilots, 1) + noise[1 : sets + 1]
+            self.true_freq[t] = spectra[0]
+            self.norm[t] = np.vdot(thetas[0], thetas[0]).real
+            self.uni_y[t] = spectra[0, uni_pilots] + noise[0]
+            if uni:
+                self.priors_uni_y[t] = spectra[-n:, uni_pilots] + noise[n + 2 :]
+            if rand:
+                matched = _spectra(d, pilots, y)
+                self.full_values[t] = _pdp(matched, n_pilots)
+                self.prior_values[t] = _pdp(matched[1:], n_pilots)
+            del thetas, spectra, noise  # freed before the next trial makes its own
+        self.rand_data = _data_indices(d, self.pilots[:, 0])
+
+    def trial(self, i: int) -> _Block:
+        """Trial i as a one-trial block of views of this block's arrays."""
+        one = object.__new__(_Block)
+        for name, value in vars(self).items():
+            setattr(one, name, value[i : i + 1] if isinstance(value, np.ndarray) else value)
+        return one
 
 
-def _each(transfer: Callable[[_Trial], np.ndarray]) -> Callable[[list[_Trial]], list]:
-    """A one-trial estimator over a block; a ``LinAlgError`` makes its trial's transfer NaN."""
-
-    def run(trials: list[_Trial]) -> list[np.ndarray]:
-        freqs = []
-        for trial in trials:
-            try:
-                freqs.append(transfer(trial))
-            except np.linalg.LinAlgError:
-                freqs.append(np.full(trial.system.d, np.nan))
-        return freqs
-
-    return run
+def _each(transfer: Callable[[_Block], np.ndarray], block: _Block) -> np.ndarray:
+    """``transfer`` on one trial of the block at a time; a ``LinAlgError`` makes its row NaN."""
+    freqs = np.full(block.true_freq.shape, np.nan, dtype=np.complex128)
+    for i in range(len(freqs)):
+        with suppress(np.linalg.LinAlgError):
+            freqs[i] = transfer(block.trial(i))[0]
+    return freqs
 
 
-def _rows(transfer: Callable[[list[_Trial]], np.ndarray]) -> Callable[[list[_Trial]], list]:
+def _rows(transfer: Callable[[_Block], np.ndarray]) -> Callable[[_Block], np.ndarray]:
     """A block estimator, one pass over the block; if it raises ``LinAlgError``, one per trial.
 
     ``transfer`` gives each trial's row bit for bit as it does for that trial
     alone, so the rerun keeps every other trial's row and makes only the
-    failing trial's NaN, as ``_each`` does.
+    failing trial's NaN.
     """
-    each = _each(lambda trial: transfer([trial])[0])
 
-    def run(trials: list[_Trial]):
+    def run(block: _Block) -> np.ndarray:
         try:
-            return transfer(trials)
+            return transfer(block)
         except np.linalg.LinAlgError:
-            return each(trials)
+            return _each(transfer, block)
 
     return run
 
 
-def _uniform(trials: list[_Trial]) -> tuple:
-    """d, the uniform pilots, and the (trials, N) pilot values of the trials' uniform sets."""
-    t = trials[0]
-    return t.system.d, t.config.uni_pattern.indices, np.array([t.uni_y for t in trials])
+def _uniform(b: _Block) -> tuple:
+    """d, the uniform pilots, and the (T, N) pilot values of the block's uniform sets."""
+    return b.d, b.config.uni_pattern.indices, b.uni_y
 
 
-def _pseudo_random(trials: list[_Trial]) -> tuple:
-    """d, and the (trials, N) pilots and pilot values of the trials' scored sets."""
-    pilots = np.array([t.pilots[0] for t in trials])
-    return trials[0].system.d, pilots, np.array([t.y[0] for t in trials])
+def _scored(b: _Block) -> tuple:
+    """d, and the block's scored sets as rows of one set, with their noise variances."""
+    return b.d, b.pilots[:, :1], b.y[:, :1], b.noise_vars[:, :1]
 
 
-def _scored(trials: list[_Trial]) -> tuple:
-    """d, and the trials' scored sets as rows of one set, with their noise variances."""
-    d, pilots, y = _pseudo_random(trials)
-    return d, pilots[:, None], y[:, None], np.full((len(trials), 1), trials[0].sigma2)
+def _detection(b: _Block, full: bool) -> tuple:
+    """The scored sets, then the (T, d) sample PDPs of all the pseudo-random sets (``full``: a1,
+    a3) or of the priors (a2), their set and pilot counts, and the block's det."""
+    sets, n_pilots = b.y.shape[1:]
+    values = b.full_values if full else b.prior_values
+    return *_scored(b), values, sets if full else sets - 1, n_pilots, b.det
 
 
-def _detection(trials: list[_Trial], full: bool) -> tuple:
-    """What a1 and a3 (``full``) or a2 detect in: the (trials, d) sample-PDP values of all the
-    pseudo-random sets or of the prior ones, their set and pilot counts, and the dets."""
-    t = trials[0]
-    values = np.array([t.full_values if full else t.prior_values for t in trials])
-    return values, t.config.n_prior_sets + full, t.system.n_pilots, [t.det for t in trials]
-
-
-def _ex_omp(t: _Trial) -> np.ndarray:
-    """``ex_omp``'s transfer function for the trial's scored set, pursued with its prior sets."""
-    noise_vars = np.full((1, len(t.y)), t.sigma2)
-    return _ex_omp_row(t.system.d, t.pilots[None], t.y[None], noise_vars, t.det)[0].channel_freq()
-
-
-def _freqs(estimates: list[SparseEstimate]) -> list[np.ndarray]:
-    return [est.channel_freq() for est in estimates]
+def _freqs(estimates: list[SparseEstimate]) -> np.ndarray:
+    return np.fft.fft([est.theta for est in estimates])
 
 
 class _Entry(NamedTuple):
     """How the sweep runs one estimator.
 
     ``kind`` is the pattern whose data subcarriers its error is measured on,
-    ``run`` maps a block's trials to their transfer functions, and ``priors``
-    is the kind of the prior sets it reads, if any.
+    ``run`` maps a block to its trials' (T, d) transfer functions, and
+    ``priors`` is the kind of the prior sets it reads, if any.
     """
 
     kind: str
-    run: Callable[[list[_Trial]], list | np.ndarray]
+    run: Callable[[_Block], np.ndarray]
     priors: str | None = None
 
 
-# Every entry but ``exomp`` and ``ideal`` runs once on the whole block, so its
-# per-call costs are paid once per block rather than once per trial.  Each
-# reads the trials' arrays and calls the row code that the public estimators
-# call with their inputs stacked.  The lambdas look the row functions up when
-# called, so a replaced module attribute takes effect.
+# Every entry but ``exomp`` runs once on the whole block, so its per-call
+# costs are paid once per block rather than once per trial.  Each reads
+# slices of the block's arrays and calls the row code that the public
+# estimators call with their inputs stacked.  The lambdas look the row
+# functions up when called, so a replaced module attribute takes effect.
 _ESTIMATORS: dict[str, _Entry] = {
-    "dft": _Entry("uniform", _rows(lambda ts: np.fft.fft(_dft_taps(*_uniform(ts))))),
-    "li": _Entry("uniform", _rows(lambda ts: _interp_rows(*_uniform(ts)))),
+    "dft": _Entry("uniform", _rows(lambda b: np.fft.fft(_dft_taps(*_uniform(b))))),
+    "li": _Entry("uniform", _rows(lambda b: _interp_rows(*_uniform(b)))),
     "li-mmse": _Entry(
-        "uniform",
-        _rows(
-            lambda ts: _li_mmse_rows(
-                *_uniform(ts), np.array([t.priors_uni_y for t in ts]), ts[0].sigma2
-            )
-        ),
-        "uniform",
+        "uniform", _rows(lambda b: _li_mmse_rows(*_uniform(b), b.priors_uni_y, b.sigma2)), "uniform"
     ),
     "mmse": _Entry(
         "pseudo_random",
         _rows(
-            lambda ts: np.fft.fft(_mmse_taps(*_pseudo_random(ts), ts[0].config.pdp, ts[0].sigma2))
+            lambda b: np.fft.fft(
+                _mmse_taps(b.d, b.pilots[:, 0], b.y[:, 0], b.config.pdp, b.sigma2)
+            )
         ),
     ),
     "rrls": _Entry(
         "uniform",
-        _rows(
-            lambda ts: np.fft.fft(_support_taps(*_uniform(ts), ts[0].config.rrls_support, 0.0))
-        ),
+        _rows(lambda b: np.fft.fft(_support_taps(*_uniform(b), b.config.rrls_support, 0.0))),
     ),
-    "omp": _Entry("pseudo_random", lambda ts: _freqs(_omp_rows(*_scored(ts)))),
+    "omp": _Entry("pseudo_random", lambda b: _freqs(_omp_rows(*_scored(b)))),
     "a1": _Entry(
-        "pseudo_random",
-        lambda ts: _freqs(_seeded_rows(*_scored(ts), *_detection(ts, True))),
-        "pseudo_random",
+        "pseudo_random", lambda b: _freqs(_seeded_rows(*_detection(b, True))), "pseudo_random"
     ),
     "a2": _Entry(
-        "pseudo_random",
-        lambda ts: _freqs(_a2_rows(*_scored(ts), *_detection(ts, False))),
-        "pseudo_random",
+        "pseudo_random", lambda b: _freqs(_a2_rows(*_detection(b, False))), "pseudo_random"
     ),
     "a3": _Entry(
         "pseudo_random",
-        lambda ts: _freqs(_seeded_rows(*_scored(ts), *_detection(ts, True), OmpConfig())),
+        lambda b: _freqs(_seeded_rows(*_detection(b, True), OmpConfig())),
         "pseudo_random",
     ),
-    "exomp": _Entry("pseudo_random", _each(_ex_omp), "pseudo_random"),
-    "ideal": _Entry("uniform", _each(lambda t: t.true_freq)),
+    "exomp": _Entry(
+        "pseudo_random",
+        partial(_each, lambda b: _freqs(_ex_omp_row(b.d, b.pilots, b.y, b.noise_vars, b.det)[:1])),
+        "pseudo_random",
+    ),
+    "ideal": _Entry("uniform", lambda b: b.true_freq),
 }
 
 ESTIMATOR_NAMES = tuple(_ESTIMATORS)
@@ -461,30 +458,26 @@ _CALIB_SETS = 16  # sets per calibration block of max(1, 16 // n_sets) trials; m
 
 
 def _errors(freqs: np.ndarray, true_freq: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """Mean squared error of each row of ``freqs`` on its row of ``data`` subcarriers."""
+    """Mean squared error of each row of ``freqs`` on its row of ``data`` (one serves all)."""
     err = np.take_along_axis(freqs, data, 1) - np.take_along_axis(true_freq, data, 1)
     return np.mean(np.abs(err) ** 2, axis=1)
 
 
 def _run_block(config: SweepConfig, snr_idx: int, first: int) -> tuple[np.ndarray, np.ndarray]:
-    """Synthesize trials first, first + 1, ... of a block and score every estimator on them.
+    """Synthesize the ``_Block`` of trials first, first + 1, ... and score every estimator on it.
 
-    Each estimator entry runs once over the block's trials, and its errors
-    are scored in one array operation.  Returns an (estimators, trials)
-    array of mean squared data-subcarrier errors, NaN where an estimator
-    raised ``LinAlgError``, and the trials' channel tap energies.
+    Each estimator entry runs once over the block, and its errors are scored
+    in one array operation.  Returns an (estimators, trials) array of mean
+    squared data-subcarrier errors, NaN where an estimator raised
+    ``LinAlgError``, and the trials' channel tap energies.
     """
-    trials = [
-        _Trial(config, snr_idx, trial_idx)
-        for trial_idx in range(first, min(first + _BLOCK, config.n_trials))
-    ]
-    true_freq = np.array([t.true_freq for t in trials])
-    data = {kind: np.array([t.data[kind] for t in trials]) for kind in trials[0].data}
+    block = _Block(config, snr_idx, range(first, min(first + _BLOCK, config.n_trials)))
+    data = {"uniform": config.uni_data[None], "pseudo_random": block.rand_data}
     errors = [
-        _errors(np.asarray(run(trials)), true_freq, data[kind])
+        _errors(run(block), block.true_freq, data[kind])
         for kind, run, _ in map(_ESTIMATORS.get, config.estimators)
     ]
-    return np.array(errors), np.array([trial.norm for trial in trials])
+    return np.array(errors), block.norm
 
 
 def _row(
@@ -515,13 +508,13 @@ def run_sweep(
     channel energies; trials where an estimator raised ``LinAlgError`` are
     excluded from that estimator's aggregate and counted in the row's failure
     column, and other exceptions propagate.  Trials run in blocks of up to
-    ``_BLOCK`` consecutive trials of one SNR point.  ``omp``, ``a1``, ``a2``
-    and ``a3`` run once per block, each row on its own support, skipping a
-    dependent bin row by row.  ``dft``, ``li``, ``mmse``, ``rrls`` and
-    ``li-mmse`` also run once per block, and a block of theirs that raises
-    ``LinAlgError`` reruns one trial at a time.
-    Trials build only the prior sets that the selected estimators read
-    (``SweepConfig.prior_kinds``).
+    ``_BLOCK`` consecutive trials of one SNR point, synthesized once into
+    the arrays of a ``_Block``, which builds only the prior sets that the
+    selected estimators read (``SweepConfig.prior_kinds``).  ``omp``,
+    ``a1``, ``a2`` and ``a3`` run once per block, each row on its own
+    support, skipping a dependent bin row by row; ``dft``, ``li``, ``mmse``,
+    ``rrls`` and ``li-mmse`` do too, and rerun one trial at a time a block
+    that raises ``LinAlgError``.  Only ``exomp`` runs one trial at a time.
     With ``n_workers > 1`` blocks are distributed over at most that many
     processes, one per block at most.  Results are identical for every block
     size, worker count and estimator selection.

@@ -154,13 +154,18 @@ class PilotPattern:
     @classmethod
     def pseudo_random(cls, config: SystemConfig, seed: int) -> "PilotPattern":
         """n_pilots distinct subcarriers drawn uniformly without replacement."""
-        (idx,) = _pseudo_random_rows(config.d, config.n_pilots, [_check_count("seed", seed, 0)])
+        idx = _pseudo_random_draw(config.d, config.n_pilots, _check_count("seed", seed, 0))
         return cls(indices=idx, d=config.d, kind="pseudo_random")
+
+
+def _pseudo_random_draw(d: int, n: int, seed: int) -> np.ndarray:
+    """``pseudo_random``'s indices for one seed, unsorted and unchecked."""
+    return np.random.default_rng(seed).choice(d, size=n, replace=False)
 
 
 def _pseudo_random_rows(d: int, n: int, seeds) -> np.ndarray:
     """``pseudo_random``'s indices for each seed, as rows of one stack that one check covers."""
-    rows = [np.random.default_rng(seed).choice(d, size=n, replace=False) for seed in seeds]
+    rows = [_pseudo_random_draw(d, n, seed) for seed in seeds]
     return _check_indices("pilot indices", rows, d, ndim=2)
 
 

@@ -32,8 +32,9 @@ that picks each round's bins.
 Detection treats each sample-PDP bin as an averaged squared magnitude of
 circular Gaussian noise: bin values are compared against a scaled chi-square
 quantile with two degrees of freedom per averaged set.  Only ``_above``
-compares a sample PDP with the ``_threshold`` level: ``detect_support`` for
-``a1``, ``a2``, ``a3`` and each ``ex_omp`` round, and blocks of calibration trials.
+compares a sample PDP with the ``_threshold`` level: ``detect_support`` and
+each ``ex_omp`` round, and all rows of ``a1``, ``a2`` and ``a3`` or of a
+block of calibration trials at once.
 The quantile, ``chi2_inv_cdf``, inverts the regularized incomplete gamma
 function with the ``math`` module alone (series and finite sum, then
 Halley steps on the tail that holds the answer) and memoizes each
@@ -602,23 +603,23 @@ def _warn(message: str) -> None:
 
 
 def _seeded_rows(
-    d: int, pilots, y, noise_vars, values, n_sets, n_pilots, dets, cfg: OmpConfig | None = None
+    d: int, pilots, y, noise_vars, values, n_sets, n_pilots, det, cfg: OmpConfig | None = None
 ) -> list[SparseEstimate]:
-    """Each row of one set seeded with the bins its ``det`` detects in its row of ``values``.
+    """Each row of one set seeded with the bins ``det`` detects in its row of ``values``.
 
-    ``values`` are sample PDPs of ``n_sets`` sets of ``n_pilots`` pilots.  All
-    rows are solved together.  The detected bins are least-squares fitted;
-    without ``cfg`` that is the estimate (``algorithm_a1``), with it plain
-    pursuit continues from there (``algorithm_a3``).  Warns for each row whose
-    detection it trims to the strongest N bins, for each seed bin a row skips
-    as dependent on the bins before it, and, without ``cfg``, for each row
-    that detected nothing.
+    ``values`` are sample PDPs of ``n_sets`` sets of ``n_pilots`` pilots, one
+    ``_above`` for all rows, which are solved together.  The detected bins
+    are least-squares fitted; without ``cfg`` that is the estimate
+    (``algorithm_a1``), with it plain pursuit continues from there
+    (``algorithm_a3``).  Warns for each row whose detection it trims to the
+    strongest N bins, for each seed bin a row skips as dependent on the bins
+    before it, and, without ``cfg``, for each row that detected nothing.
     """
     solver = _StackedSolver(d, pilots, y, noise_vars)
     n = solver.n
     seeds = []
-    for row, det in zip(values, dets):
-        idx = _detect(row, n_sets, n_pilots, det)
+    for row, above in zip(values, _above(values, _threshold(values, n_sets, n_pilots, det))):
+        idx = np.flatnonzero(above)
         if idx.size > n:
             _warn(
                 f"detected support of {idx.size} bins exceeds {n} observations; "
@@ -639,7 +640,7 @@ def _seeded(sets: ObservationSet, det: DetectionConfig, cfg: OmpConfig | None):
     """``_seeded_rows`` on one row per observation of the set, all detecting in its sample PDP."""
     n = sets.n_sets
     values = np.broadcast_to(sample_pdp(sets).values, (n, sets.d))
-    return _seeded_rows(*_stack(sets.observations, n), values, n, sets.n_pilots, (det,) * n, cfg)
+    return _seeded_rows(*_stack(sets.observations, n), values, n, sets.n_pilots, det, cfg)
 
 
 def algorithm_a1(
@@ -657,15 +658,12 @@ def algorithm_a1(
 
 
 def _a2_rows(
-    d: int, pilots, y, noise_vars, values, n_sets, n_pilots, dets, cfg: OmpConfig = OmpConfig()
+    d: int, pilots, y, noise_vars, values, n_sets, n_pilots, det, cfg: OmpConfig = OmpConfig()
 ) -> list[SparseEstimate]:
-    """``algorithm_a2`` on each row of one set, all pursued together; ``dets[r]`` detects in
-    row r's prior, the sample PDP ``values[r]`` of ``n_sets`` sets of ``n_pilots`` pilots."""
-    lam_prior = np.empty(values.shape)
-    for lam, row, det in zip(lam_prior, values, dets):
-        lam[:] = _null_level(float(row.mean()), n_pilots, d, det.noise_var)
-        detected = _detect(row, n_sets, n_pilots, det)
-        lam[detected] = row[detected]
+    """``algorithm_a2`` on each row of one set, all pursued together; ``det`` detects in row
+    r's prior, the sample PDP ``values[r]`` of ``n_sets`` sets of ``n_pilots`` pilots."""
+    level = _null_level(values.mean(axis=-1, keepdims=True), n_pilots, d, det.noise_var)
+    lam_prior = np.where(_above(values, _threshold(values, n_sets, n_pilots, det)), values, level)
     solver = _StackedSolver(d, pilots, y, noise_vars)
     n = solver.n
 
@@ -700,7 +698,7 @@ def algorithm_a2(
     if size != d:
         raise ValueError(f"prior has {size} bins, observation grid has {d}")
     prior = (prior_pdp.values[None], prior_pdp.n_sets, prior_pdp.n_pilots)
-    return _a2_rows(*_stack((obs,), 1), *prior, (det,), cfg)[0]
+    return _a2_rows(*_stack((obs,), 1), *prior, det, cfg)[0]
 
 
 def algorithm_a3(

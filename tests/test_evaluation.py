@@ -210,22 +210,21 @@ def test_run_sweep_parallel_matches_sequential():
 
 
 def _uni_obs(trial):
-    """A trial's uniform observation."""
-    return Observation(trial.uni_y, trial.config.uni_pattern, trial.sigma2)
+    """The uniform observation of a one-trial block."""
+    return Observation(trial.uni_y[0], trial.config.uni_pattern, trial.sigma2)
 
 
 def _priors_uni(trial):
-    """A trial's uniform prior sets as observations."""
+    """The uniform prior sets of a one-trial block as observations."""
     pattern = trial.config.uni_pattern
-    return [Observation(y, pattern, trial.sigma2) for y in trial.priors_uni_y]
+    return [Observation(y, pattern, trial.sigma2) for y in trial.priors_uni_y[0]]
 
 
 def _rand_sets(trial):
-    """A trial's pseudo-random sets as observations, the scored one first."""
-    d = trial.system.d
+    """The pseudo-random sets of a one-trial block as observations, the scored one first."""
     return tuple(
-        Observation(y, PilotPattern(pilots, d, "pseudo_random"), trial.sigma2)
-        for pilots, y in zip(trial.pilots, trial.y)
+        Observation(y, PilotPattern(pilots, trial.d, "pseudo_random"), trial.sigma2)
+        for pilots, y in zip(trial.pilots[0], trial.y[0])
     )
 
 
@@ -243,24 +242,24 @@ def test_run_sweep_results_independent_of_block_size_and_workers(monkeypatch):
     for key, errors in blocked.trial_errors.items():
         np.testing.assert_array_equal(single.trial_errors[key], errors)
     public = {
-        "dft": ("uniform", lambda t: estimate_dft(_uni_obs(t), t.system).channel_freq),
-        "li": ("uniform", lambda t: estimate_linear_interp(_uni_obs(t), t.system).channel_freq),
+        "dft": ("uniform", lambda t: estimate_dft(_uni_obs(t), cfg.system).channel_freq),
+        "li": ("uniform", lambda t: estimate_linear_interp(_uni_obs(t), cfg.system).channel_freq),
         "li-mmse": (
             "uniform",
             lambda t: estimate_li_mmse(
-                _uni_obs(t), pilot_sample_covariance(_priors_uni(t), t.sigma2), t.sigma2, t.system
+                _uni_obs(t), pilot_sample_covariance(_priors_uni(t), t.sigma2), t.sigma2, cfg.system
             ).channel_freq,
         ),
         "mmse": (
             "pseudo_random",
             lambda t: estimate_mmse_oracle(
-                _rand_sets(t)[0], cfg.pdp, t.sigma2, t.system
+                _rand_sets(t)[0], cfg.pdp, t.sigma2, cfg.system
             ).channel_freq,
         ),
         "rrls": (
             "uniform",
             lambda t: estimate_reduced_rank_ls(
-                _uni_obs(t), SupportSet(cfg.rrls_support), t.system
+                _uni_obs(t), SupportSet(cfg.rrls_support), cfg.system
             ).channel_freq,
         ),
         "omp": ("pseudo_random", lambda t: omp(_rand_sets(t)[0]).channel_freq()),
@@ -280,11 +279,12 @@ def test_run_sweep_results_independent_of_block_size_and_workers(monkeypatch):
         ),
     }
     for si, snr in enumerate(cfg.snr_db):
+        block = evaluation._Block(cfg, si, range(cfg.n_trials))
         for ti in range(cfg.n_trials):
-            trial = evaluation._Trial(cfg, si, ti)
+            trial = block.trial(ti)
             for name, (kind, estimate) in public.items():
-                data = trial.data[kind]
-                err = estimate(trial)[data] - trial.true_freq[data]
+                data = {"uniform": cfg.uni_data, "pseudo_random": trial.rand_data[0]}[kind]
+                err = estimate(trial)[data] - trial.true_freq[0, data]
                 assert blocked.trial_errors[(name, snr)][ti] == np.mean(np.abs(err) ** 2)
 
 
@@ -312,7 +312,7 @@ def test_run_sweep_builds_only_the_prior_sets_its_estimators_read(
 
 
 def test_run_sweep_builds_no_pattern_observation_or_pdp_objects(monkeypatch):
-    # A trial is arrays, which every estimator entry stacks and reads: once
+    # A block is arrays, of which every estimator entry reads slices: once
     # the config holds its uniform pattern, a sweep of every estimator
     # constructs no pilot pattern, observation, observation set or sample PDP.
     cfg = _smoke_config()
@@ -331,7 +331,7 @@ def test_run_sweep_builds_no_pattern_observation_or_pdp_objects(monkeypatch):
 def _sequential_trial(cfg, snr_idx, trial_idx):
     """A trial's spectrum, energy and observations from one public call per draw.
 
-    The calls follow the order the ``_Trial`` docstring documents.
+    The calls follow the order the ``_Block`` docstring documents.
     """
     system, n = cfg.system, cfg.n_prior_sets
     sigma2 = 10.0 ** (-cfg.snr_db[snr_idx] / 10.0)
@@ -356,28 +356,39 @@ def _sequential_trial(cfg, snr_idx, trial_idx):
 
 @pytest.mark.parametrize("n_prior_sets", [1, 3])
 def test_trial_synthesis_follows_the_documented_draw_order(n_prior_sets):
+    # A block of trials 0-3 and the ragged block of trials 4-6 that blocks
+    # of four leave at seven trials hold each trial's rows bit for bit, as
+    # do the one-trial blocks ``trial`` returns.
     cfg = _smoke_config(snr_db=(0.0, 10.0, 20.0), n_prior_sets=n_prior_sets)
-    for snr_idx, trial_idx in product((0, 2), (0, 3)):
-        trial = evaluation._Trial(cfg, snr_idx, trial_idx)
-        true_freq, norm, observations = _sequential_trial(cfg, snr_idx, trial_idx)
-        np.testing.assert_array_equal(trial.true_freq, true_freq)
-        assert trial.norm == norm
-        uni = cfg.uni_pattern.indices
-        got = [
-            (uni, trial.uni_y),
-            *zip(trial.pilots, trial.y),
-            *((uni, y) for y in trial.priors_uni_y),
-        ]
-        assert len(got) == len(observations) == 2 + 2 * n_prior_sets
-        for (pilots, y), want in zip(got, observations):
-            np.testing.assert_array_equal(y, want.y)
-            np.testing.assert_array_equal(pilots, want.pattern.indices)
-            assert trial.sigma2 == want.noise_var
-        # The sample PDPs of all pseudo-random sets and of the prior ones.
-        rand = observations[1 : 2 + n_prior_sets]
-        full, prior = sample_pdp(ObservationSet(rand)), sample_pdp(ObservationSet(rand[1:]))
-        np.testing.assert_array_equal(trial.full_values, full.values)
-        np.testing.assert_array_equal(trial.prior_values, prior.values)
+    uni, d = cfg.uni_pattern.indices, cfg.system.d
+    for snr_idx, trials in product((0, 2), (range(0, 4), range(4, 7))):
+        block = evaluation._Block(cfg, snr_idx, trials)
+        assert block.norm.shape == (len(trials),)
+        for i, trial_idx in enumerate(trials):
+            true_freq, norm, observations = _sequential_trial(cfg, snr_idx, trial_idx)
+            one = block.trial(i)
+            for b, t in ((block, i), (one, 0)):
+                np.testing.assert_array_equal(b.true_freq[t], true_freq)
+                assert b.norm[t] == norm
+                got = [
+                    (uni, b.uni_y[t]),
+                    *zip(b.pilots[t], b.y[t]),
+                    *((uni, y) for y in b.priors_uni_y[t]),
+                ]
+                assert len(got) == len(observations) == 2 + 2 * n_prior_sets
+                for (pilots, y), want in zip(got, observations):
+                    np.testing.assert_array_equal(y, want.y)
+                    np.testing.assert_array_equal(pilots, want.pattern.indices)
+                    assert b.sigma2 == want.noise_var
+                np.testing.assert_array_equal(b.noise_vars[t], b.sigma2)
+                data = np.setdiff1d(np.arange(d), observations[1].pattern.indices)
+                np.testing.assert_array_equal(b.rand_data[t], data)
+                # The sample PDPs of all pseudo-random sets and of the prior ones.
+                rand = observations[1 : 2 + n_prior_sets]
+                full = sample_pdp(ObservationSet(rand))
+                prior = sample_pdp(ObservationSet(rand[1:]))
+                np.testing.assert_array_equal(b.full_values[t], full.values)
+                np.testing.assert_array_equal(b.prior_values[t], prior.values)
 
 
 class _RecordingPool:
@@ -495,7 +506,7 @@ def test_run_sweep_scores_a_linalg_error_for_its_trial_only(monkeypatch):
     cfg = _smoke_config(n_trials=4)
     reference = run_sweep(cfg, keep_trials=True)
     support_taps = baseline._support_taps
-    target = evaluation._Trial(cfg, 1, 2).y[0]
+    target = evaluation._Block(cfg, 1, range(2, 3)).y[0, 0]
 
     def failing_once(d, pilots, y, *args):
         if any(np.array_equal(row, target) for row in y):

@@ -60,19 +60,22 @@ def test_cli_import_loads_neither_scipy_nor_the_process_pool():
     # concurrent.futures.process (multiprocessing) about 30 ms; only
     # run_sweep with several workers needs the pool.  numpy.ma (about 1 MB of
     # peak RSS, pulled in by np.unique) stays unloaded through a
-    # single-process sweep of the pursuits, whose rows grow supports of
-    # several sizes from the trials' arrays.
+    # single-process sweep of every estimator on a block's arrays: the
+    # pursuits' rows grow supports of several sizes, and li-mmse factors a
+    # stack of sample covariances.
     proc = _run_fresh(
         "import sys, sparsechan.cli; "
         "print(sorted(m for m in sys.modules "
         "if m.split('.')[0] == 'scipy' or m == 'concurrent.futures.process')); "
-        "from sparsechan import SweepConfig, SystemConfig, etu_profile, run_sweep; "
+        "from sparsechan import ESTIMATOR_NAMES, SweepConfig, SystemConfig, etu_profile, "
+        "run_sweep; "
         "run_sweep(SweepConfig(SystemConfig(d=32, n_pilots=8), etu_profile(), (10.0,), 10, "
-        "('omp', 'a1', 'a2', 'a3', 'exomp'), n_prior_sets=2)); "
-        "print('numpy.ma' in sys.modules)"
+        "ESTIMATOR_NAMES, n_prior_sets=2)); "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] == 'scipy' or m in ('numpy.ma', 'concurrent.futures.process')))"
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["[]", "False"]
+    assert proc.stdout.split() == ["[]", "[]"]
 
 
 def test_readme_library_example_runs():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sparsechan import signal_model
 from sparsechan.signal_model import (
     Observation,
     ObservationSet,
@@ -109,6 +110,23 @@ def test_pseudo_random_rows_are_patterns_checked_as_one_stack():
     ):
         with pytest.raises(ValueError, match=message):
             _check_indices("pilot indices", np.array(bad), 8, ndim=2)
+
+
+def test_pseudo_random_pattern_checks_its_indices_once(monkeypatch):
+    # The draw is checked by the pattern's constructor alone, and a stack of
+    # draws by one check for the stack.
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return _check_indices(*args, **kwargs)
+
+    monkeypatch.setattr(signal_model, "_check_indices", counting)
+    cfg = SystemConfig(d=64, n_pilots=16)
+    PilotPattern.pseudo_random(cfg, seed=3)
+    assert calls == ["pilot indices"]
+    _pseudo_random_rows(cfg.d, cfg.n_pilots, [3, 42, 7])
+    assert len(calls) == 2
 
 
 def test_observation_validation():

@@ -599,7 +599,7 @@ def test_oversized_detection_is_capped_with_warning():
     for o in obs:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            rows = (*_stack((o,), 1), pdp.values[None], pdp.n_sets, pdp.n_pilots, (det,))
+            rows = (*_stack((o,), 1), pdp.values[None], pdp.n_sets, pdp.n_pilots, det)
             est = _seeded_rows(*rows)[0]
         assert [str(w.message) for w in caught if "strongest" in str(w.message)] == [
             f"detected support of {detected} bins exceeds 8 observations; "
@@ -780,7 +780,7 @@ def test_detected_dependent_bins_are_skipped_with_a_warning(cfg):
     for obs in sets.observations:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            rows = (*_stack((obs,), 1), pdp.values[None], pdp.n_sets, pdp.n_pilots, (det,))
+            rows = (*_stack((obs,), 1), pdp.values[None], pdp.n_sets, pdp.n_pilots, det)
             est = _seeded_rows(*rows, cfg)[0]
         assert _skip_messages(caught) == [
             "seed bin 10 is linearly dependent on the support; skipped",
@@ -810,7 +810,7 @@ def test_ex_omp_blocks_dependent_admissions():
 
 @st.composite
 def blocks(draw):
-    """Observations on one grid, each with two prior observations and a detector.
+    """Observations on one grid, each with two prior observations, and one detector for all.
 
     The grid is d = n * spacing, so a uniform pattern at that spacing sees
     bins k, k + n, k + 2n, ... as one column.  Each row is one of: a sparse
@@ -845,8 +845,9 @@ def blocks(draw):
             if kind == "noise":  # energy at half the target n * nv
                 o = Observation(o.y * np.sqrt(0.5 * n * nv / np.vdot(o.y, o.y).real), pattern, nv)
             obs.append(o)
-        rows.append((kind, obs[0], tuple(obs[1:]), DetectionConfig(alpha=1e-2, noise_var=nv)))
-    return n, rows
+        rows.append((kind, obs[0], tuple(obs[1:])))
+    det = DetectionConfig(alpha=1e-2, noise_var=draw(st.sampled_from([0.0, 0.05])))
+    return n, rows, det
 
 
 def _assert_same(got, want):
@@ -861,8 +862,8 @@ def _assert_same(got, want):
 def test_each_row_of_a_block_pursuit_equals_its_one_row_pursuit(block):
     # Rows of one block pursuit never interact: each is bitwise the one-row
     # result, whatever stops, skips or finishes early beside it.
-    n, rows = block
-    kinds, observations, priors, dets = zip(*rows)
+    n, rows, det = block
+    kinds, observations, priors = zip(*rows)
     cfg = OmpConfig(max_iters=n)
     full = [ObservationSet((o,) + p) for o, p in zip(observations, priors)]
     full_pdps = [sample_pdp(f) for f in full]
@@ -874,11 +875,11 @@ def test_each_row_of_a_block_pursuit_equals_its_one_row_pursuit(block):
         warnings.simplefilter("ignore")
         got = {
             "omp": _omp_rows(*stacked, cfg),
-            "a1": _seeded_rows(*stacked, full_values, 3, n, dets),
-            "a2": _a2_rows(*stacked, prior_values, 2, n, dets, cfg),
-            "a3": _seeded_rows(*stacked, full_values, 3, n, dets, cfg),
+            "a1": _seeded_rows(*stacked, full_values, 3, n, det),
+            "a2": _a2_rows(*stacked, prior_values, 2, n, det, cfg),
+            "a3": _seeded_rows(*stacked, full_values, 3, n, det, cfg),
         }
-        for i, (kind, obs, det) in enumerate(zip(kinds, observations, dets)):
+        for i, (kind, obs) in enumerate(zip(kinds, observations)):
             a1, a3 = algorithm_a1(full[i], det), algorithm_a3(full[i], det, cfg)
             want = {
                 "omp": omp(obs, cfg),
@@ -890,7 +891,7 @@ def test_each_row_of_a_block_pursuit_equals_its_one_row_pursuit(block):
                 _assert_same(got[name][i], est)
             # The set forms are a block of one row per observation of the set.
             for o, set_a1, set_a3 in zip(full[i].observations, a1, a3):
-                one = (*_stack((o,), 1), full_values[i : i + 1], 3, n, (det,))
+                one = (*_stack((o,), 1), full_values[i : i + 1], 3, n, det)
                 _assert_same(set_a1, _seeded_rows(*one)[0])
                 _assert_same(set_a3, _seeded_rows(*one, cfg)[0])
             if kind == "noise":
